@@ -4,16 +4,17 @@ A coset with elements g_1 < ... < g_N (canonical ordering) induces the
 length-N words c(a) = (tr(a Tr g_1), ..., tr(a Tr g_N)) for a in GF(q).
 These words form the dual of the code of interest; everything here works
 with that q-element dual: closed-form Hamming weights, the exact weight
-distribution of the big primal code (prefix by dynamic programming over
-trace classes, full via MacWilliams at tiny lengths), and the duality and
-kernel checks.
+distribution of the big primal code, and the duality and kernel checks.
+Both the weight prefix and the full distribution at tiny lengths come from
+one MacWilliams engine: dual weights (by a Walsh-Hadamard transform of the
+trace classes, or by popcount), then Krawtchouk values per distinct weight.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 from .finite_field import FieldCtx, mul, trace
 from .kloosterman import BudgetError
@@ -74,13 +75,49 @@ class WeightPrefix:
     counts: tuple[int, ...]
 
 
-def _binomial_prefix(m: int, j_max: int) -> list[int]:
-    """binomial(m, nu) for nu = 0..j_max by the falling-factorial recurrence;
-    m may be astronomically large."""
-    out = [1]
-    for nu in range(1, j_max + 1):
-        out.append(out[-1] * (m - nu + 1) // nu)
-    return out
+def _walsh_hadamard(vec: list[int]) -> list[int]:
+    """W[u] = sum_x vec[x] (-1)^popcount(u & x) for a power-of-two length.
+    Each pass butterflies the top index bit and moves it to the bottom, so
+    after log2(len) passes every bit is transformed and back in place."""
+    half = len(vec) // 2
+    for _ in range(len(vec).bit_length() - 1):
+        lo, hi = vec[:half], vec[half:]
+        vec = [0] * (2 * half)
+        vec[0::2] = [x + y for x, y in zip(lo, hi)]
+        vec[1::2] = [x - y for x, y in zip(lo, hi)]
+    return vec
+
+
+def _macwilliams(
+    length: int, dual_weights: dict[int, int], dual_size: int, j_max: int
+) -> tuple[int, ...]:
+    """C_j for j <= j_max of a binary code from its dual (MacWilliams):
+    dual_weights maps each weight w to mult(w), the dual words of weight w
+    (every word counted equally often), and dual_size = sum mult(w).  Then
+    C_j = (1/dual_size) sum_w mult(w) K_j(w) with the Krawtchouk value
+    K_j(w) = [y^j] (1+y)^(length-w) (1-y)^w from the three-term recurrence
+    (j+1) K_(j+1) = (length - 2w) K_j - (length - j + 1) K_(j-1)."""
+    raw = [0] * (j_max + 1)
+    for w, mult in dual_weights.items():
+        prev, cur = 0, 1
+        raw[0] += mult
+        for j in range(j_max):
+            nxt, rem = divmod((length - 2 * w) * cur - (length - j + 1) * prev, j + 1)
+            if rem:
+                raise AssertionError("the Krawtchouk recurrence must divide exactly")
+            prev, cur = cur, nxt
+            raw[j + 1] += mult * cur
+    counts = []
+    for val in raw:
+        c_j, rem = divmod(val, dual_size)
+        if rem:
+            raise AssertionError("the MacWilliams transform must divide exactly")
+        counts.append(c_j)
+    if counts[0] != 1:
+        raise AssertionError("the zero codeword must be counted exactly once")
+    if any(c < 0 for c in counts):
+        raise AssertionError("weight counts must be nonnegative")
+    return tuple(counts)
 
 
 def prefix_counts_from_distribution(
@@ -88,31 +125,22 @@ def prefix_counts_from_distribution(
 ) -> tuple[int, ...]:
     """C_j for j <= j_max: the number of ways to pick j coordinates, nu_beta
     from the trace-beta class, with the field sum of picked betas zero.
-    Dynamic programming over beta in encoding order; characteristic two makes
-    the partial sum depend only on the parities of the nu_beta."""
+    The dual word c(a) has weight w_a = sum_beta N_beta tr(a beta), and
+    tr(a beta) = parity(M(a) & beta) with bit k of M(a) equal to tr(a z^k),
+    so w_a = (length - W[M(a)]) / 2 for the Walsh-Hadamard transform W of
+    the class counts.  M is a bijection (the trace form is nondegenerate),
+    hence the q dual weights are the values (length - W[u]) / 2."""
     if not 0 <= j_max <= PREFIX_J_LIMIT:
         raise ValueError(f"j_max must lie in 0..{PREFIX_J_LIMIT}")
-    states: dict[int, list[int]] = {0: [1] + [0] * j_max}
-    for beta in range(ctx.q):
-        binoms = _binomial_prefix(class_counts.get(beta, 0), j_max)
-        new: dict[int, list[int]] = {}
-        for psum, arr in states.items():
-            for nu in range(j_max + 1):
-                ways = binoms[nu]
-                if not ways:
-                    break
-                key = psum ^ beta if nu & 1 else psum
-                target = new.setdefault(key, [0] * (j_max + 1))
-                for j in range(j_max + 1 - nu):
-                    if arr[j]:
-                        target[j + nu] += arr[j] * ways
-        states = new
-    counts = tuple(states.get(0, [0] * (j_max + 1)))
-    if counts[0] != 1:
-        raise AssertionError("the zero codeword must be counted exactly once")
-    if any(c < 0 for c in counts):
-        raise AssertionError("weight counts must be nonnegative")
-    return counts
+    length = sum(class_counts.values())
+    walsh = _walsh_hadamard([class_counts.get(beta, 0) for beta in range(ctx.q)])
+    weights = {}
+    for value, mult in Counter(walsh).items():
+        w, rem = divmod(length - value, 2)
+        if rem or not 0 <= w <= length:
+            raise AssertionError("dual weights must be integers in 0..length")
+        weights[w] = mult
+    return _macwilliams(length, weights, ctx.q, j_max)
 
 
 def weight_distribution_prefix(spec: DoubleCosetSpec, j_max: int) -> WeightPrefix:
@@ -155,29 +183,11 @@ def full_weight_distribution_small(spec: DoubleCosetSpec) -> tuple[int, ...]:
     rank = dual_code_rank(spec)
     if rank > MACWILLIAMS_RANK_LIMIT:
         raise BudgetError(f"full distribution needs dual rank <= {MACWILLIAMS_RANK_LIMIT}")
-    dual_counts = [0] * (length + 1)
-    for w in words:
-        dual_counts[w.bit_count()] += 1
-    # C_j = (1/|dual|) sum_i B_i [y^j] (1+y)^(length-i) (1-y)^i
-    raw = [0] * (length + 1)
-    for i, b_i in enumerate(dual_counts):
-        if not b_i:
-            continue
-        for j in range(length + 1):
-            coeff = 0
-            for t in range(max(0, j - (length - i)), min(i, j) + 1):
-                term = comb(i, t) * comb(length - i, j - t)
-                coeff += -term if t & 1 else term
-            raw[j] += b_i * coeff
-    out = []
-    for val in raw:
-        c_j, rem = divmod(val, len(words))
-        if rem or c_j < 0:
-            raise AssertionError("MacWilliams transform must yield nonnegative integers")
-        out.append(c_j)
+    dual_counts = Counter(w.bit_count() for w in words)
+    out = _macwilliams(length, dual_counts, len(words), length)
     if sum(out) != 1 << (length - rank):
         raise AssertionError("distribution total must be 2^(length - rank)")
-    return tuple(out)
+    return out
 
 
 def dual_code_kernel(spec: DoubleCosetSpec) -> tuple[int, ...]:

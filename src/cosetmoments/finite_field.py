@@ -128,10 +128,6 @@ def make_field(r: int, modulus: int | None = None, a_param: int | None = None) -
     return FieldCtx(r=r, q=q, modulus=modulus, a_param=a_param, trace_mask=mask)
 
 
-def add(ctx: FieldCtx, x: int, y: int) -> int:
-    return x ^ y
-
-
 @lru_cache(maxsize=None)
 def _mul_table(modulus: int, r: int) -> tuple[tuple[int, ...], ...]:
     q = 1 << r
@@ -193,10 +189,6 @@ def lambda_table(ctx: FieldCtx) -> tuple[int, ...]:
 def theta_subgroup(ctx: FieldCtx) -> frozenset[int]:
     """The image of x -> x^2 + x, an index-2 subgroup of the additive group."""
     return frozenset(mul(ctx, x, x) ^ x for x in range(ctx.q))
-
-
-def elements(ctx: FieldCtx) -> range:
-    return range(ctx.q)
 
 
 def units(ctx: FieldCtx) -> range:

@@ -11,7 +11,6 @@ series is compared against the brute-force moment oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 
@@ -104,6 +103,22 @@ def _oracle_moments(ctx: FieldCtx, params: SeriesParams, h_max: int) -> tuple[in
     return series.values[:: params.oracle_stride]
 
 
+def _pless_sum(prefix: tuple[int, ...], n: int, h: int) -> int:
+    """P(h) = sum_j (-1)^j C_j sum_t t! S(h,t) 2^(h-t) binom(n-j, n-t) over
+    j <= t <= min(h, n): the weight-prefix side of the power moment identity
+    2^h sum_a w(a)^h = q P(h), read off the first min(n, h) + 1 counts."""
+    top = min(n, h)
+    total = 0
+    for j in range(top + 1):
+        if not prefix[j]:
+            continue
+        inner = 0
+        for t in range(j, top + 1):
+            inner += factorial(t) * stirling2(h, t) * (1 << (h - t)) * comb(n - j, n - t)
+        total += -prefix[j] * inner if j & 1 else prefix[j] * inner
+    return total
+
+
 def _solve_recursion(
     ctx: FieldCtx,
     class_counts: dict[int, int],
@@ -122,16 +137,7 @@ def _solve_recursion(
     prefix = prefix_counts_from_distribution(ctx, class_counts, min(n, h_max))
     values = [q - 1]
     for h in range(1, h_max + 1):
-        p_sum = 0
-        for j in range(min(n, h) + 1):
-            c_j = prefix[j]
-            if not c_j:
-                continue
-            inner = 0
-            for t in range(j, min(h, n) + 1):
-                inner += factorial(t) * stirling2(h, t) * (1 << (h - t)) * comb(n - j, n - t)
-            p_sum += -c_j * inner if j & 1 else c_j * inner
-        lead, rem = divmod(q * p_sum, a_cnt ** h)
+        lead, rem = divmod(q * _pless_sum(prefix, n, h), a_cnt ** h)
         if rem:
             raise AssertionError("the moment identity must divide exactly by A^h")
         acc = lead
@@ -242,22 +248,10 @@ def pless_check(spec: DoubleCosetSpec, h: int) -> tuple[int, int]:
     lhs = sum(codeword_weight_closed(spec, a) ** h for a in range(1, ctx.q))
     n = dc_cardinality(spec)[2]
     prefix = weight_distribution_prefix(spec, min(n, h)).counts
-    rhs = Fraction(0)
-    for j in range(min(n, h) + 1):
-        if not prefix[j]:
-            continue
-        inner = Fraction(0)
-        for t in range(j, min(h, n) + 1):
-            inner += (
-                factorial(t)
-                * stirling2(h, t)
-                * Fraction(2) ** (ctx.r - t)
-                * comb(n - j, n - t)
-            )
-        rhs += (-1) ** j * prefix[j] * inner
-    if rhs.denominator != 1:
+    rhs, rem = divmod(ctx.q * _pless_sum(prefix, n, h), 1 << h)
+    if rem:
         raise AssertionError("the power-moment sum must be an integer")
-    return lhs, int(rhs)
+    return lhs, rhs
 
 
 def moment_lhs_expansion(spec: DoubleCosetSpec, h: int, series: str | None = None) -> int:

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from cosetmoments.cli import _valid_specs
 from cosetmoments.coset_codes import (
     codeword_weight_closed,
     delsarte_check,
@@ -47,17 +48,6 @@ from cosetmoments.ominus_groups import (
 )
 
 ENUMERATION_POINTS = ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1))  # (n, r) pairs
-
-
-def _valid_specs(ctx, n):
-    sign = "+" if n % 2 == 0 else "-"
-    out = []
-    for fam in (1, 2, 3, 4):
-        try:
-            out.append(DoubleCosetSpec(fam, sign, n, ctx))
-        except ValueError:
-            continue
-    return out
 
 
 def _code_specs():

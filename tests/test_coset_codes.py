@@ -1,11 +1,17 @@
 """Dual codewords, weight distributions, and the duality checks."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cosetmoments.cli import _valid_specs
 from cosetmoments.coset_codes import (
     DEGENERATE_KERNEL_SPECS,
     MACWILLIAMS_N_LIMIT,
     PREFIX_J_LIMIT,
+    _walsh_hadamard,
     codeword_hex,
     codeword_weight_closed,
     delsarte_check,
@@ -13,10 +19,11 @@ from cosetmoments.coset_codes import (
     dual_code_rank,
     dual_codeword,
     full_weight_distribution_small,
+    prefix_counts_from_distribution,
     weight_distribution_prefix,
 )
-from cosetmoments.finite_field import make_field, units
-from cosetmoments.ominus_groups import DoubleCosetSpec, dc_cardinality
+from cosetmoments.finite_field import is_irreducible, make_field, trace, units
+from cosetmoments.ominus_groups import DoubleCosetSpec, dc_cardinality, trace_distribution
 
 CTX2 = make_field(1)
 CTX4 = make_field(2)
@@ -149,3 +156,98 @@ def test_macwilliams_gates():
     assert dc_cardinality(too_long)[2] > MACWILLIAMS_N_LIMIT
     with pytest.raises(ValueError):
         full_weight_distribution_small(too_long)
+
+
+# --- the MacWilliams engine against the XOR-state DP ----------------------
+
+
+def _binomial_prefix(m, j_max):
+    out = [1]
+    for nu in range(1, j_max + 1):
+        out.append(out[-1] * (m - nu + 1) // nu)
+    return out
+
+
+def dp_prefix(ctx, class_counts, j_max):
+    """Oracle: C_j as the number of ways to pick nu_beta coordinates from each
+    trace class with picked betas summing to zero, by dynamic programming over
+    beta; in characteristic two the partial sum depends only on the parities
+    of the nu_beta.  Costs O(q * states * j_max^2)."""
+    states = {0: [1] + [0] * j_max}
+    for beta in range(ctx.q):
+        binoms = _binomial_prefix(class_counts.get(beta, 0), j_max)
+        new = {}
+        for psum, arr in states.items():
+            for nu in range(j_max + 1):
+                ways = binoms[nu]
+                if not ways:
+                    break
+                key = psum ^ beta if nu & 1 else psum
+                target = new.setdefault(key, [0] * (j_max + 1))
+                for j in range(j_max + 1 - nu):
+                    if arr[j]:
+                        target[j + nu] += arr[j] * ways
+        states = new
+    return tuple(states.get(0, [0] * (j_max + 1)))
+
+
+def _every_spec(ctx, n_max=5):
+    return [spec for n in range(1, n_max + 1) for spec in _valid_specs(ctx, n)]
+
+
+# the DP costs O(q^2 j^2), so the cutoff shrinks as q grows
+DP_J_CAP = {1: 16, 2: 16, 3: 16, 4: 16, 5: 12, 6: 10}
+
+
+@pytest.mark.parametrize("r", sorted(DP_J_CAP))
+def test_engine_matches_dp_at_every_small_field(r):
+    ctx = make_field(r)
+    specs = _every_spec(ctx)
+    assert {(s.family, s.sign) for s in specs} == {(f, g) for f in (1, 2, 3, 4) for g in "+-"}
+    for spec in specs:
+        counts = trace_distribution(spec, "closed_form")
+        j_max = min(dc_cardinality(spec)[2], DP_J_CAP[r])
+        expected = dp_prefix(ctx, counts, j_max)
+        assert prefix_counts_from_distribution(ctx, counts, j_max) == expected, _sid(spec)
+
+
+@st.composite
+def random_fields(draw):
+    r = draw(st.integers(min_value=1, max_value=5))
+    moduli = [m for m in range(1 << r, 1 << (r + 1)) if is_irreducible(m, r)]
+    ctx = make_field(r, draw(st.sampled_from(moduli)))
+    a_param = draw(st.sampled_from([x for x in range(ctx.q) if trace(ctx, x)]))
+    return make_field(r, ctx.modulus, a_param)
+
+
+@given(ctx=random_fields(), pick=st.integers(min_value=0), j_max=st.integers(0, 10))
+@settings(deadline=None, max_examples=40)
+def test_engine_matches_dp_over_random_moduli(ctx, pick, j_max):
+    specs = _every_spec(ctx, 4)
+    spec = specs[pick % len(specs)]
+    counts = trace_distribution(spec, "closed_form")
+    prefix = prefix_counts_from_distribution(ctx, counts, j_max)
+    assert prefix == dp_prefix(ctx, counts, j_max)
+    # the code does not depend on the representation of the field
+    default = DoubleCosetSpec(spec.family, spec.sign, spec.n, make_field(ctx.r))
+    assert weight_distribution_prefix(default, j_max).counts == prefix
+
+
+def test_walsh_hadamard_matches_its_definition():
+    rng = random.Random(0)
+    for r in range(6):
+        vec = [rng.randrange(-50, 50) for _ in range(1 << r)]
+        direct = [
+            sum(v * (-1) ** (u & x).bit_count() for x, v in enumerate(vec)) for u in range(1 << r)
+        ]
+        assert _walsh_hadamard(vec) == direct
+
+
+def test_full_prefix_beyond_the_dp_at_r8():
+    # length q + 1 = 257 with the whole distribution from the prefix engine
+    spec = DoubleCosetSpec(1, "-", 1, make_field(8))
+    n = dc_cardinality(spec)[2]
+    assert n == 257
+    dist = weight_distribution_prefix(spec, n).counts
+    assert sum(dist) == 2 ** (n - 8)
+    assert all(dist[j] == dist[n - j] for j in range(n + 1))

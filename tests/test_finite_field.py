@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cosetmoments.finite_field import (
     MAX_R,
-    add,
     default_modulus,
     fpow,
     inv,
@@ -95,7 +94,7 @@ def test_ring_axioms(r, xs):
     x, y, z = (v % ctx.q for v in xs)
     assert mul(ctx, x, y) == mul(ctx, y, x)
     assert mul(ctx, mul(ctx, x, y), z) == mul(ctx, x, mul(ctx, y, z))
-    assert mul(ctx, x, add(ctx, y, z)) == add(ctx, mul(ctx, x, y), mul(ctx, x, z))
+    assert mul(ctx, x, y ^ z) == mul(ctx, x, y) ^ mul(ctx, x, z)
     assert mul(ctx, 1, x) == x
     assert mul(ctx, 0, x) == 0
 
