@@ -8,17 +8,21 @@ Every context carries a distinguished element a_param of trace 1, so that
 z^2 + z + a_param has no root; it parametrizes the minus-type quadratic
 form used by the group modules.
 
+Products, inverses and powers are one lookup each in the tables exp[i] = g^i
+and log of the smallest generator g of GF(q)^*, built once per (modulus, r)
+by the carry-less product `_raw_mul` and held by every context.  g is searched
+for: the modulus need not be primitive (z has order 51 under 0x11B, r = 8).
+
 All functions are pure and FieldCtx is immutable, so contexts can be shared
 freely across worker processes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 MAX_R = 16
-_TABLE_LIMIT = 256  # largest q with a precomputed multiplication table
 
 
 @dataclass(frozen=True)
@@ -28,6 +32,9 @@ class FieldCtx:
     modulus: int
     a_param: int
     trace_mask: int  # bit k set iff tr(z^k) = 1
+    # _exp_log_tables(modulus, r), shared by every context with this modulus
+    exp: tuple[int, ...] = field(compare=False, repr=False)
+    log: tuple[int, ...] = field(compare=False, repr=False)
 
 
 def poly_degree(mask: int) -> int:
@@ -125,51 +132,56 @@ def make_field(r: int, modulus: int | None = None, a_param: int | None = None) -
             raise ValueError(f"a_param 0x{a_param:X} is not an element of GF({q})")
         if (a_param & mask).bit_count() & 1 != 1:
             raise ValueError(f"a_param 0x{a_param:X} has trace 0; the quadratic form needs trace 1")
-    return FieldCtx(r=r, q=q, modulus=modulus, a_param=a_param, trace_mask=mask)
+    exp, log = _exp_log_tables(modulus, r)
+    return FieldCtx(r=r, q=q, modulus=modulus, a_param=a_param, trace_mask=mask, exp=exp, log=log)
 
 
 @lru_cache(maxsize=None)
-def _mul_table(modulus: int, r: int) -> tuple[tuple[int, ...], ...]:
-    q = 1 << r
-    return tuple(tuple(_raw_mul(x, y, modulus, r) for y in range(q)) for x in range(q))
+def _exp_log_tables(modulus: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """exp[i] = g^i for i < 2(q - 1) (two periods, so log sums need no reduction)
+    and log[g^i] = i, where g = 1, 2, ... is the first whose powers meet every unit."""
+    n = (1 << r) - 1
+    for g in range(1, n + 1):
+        exp = [1]
+        x = g
+        while x != 1:
+            exp.append(x)
+            x = _raw_mul(x, g, modulus, r)
+        if len(exp) == n:
+            break
+    log = [0] * (n + 1)
+    for i, x in enumerate(exp):
+        log[x] = i
+    return tuple(exp + exp), tuple(log)
 
 
 def mul_table(ctx: FieldCtx) -> tuple[tuple[int, ...], ...]:
     """Full q x q product table; only materialized for q <= 256."""
-    if ctx.q > _TABLE_LIMIT:
-        raise ValueError(f"no product table above q = {_TABLE_LIMIT}")
-    return _mul_table(ctx.modulus, ctx.r)
+    if ctx.q > 256:
+        raise ValueError("no product table above q = 256")
+    return tuple(tuple(mul(ctx, x, y) for y in range(ctx.q)) for x in range(ctx.q))
 
 
 def mul(ctx: FieldCtx, x: int, y: int) -> int:
-    if ctx.q <= _TABLE_LIMIT:
-        return _mul_table(ctx.modulus, ctx.r)[x][y]
-    return _raw_mul(x, y, ctx.modulus, ctx.r)
+    if x and y:
+        log = ctx.log
+        return ctx.exp[log[x] + log[y]]
+    return 0
 
 
 def fpow(ctx: FieldCtx, x: int, e: int) -> int:
+    """x^e for any integer e; 0^0 = 1 and 0 to a negative power raises."""
+    if x:
+        return ctx.exp[ctx.log[x] * e % (ctx.q - 1)]
     if e < 0:
-        x = inv(ctx, x)
-        e = -e
-    acc = 1
-    while e:
-        if e & 1:
-            acc = mul(ctx, acc, x)
-        x = mul(ctx, x, x)
-        e >>= 1
-    return acc
+        raise ZeroDivisionError(f"0 has no inverse in GF({ctx.q})")
+    return 0 if e else 1
 
 
 def inv(ctx: FieldCtx, x: int) -> int:
     if x == 0:
         raise ZeroDivisionError(f"0 has no inverse in GF({ctx.q})")
-    return fpow(ctx, x, ctx.q - 2)
-
-
-@lru_cache(maxsize=None)
-def inv_table(ctx: FieldCtx) -> tuple[int, ...]:
-    # slot 0 is a placeholder so the table indexes by element encoding
-    return (0,) + tuple(inv(ctx, x) for x in range(1, ctx.q))
+    return ctx.exp[ctx.q - 1 - ctx.log[x]]
 
 
 def trace(ctx: FieldCtx, x: int) -> int:

@@ -15,16 +15,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import isqrt
 
-from .finite_field import (
-    FieldCtx,
-    inv,
-    inv_table,
-    lambda_char,
-    lambda_table,
-    mul,
-    mul_table,
-    units,
-)
+from .finite_field import FieldCtx, inv, lambda_char, lambda_table, mul, units
 
 ENUM_BUDGET = 10 ** 8  # direct-summation term cap
 
@@ -56,19 +47,19 @@ def kloosterman_sum(ctx: FieldCtx, m: int, a: int) -> int:
             f"direct K_{m} sum needs {(ctx.q - 1) ** m} terms (budget {ENUM_BUDGET}); "
             "for m = 2 use carlitz_k2 instead"
         )
+    if m > 2:
+        return _kloosterman_generic(ctx, m, a)
     lam = lambda_table(ctx)
-    invt = inv_table(ctx)
-    rng = range(1, ctx.q)
+    exp, n = ctx.exp, ctx.q - 1
     if m == 1:
-        return sum(lam[x ^ mul(ctx, a, invt[x])] for x in rng)
-    if m == 2 and ctx.q <= 256:
-        tbl = mul_table(ctx)
-        total = 0
-        for x in rng:
-            row = tbl[tbl[a][invt[x]]]  # row[t] = a * x^-1 * t
-            total += sum(lam[x ^ y ^ row[invt[y]]] for y in rng)
-        return total
-    return _kloosterman_generic(ctx, m, a)
+        return _k1_exponent_form(lam, exp, n, ctx.log[a])
+    # x = g^i and lambda(x + s) = lambda(x) lambda(s) leave a K_1 sum at a/x
+    return sum(lam[exp[i]] * _k1_exponent_form(lam, exp, n, (ctx.log[a] - i) % n) for i in range(n))
+
+
+def _k1_exponent_form(lam: tuple[int, ...], exp: tuple[int, ...], n: int, e: int) -> int:
+    """Sum over i of lambda(g^i + g^(e - i)), i.e. K_1(lambda; g^e), with n = q - 1."""
+    return sum(lam[x ^ y] for x, y in zip(exp[:n], reversed(exp[e + 1 : e + n + 1])))
 
 
 def _kloosterman_generic(ctx: FieldCtx, m: int, a: int) -> int:

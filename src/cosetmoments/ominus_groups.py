@@ -44,10 +44,6 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_add(x: Matrix, y: Matrix) -> Matrix:
-    return tuple(tuple(a ^ b for a, b in zip(rx, ry)) for rx, ry in zip(x, y))
-
-
 def mat_mul(ctx: FieldCtx, x: Matrix, y: Matrix) -> Matrix:
     yt = tuple(zip(*y))
     out = []

@@ -1,15 +1,20 @@
 """Field construction, arithmetic axioms, and the trace/character layer."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetmoments import finite_field
+from cosetmoments.cli import _check_field_axioms
 from cosetmoments.finite_field import (
     MAX_R,
+    _exp_log_tables,
+    _raw_mul,
     default_modulus,
     fpow,
     inv,
-    inv_table,
     is_irreducible,
     lambda_char,
     make_field,
@@ -102,10 +107,8 @@ def test_ring_axioms(r, xs):
 @pytest.mark.parametrize("r", range(1, 5))
 def test_every_unit_has_an_inverse(r):
     ctx = make_field(r)
-    table = inv_table(ctx)
     for x in units(ctx):
         assert mul(ctx, x, inv(ctx, x)) == 1
-        assert table[x] == inv(ctx, x)
         assert fpow(ctx, x, ctx.q - 1) == 1
     with pytest.raises(ZeroDivisionError):
         inv(ctx, 0)
@@ -115,6 +118,121 @@ def test_fpow_negative_exponent():
     ctx = make_field(3)
     for x in units(ctx):
         assert mul(ctx, fpow(ctx, x, -2), fpow(ctx, x, 2)) == 1
+
+
+# every default modulus, plus a non-primitive override (z has order 5 mod 0x1F)
+TABLE_FIELDS = [(r, default_modulus(r)) for r in range(1, MAX_R + 1)] + [(4, 0x1F)]
+EXPONENTS = (0, 1, 2, 3, 7, 254, 255, 256, 65534, 65535, 65536, 1 << 20)
+
+
+def _raw_pow(x, e, modulus, r):
+    """x^e for e >= 0 by square-and-multiply on the carry-less product."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = _raw_mul(acc, x, modulus, r)
+        x = _raw_mul(x, x, modulus, r)
+        e >>= 1
+    return acc
+
+
+def _order(x, modulus, r):
+    k, y = 1, x
+    while y != 1:
+        y = _raw_mul(y, x, modulus, r)
+        k += 1
+    return k
+
+
+def _assert_matches_carry_less_product(ctx, pairs):
+    m, r = ctx.modulus, ctx.r
+    for x, y in pairs:
+        assert mul(ctx, x, y) == _raw_mul(x, y, m, r)
+        if x:
+            assert _raw_mul(x, inv(ctx, x), m, r) == 1
+        for e in EXPONENTS:
+            assert fpow(ctx, x, e) == _raw_pow(x, e, m, r)
+            if x:
+                assert _raw_mul(fpow(ctx, x, -e), _raw_pow(x, e, m, r), m, r) == 1
+
+
+@pytest.mark.parametrize("r,modulus", TABLE_FIELDS)
+def test_exp_log_tables_are_powers_of_the_smallest_generator(r, modulus):
+    exp, log = _exp_log_tables(modulus, r)
+    ctx = make_field(r, modulus)
+    assert ctx.exp is exp and ctx.log is log
+    n = (1 << r) - 1
+    g = exp[1]
+    assert len(exp) == 2 * n and len(log) == n + 1
+    assert exp[0] == 1
+    assert all(exp[i + 1] == _raw_mul(exp[i], g, modulus, r) for i in range(2 * n - 1))
+    assert exp[n:] == exp[:n]
+    assert sorted(exp[:n]) == list(range(1, n + 1))
+    assert all(log[exp[i]] == i for i in range(n))
+    assert all(_order(h, modulus, r) < n for h in range(2, g))
+
+
+@pytest.mark.parametrize("r,modulus", TABLE_FIELDS)
+def test_arithmetic_matches_the_carry_less_product(r, modulus):
+    ctx = make_field(r, modulus)
+    if r <= 5:
+        pairs = [(x, y) for x in range(ctx.q) for y in range(ctx.q)]
+    else:
+        rng = random.Random(f"pairs:{r}:{modulus}")
+        pairs = [(rng.randrange(ctx.q), rng.randrange(ctx.q)) for _ in range(300)]
+    _assert_matches_carry_less_product(ctx, pairs)
+
+
+@given(
+    r=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0),
+    xs=st.lists(st.integers(min_value=0), min_size=2, max_size=2),
+)
+@settings(deadline=None, max_examples=60)
+def test_arithmetic_matches_for_random_moduli(r, seed, xs):
+    rng = random.Random(seed)
+    while True:
+        modulus = rng.randrange(1 << r, 1 << (r + 1))
+        if is_irreducible(modulus, r):
+            break
+    ctx = make_field(r, modulus)
+    assert sorted(ctx.exp[: ctx.q - 1]) == list(units(ctx))
+    x, y = (v % ctx.q for v in xs)
+    _assert_matches_carry_less_product(ctx, [(x, y), (y, x)])
+
+
+def test_trivial_unit_group_at_r1():
+    ctx = make_field(1)
+    assert (ctx.exp, ctx.log) == ((1, 1), (0, 0))
+    assert mul(ctx, 1, 1) == 1 and mul(ctx, 0, 1) == 0 and mul(ctx, 1, 0) == 0
+    assert inv(ctx, 1) == 1
+    assert all(fpow(ctx, 1, e) == 1 for e in range(-3, 4))
+
+
+@pytest.mark.parametrize("r", (1, 3, 9))
+def test_zero_powers(r):
+    ctx = make_field(r)
+    assert fpow(ctx, 0, 0) == 1
+    assert fpow(ctx, 0, 5) == 0
+    with pytest.raises(ZeroDivisionError):
+        fpow(ctx, 0, -1)
+    with pytest.raises(ZeroDivisionError):
+        inv(ctx, 0)
+
+
+def test_field_axioms_check_catches_self_consistent_wrong_tables(monkeypatch):
+    """Tables with two units swapped keep x * x^-1 = 1 but give wrong products."""
+    exp, _ = _exp_log_tables(0x11B, 8)
+    bad = list(exp[:255])
+    bad[5], bad[9] = bad[9], bad[5]
+    bad_log = [0] * 256
+    for i, x in enumerate(bad):
+        bad_log[x] = i
+    monkeypatch.setattr(finite_field, "_exp_log_tables", lambda modulus, r: (tuple(bad * 2), tuple(bad_log)))
+    ctx = make_field(8)
+    assert all(mul(ctx, x, inv(ctx, x)) == 1 for x in units(ctx))
+    with pytest.raises(AssertionError):
+        _check_field_axioms(8, 0x11B)
 
 
 @pytest.mark.parametrize("r", range(1, 6))

@@ -58,12 +58,16 @@ def test_two_dimensional_sum_satisfies_carlitz(r):
         assert kloosterman_sum(ctx, 2, a) == carlitz_k2(ctx, a)
 
 
-def test_generic_path_matches_table_path():
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("r,modulus", [(r, None) for r in range(1, 6)] + [(4, 0x1F)])
+def test_exponent_form_matches_generic_sum(r, modulus, m):
+    """The log-table sums agree with the product-by-product oracle, also when z
+    does not generate the unit group (0x1F)."""
     from cosetmoments.kloosterman import _kloosterman_generic
 
-    ctx = make_field(2)
+    ctx = make_field(r, modulus)
     for a in units(ctx):
-        assert _kloosterman_generic(ctx, 2, a) == kloosterman_sum(ctx, 2, a)
+        assert _kloosterman_generic(ctx, m, a) == kloosterman_sum(ctx, m, a)
 
 
 @pytest.mark.parametrize("r", range(1, 7))
