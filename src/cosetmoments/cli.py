@@ -72,6 +72,8 @@ from .ominus_groups import (
     is_isometry_exhaustive,
     isometry_relations,
     o_minus_order,
+    p_minus_order,
+    parabolic_indices,
     q_minus_order,
     trace_distribution,
 )
@@ -405,9 +407,12 @@ def _check_parabolic_cells(r: int, modulus: int, n: int) -> None:
     union: set = set()
     total = 0
     for rr in range(n):
+        a_ord, index = parabolic_indices(ctx, n, rr)
+        if a_ord * index != p_minus_order(q, n):
+            raise AssertionError(f"stabilizer order times index must be |P^-| at r = {rr}")
         for twisted in (False, True):
             cell = bruhat_cell(ctx, n, rr, twisted)
-            if len(cell) != bruhat_cell_order(q, n, rr):
+            if not len(cell) == bruhat_cell_order(q, n, rr) == len(qm) * index:
                 raise AssertionError(f"cell size mismatch at r = {rr}, twisted = {twisted}")
             union.update(cell)
             total += len(cell)

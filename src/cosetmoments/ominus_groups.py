@@ -3,8 +3,9 @@
 Implements the defining quadratic form, the isometry conditions, the
 parabolic subgroup Q^-, the Weyl-type elements sigma_r and rho, the eight
 double-coset families with their closed-form cardinalities, exponential
-sums, and trace distributions.  Exhaustive enumeration (budget-gated) is
-the oracle for every closed form.
+sums, and trace distributions.  Exhaustive enumeration (budget-gated; each
+Bruhat cell a disjoint union of right cosets of Q^-) is the oracle for
+every closed form.
 
 Matrices are tuples of row tuples of field elements; field addition is
 XOR throughout.  Enumerations return canonically sorted tuples (row-major
@@ -16,8 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 
 from .finite_field import FieldCtx, inv, lambda_char, mul, trace
@@ -290,11 +290,9 @@ def parabolic_indices(ctx: FieldCtx, n: int, r: int) -> tuple[int, int]:
     exp2 = (n - 1) * (n + 2) + r * (2 * n - 3 * r - 5)
     if exp2 % 2:
         raise AssertionError("stabilizer exponent must be even")
-    a_ord = 2 * (q + 1) * gl_order(r, q) * gl_order(n - 1 - r, q) * Fraction(q) ** (exp2 // 2)
-    if a_ord.denominator != 1:
-        raise AssertionError("stabilizer order must be an integer")
+    a_ord = 2 * (q + 1) * gl_order(r, q) * gl_order(n - 1 - r, q) * q ** (exp2 // 2)
     index = gauss_binomial(n - 1, r, q) * q ** (r * (r + 3) // 2)
-    return int(a_ord), index
+    return a_ord, index
 
 
 # ---------------------------------------------------------------------------
@@ -396,10 +394,7 @@ def weyl_elements(ctx: FieldCtx, n: int) -> tuple[tuple[Matrix, ...], Matrix]:
         sigmas.append(
             tuple(tuple(1 if c == perm[rw] else 0 for c in range(2 * n)) for rw in range(2 * n))
         )
-    rho_rows = [list(row) for row in identity_matrix(2 * n)]
-    rho_rows[2 * n - 2][2 * n - 1] = 1
-    rho = tuple(tuple(row) for row in rho_rows)
-    return tuple(sigmas), rho
+    return tuple(sigmas), _rho_left_mul(identity_matrix(2 * n))
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +403,6 @@ def weyl_elements(ctx: FieldCtx, n: int) -> tuple[tuple[Matrix, ...], Matrix]:
 
 def _pack_rows(m: Matrix) -> tuple[int, ...]:
     return tuple(sum(bit << j for j, bit in enumerate(row)) for row in m)
-
-
-def _unpack_rows(packed: tuple[int, ...], size: int) -> Matrix:
-    return tuple(tuple((row >> j) & 1 for j in range(size)) for row in packed)
 
 
 def _packed_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
@@ -435,32 +426,36 @@ def _rho_left_mul(m: Matrix) -> Matrix:
 
 @lru_cache(maxsize=None)
 def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Matrix, ...]:
-    """The double coset Q^- sigma_r Q^- (rho-twisted when requested) by
-    direct two-sided products with set deduplication."""
+    """The double coset Q^- sigma_r Q^- (rho-twisted when requested) as the
+    disjoint union of its right cosets x sigma_r Q^-, x in Q^-: a coset is built
+    only if x sigma_r is in none built yet and must add |Q^-| new elements, so
+    each element is computed once and a Q^- that is not a group fails loudly."""
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..{n - 1}, got {r}")
     if twisted:
-        base = bruhat_cell(ctx, n, r, False)
-        return tuple(sorted(_rho_left_mul(w) for w in base))
+        return tuple(sorted(_rho_left_mul(w) for w in bruhat_cell(ctx, n, r, False)))
     qm = enumerate_q_minus(ctx, n)
     if r == 0:
         return qm  # sigma_0 is the identity and Q^- is a group
     if len(qm) ** 2 > PRODUCT_BUDGET:
         raise BudgetError(f"|Q^-|^2 = {len(qm) ** 2} exceeds the product budget {PRODUCT_BUDGET}")
     sigma = weyl_elements(ctx, n)[0][r]
-    seen: set = set()
     if ctx.q == 2:
-        packed = [_pack_rows(w) for w in qm]
-        sig = _pack_rows(sigma)
-        lefts = [_packed_mul(x, sig) for x in packed]
-        for left in lefts:
-            for y in packed:
-                seen.add(_packed_mul(left, y))
-        return tuple(sorted(_unpack_rows(w, 2 * n) for w in seen))
-    lefts = [mat_mul(ctx, x, sigma) for x in qm]
-    for left in lefts:
-        for y in qm:
-            seen.add(mat_mul(ctx, left, y))
+        elems, sigma, times = [_pack_rows(w) for w in qm], _pack_rows(sigma), _packed_mul
+    else:
+        elems, times = qm, partial(mat_mul, ctx)
+    seen: set = set()
+    for x in elems:
+        left = times(x, sigma)
+        if left in seen:
+            continue
+        before = len(seen)
+        seen.update(times(left, y) for y in elems)
+        if len(seen) - before != len(elems):
+            raise AssertionError("right cosets of Q^- must be disjoint")
+    if ctx.q == 2:
+        bit_rows = [tuple((v >> j) & 1 for j in range(2 * n)) for v in range(1 << (2 * n))]
+        seen = {tuple(bit_rows[row] for row in w) for w in seen}
     return tuple(sorted(seen))
 
 

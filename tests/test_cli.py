@@ -217,9 +217,9 @@ def test_verify_all_reducible_override(capsys):
 
 
 def test_verify_all_output_is_worker_independent(capsys):
-    main(["verify-all", "--max-r", "1", "--workers", "1"])
+    main(["verify-all", "--max-r", "2", "--workers", "1"])
     serial = capsys.readouterr().out
-    main(["verify-all", "--max-r", "1", "--workers", "2"])
+    main(["verify-all", "--max-r", "2", "--workers", "2"])
     parallel = capsys.readouterr().out
     assert serial == parallel
 

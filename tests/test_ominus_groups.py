@@ -1,13 +1,19 @@
 """Minus-type orthogonal groups: enumeration, cells, cardinalities, sums."""
 
 import random
+from functools import lru_cache
 
 import pytest
 
+from cosetmoments import cli, ominus_groups
 from cosetmoments.finite_field import make_field, trace, units
 from cosetmoments.kloosterman import BudgetError, kloosterman_sum
 from cosetmoments.ominus_groups import (
+    PRODUCT_BUDGET,
     DoubleCosetSpec,
+    _pack_rows,
+    _packed_mul,
+    _rho_left_mul,
     b_r_sum,
     b_r_sum_closed,
     bruhat_cell,
@@ -28,6 +34,7 @@ from cosetmoments.ominus_groups import (
     mat_trace,
     o_minus_order,
     p_minus_order,
+    parabolic_indices,
     q_minus_order,
     theta_minus,
     trace_distribution,
@@ -206,6 +213,98 @@ def test_bruhat_cells_partition_small_group():
             total += len(cell)
     assert total == 120
     assert len(seen) == 120
+
+
+# The construction bruhat_cell used before the right-coset walk: all |Q^-|^2
+# two-sided products, deduplicated in a set.  Kept as the oracle.
+
+
+def _unpack_rows(packed: tuple[int, ...], size: int):
+    return tuple(tuple((row >> j) & 1 for j in range(size)) for row in packed)
+
+
+@lru_cache(maxsize=None)
+def all_products_cell(ctx, n: int, r: int, twisted: bool = False):
+    if not 0 <= r <= n - 1:
+        raise ValueError(f"r must lie in 0..{n - 1}, got {r}")
+    if twisted:
+        base = all_products_cell(ctx, n, r, False)
+        return tuple(sorted(_rho_left_mul(w) for w in base))
+    qm = enumerate_q_minus(ctx, n)
+    if r == 0:
+        return qm  # sigma_0 is the identity and Q^- is a group
+    if len(qm) ** 2 > PRODUCT_BUDGET:
+        raise BudgetError(f"|Q^-|^2 = {len(qm) ** 2} exceeds the product budget {PRODUCT_BUDGET}")
+    sigma = weyl_elements(ctx, n)[0][r]
+    seen: set = set()
+    if ctx.q == 2:
+        packed = [_pack_rows(w) for w in qm]
+        sig = _pack_rows(sigma)
+        lefts = [_packed_mul(x, sig) for x in packed]
+        for left in lefts:
+            for y in packed:
+                seen.add(_packed_mul(left, y))
+        return tuple(sorted(_unpack_rows(w, 2 * n) for w in seen))
+    lefts = [mat_mul(ctx, x, sigma) for x in qm]
+    for left in lefts:
+        for y in qm:
+            seen.add(mat_mul(ctx, left, y))
+    return tuple(sorted(seen))
+
+
+CELL_FIELDS = {
+    "q2-n2": (1, 2, None),
+    "q2-n3": (1, 3, None),
+    "q4-n2": (2, 2, None),
+    "q4-n2-a3": (2, 2, 0x3),  # the other trace-one a_param of GF(4)
+}
+
+
+@pytest.mark.parametrize("key", sorted(CELL_FIELDS))
+def test_bruhat_cell_matches_all_products_oracle(key):
+    field_r, n, a_param = CELL_FIELDS[key]
+    ctx = make_field(field_r, a_param=a_param)
+    assert trace(ctx, ctx.a_param) == 1
+    for r in range(n):
+        for twisted in (False, True):
+            assert bruhat_cell(ctx, n, r, twisted) == all_products_cell(ctx, n, r, twisted)
+
+
+@pytest.mark.parametrize("field_r", (1, 2, 3, 4))
+def test_parabolic_indices_tie_cells_to_the_parabolics(field_r):
+    ctx = make_field(field_r)
+    q = ctx.q
+    for n in range(1, 8):
+        for r in range(n):
+            a_ord, index = parabolic_indices(ctx, n, r)
+            assert a_ord * index == p_minus_order(q, n)
+            assert bruhat_cell_order(q, n, r) == q_minus_order(q, n) * index
+    with pytest.raises(ValueError):
+        parabolic_indices(ctx, 3, 3)
+
+
+def test_parabolic_indices_anchors():
+    # a_ord / 2 is how often the all-products construction met each element
+    assert parabolic_indices(CTX2, 3, 1) == (96, 12)
+    assert parabolic_indices(CTX2, 3, 2) == (36, 32)
+    assert parabolic_indices(CTX4, 2, 1) == (30, 16)
+
+
+@pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2)))
+def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, n):
+    ctx = make_field(field_r)
+    group = enumerate_q_minus(ctx, n)
+    sigma = weyl_elements(ctx, n)[0][1]
+    fake = tuple(sorted(group[:-1] + (sigma,)))
+    assert sigma not in group and len(set(fake)) == len(group)
+    monkeypatch.setattr(ominus_groups, "enumerate_q_minus", lambda c, k: fake)
+    monkeypatch.setattr(cli, "enumerate_q_minus", lambda c, k: fake)
+    bruhat_cell.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="right cosets of Q\\^- must be disjoint"):
+            cli._check_parabolic_cells(field_r, ctx.modulus, n)
+    finally:
+        bruhat_cell.cache_clear()
 
 
 # --- double-coset specs ---------------------------------------------------
