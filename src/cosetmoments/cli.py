@@ -57,9 +57,11 @@ from .moment_recursion import (
 )
 from .ominus_groups import (
     O2_COSET_REP,
-    SCAN_BUDGET,
-    DoubleCosetSpec,
     PRODUCT_BUDGET,
+    Q_ENUM_BUDGET,
+    SCAN_BUDGET,
+    SYM_SUM_BUDGET,
+    DoubleCosetSpec,
     b_r_sum,
     b_r_sum_closed,
     bruhat_cell,
@@ -75,6 +77,7 @@ from .ominus_groups import (
     p_minus_order,
     parabolic_indices,
     q_minus_order,
+    sym_sum_terms,
     trace_distribution,
 )
 
@@ -181,14 +184,12 @@ def _cmd_weights(args: argparse.Namespace) -> tuple[dict, int]:
     spec = _spec_from_args(args, ctx)
     params = _field_echo(ctx) | _spec_echo(spec)
     total = dc_cardinality(spec)[2]
-    weights = {to_hex(a): _dec(codeword_weight_closed(spec, a)) for a in range(1, ctx.q)}
+    closed = {a: codeword_weight_closed(spec, a) for a in range(1, ctx.q)}
+    weights = {to_hex(a): _dec(w) for a, w in closed.items()}
     result: dict = {"length": _dec(total), "weights": weights}
     code = 0
     try:
-        ok = all(
-            codeword_weight_closed(spec, a) == sum(dual_codeword(spec, a))
-            for a in range(1, ctx.q)
-        )
+        ok = all(w == sum(dual_codeword(spec, a)) for a, w in closed.items())
         result["popcount_verified"] = ok
         if not ok:
             code = 1
@@ -538,7 +539,7 @@ def _build_checks(max_r: int, overrides: dict[int, int]) -> list[CheckEntry]:
             entries.append((f"range-spectrum-r{r}", _check_range_spectrum, (r, modulus)))
         else:
             gate_skips.append((f"range-spectrum-r{r}", "needs r >= 2"))
-        sym_dims = (1, 2) if q <= 10 else ((1,) if q ** 3 <= 10 ** 7 else ())
+        sym_dims = tuple(d for d in (1, 2) if sym_sum_terms(q, d) <= SYM_SUM_BUDGET)
         if sym_dims:
             entries.append(
                 (f"symmetric-matrix-sum-r{r}", _check_symmetric_sum, (r, modulus, sym_dims))
@@ -546,7 +547,7 @@ def _build_checks(max_r: int, overrides: dict[int, int]) -> list[CheckEntry]:
         entries.append((f"so2-isometries-r{r}", _check_so2, (r, modulus)))
         for n in (1, 2, 3):
             size = q_minus_order(q, n)
-            if size > 10 ** 4 or (n > 1 and size * size > PRODUCT_BUDGET):
+            if size > Q_ENUM_BUDGET or (n > 1 and size * size > PRODUCT_BUDGET):
                 continue
             entries += [
                 (f"parabolic-cells-n{n}-r{r}", _check_parabolic_cells, (r, modulus, n)),

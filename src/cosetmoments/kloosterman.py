@@ -10,7 +10,6 @@ recursions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import isqrt
@@ -120,8 +119,8 @@ def kgl_closed(ctx: FieldCtx, t: int, a: int) -> int:
 
     Sums q^l K^(t+2-2l) times a product over descending exponent chains
     2l-1 <= j_(l-1) <= ... <= j_1 <= t+1; the global prefactor
-    q^((t-2)(t+1)/2) is negative-exponent only at t = 1, handled exactly
-    with Fraction.
+    q^((t-2)(t+1)/2) is negative-exponent only at t = 1, where it is an
+    exact division by q.
     """
     if t < 1:
         raise ValueError(f"closed form needs t >= 1, got {t}")
@@ -140,10 +139,12 @@ def kgl_closed(ctx: FieldCtx, t: int, a: int) -> int:
                     term *= q ** (j - 2 * nu) - 1
                 inner += term
         total += q ** l * k ** (t + 2 - 2 * l) * inner
-    out = Fraction(q) ** ((t - 2) * (t + 1) // 2) * total
-    if out.denominator != 1:
+    if t >= 2:
+        return q ** ((t - 2) * (t + 1) // 2) * total
+    out, rem = divmod(total, q)
+    if rem:
         raise AssertionError("closed GL(t,q) sum must be an integer")
-    return int(out)
+    return out
 
 
 def twisted_sum_check(ctx: FieldCtx, m: int, beta: int) -> tuple[int, int]:

@@ -1,11 +1,11 @@
 """The minus-type orthogonal groups O^-(2n,q) over GF(2^r).
 
-Implements the defining quadratic form, the isometry conditions, the
-parabolic subgroup Q^-, the Weyl-type elements sigma_r and rho, the eight
-double-coset families with their closed-form cardinalities, exponential
-sums, and trace distributions.  Exhaustive enumeration (budget-gated; each
-Bruhat cell a disjoint union of right cosets of Q^-) is the oracle for
-every closed form.
+Implements the defining quadratic form, the isometry test from its values
+on a basis and its polar form, the parabolic subgroup Q^-, the Weyl-type
+elements sigma_r and rho, the eight double-coset families with their
+closed-form cardinalities, exponential sums, and trace distributions.
+Exhaustive enumeration (budget-gated; each Bruhat cell a disjoint union of
+right cosets of Q^-) is the oracle for every closed form.
 
 Matrices are tuples of row tuples of field elements; field addition is
 XOR throughout.  Enumerations return canonically sorted tuples (row-major
@@ -128,103 +128,25 @@ def is_isometry_exhaustive(ctx: FieldCtx, n: int, m: Matrix) -> bool:
     return True
 
 
-# Shape-carrying blocks (rows, cols, entries) so the n = 1 case, where the
-# (n-1)-sized blocks are empty, falls out of the same code path.
-_Block = tuple[int, int, Matrix]
-
-
-def _blk(m: Matrix, r0: int, c0: int, rows: int, cols: int) -> _Block:
-    return rows, cols, tuple(tuple(m[r0 + i][c0 + j] for j in range(cols)) for i in range(rows))
-
-
-def _btrans(b: _Block) -> _Block:
-    rows, cols, e = b
-    return cols, rows, tuple(tuple(e[i][j] for i in range(rows)) for j in range(cols))
-
-
-def _bmul(ctx: FieldCtx, x: _Block, y: _Block) -> _Block:
-    rx, cx, ex = x
-    ry, cy, ey = y
-    if cx != ry:
-        raise AssertionError("block shape mismatch")
-    out = []
-    for i in range(rx):
-        row = []
-        for j in range(cy):
-            acc = 0
-            for t in range(cx):
-                acc ^= mul(ctx, ex[i][t], ey[t][j])
-            row.append(acc)
-        out.append(tuple(row))
-    return rx, cy, tuple(out)
-
-
-def _badd(x: _Block, y: _Block) -> _Block:
-    rx, cx, ex = x
-    ry, cy, ey = y
-    if (rx, cx) != (ry, cy):
-        raise AssertionError("block shape mismatch")
-    return rx, cx, tuple(tuple(a ^ b for a, b in zip(r1, r2)) for r1, r2 in zip(ex, ey))
-
-
-def _balt(b: _Block) -> bool:
-    """Alternating in characteristic two: symmetric with zero diagonal."""
-    rows, cols, e = b
-    if rows != cols:
-        raise AssertionError("alternating check needs a square block")
-    for i in range(rows):
-        if e[i][i]:
-            return False
-        for j in range(i + 1, rows):
-            if e[i][j] != e[j][i]:
-                return False
-    return True
-
-
-def _bident(k: int) -> _Block:
-    return k, k, identity_matrix(k)
-
-
-def _bzero(rows: int, cols: int) -> _Block:
-    return rows, cols, tuple((0,) * cols for _ in range(rows))
-
-
 def isometry_relations(ctx: FieldCtx, n: int, m: Matrix) -> bool:
-    """The six block conditions equivalent to preserving the form.
+    """M preserves the form exactly when it does so on a basis and on the
+    polar form B(x, y) = theta(x + y) + theta(x) + theta(y): theta(Me_i) =
+    theta(e_i) for every i and B(Me_i, Me_j) = B(e_i, e_j) for every i < j."""
+    size = 2 * n
+    if len(m) != size or any(len(row) != size for row in m):
+        raise ValueError(f"matrix must be {size} x {size}")
+    cols, basis = transpose(m), identity_matrix(size)
+    th_cols = [theta_minus(ctx, n, c) for c in cols]
+    th_basis = [theta_minus(ctx, n, e) for e in basis]
 
-    With M = [[A,B,e],[C,D,f],[g,h,i]] (blocks of sizes n-1, n-1, 2) and
-    delta the Gram matrix of the anisotropic tail, eta its polarization:
-    three alternating conditions (quadratic parts) and three bilinear
-    relations (cross terms).
-    """
-    if len(m) != 2 * n or any(len(row) != 2 * n for row in m):
-        raise ValueError(f"matrix must be {2 * n} x {2 * n}")
-    k = n - 1
-    delta: _Block = (2, 2, ((1, 1), (0, ctx.a_param)))
-    eta: _Block = (2, 2, ((0, 1), (1, 0)))
-    blk_a = _blk(m, 0, 0, k, k)
-    blk_b = _blk(m, 0, k, k, k)
-    blk_e = _blk(m, 0, 2 * k, k, 2)
-    blk_c = _blk(m, k, 0, k, k)
-    blk_d = _blk(m, k, k, k, k)
-    blk_f = _blk(m, k, 2 * k, k, 2)
-    blk_g = _blk(m, 2 * k, 0, 2, k)
-    blk_h = _blk(m, 2 * k, k, 2, k)
-    blk_i = _blk(m, 2 * k, 2 * k, 2, 2)
-    ta, tb, tc = _btrans(blk_a), _btrans(blk_b), _btrans(blk_c)
-    te, tg, th, ti = _btrans(blk_e), _btrans(blk_g), _btrans(blk_h), _btrans(blk_i)
+    def polar(vecs: Matrix, th: list[int], i: int, j: int) -> int:
+        both = tuple(x ^ y for x, y in zip(vecs[i], vecs[j]))
+        return theta_minus(ctx, n, both) ^ th[i] ^ th[j]
 
-    def mm(x: _Block, y: _Block) -> _Block:
-        return _bmul(ctx, x, y)
-
-    return (
-        _balt(_badd(mm(ta, blk_c), mm(mm(tg, delta), blk_g)))
-        and _balt(_badd(mm(tb, blk_d), mm(mm(th, delta), blk_h)))
-        and _balt(_badd(_badd(mm(te, blk_f), mm(mm(ti, delta), blk_i)), delta))
-        and _badd(_badd(mm(ta, blk_d), mm(tc, blk_b)), mm(mm(tg, eta), blk_h)) == _bident(k)
-        and _badd(_badd(mm(ta, blk_f), mm(tc, blk_e)), mm(mm(tg, eta), blk_i)) == _bzero(k, 2)
-        and _badd(_badd(mm(tb, blk_f), mm(_btrans(blk_d), blk_e)), mm(mm(th, eta), blk_i))
-        == _bzero(k, 2)
+    return th_cols == th_basis and all(
+        polar(cols, th_cols, i, j) == polar(basis, th_basis, i, j)
+        for i in range(size)
+        for j in range(i + 1, size)
     )
 
 
@@ -309,8 +231,7 @@ def enumerate_so2(ctx: FieldCtx) -> tuple[Matrix, ...]:
     out = []
     for d1 in range(ctx.q):
         for d2 in range(ctx.q):
-            norm = mul(ctx, d1, d1) ^ mul(ctx, d1, d2) ^ mul(ctx, a, mul(ctx, d2, d2))
-            if norm == 1:
+            if theta_minus(ctx, 1, (d1, d2)) == 1:
                 out.append(((d1, mul(ctx, a, d2)), (d2, d1 ^ d2)))
     if len(out) != so2_order(ctx.q):
         raise AssertionError("norm-one solution count must be q + 1")
@@ -354,12 +275,12 @@ def enumerate_q_minus(ctx: FieldCtx, n: int) -> tuple[Matrix, ...]:
     for blk_a in enumerate_gl(ctx, k):
         ta_inv = transpose(mat_inv(ctx, blk_a))
         for so2 in enumerate_so2(ctx):
-            eta_i = mat_mul(ctx, transpose(so2), mat_mul(ctx, _ETA, so2))
             for hvals in product(range(q), repeat=2 * k):
                 h = (hvals[:k], hvals[k:])
                 th = transpose(h)
                 sym = mat_mul(ctx, th, mat_mul(ctx, delta, h))
-                blk_e = mat_mul(ctx, blk_a, mat_mul(ctx, th, eta_i))
+                # so2 preserves the polar form, whose Gram matrix is eta: so2^T eta so2 = eta
+                blk_e = mat_mul(ctx, blk_a, mat_mul(ctx, th, _ETA))
                 ih = mat_mul(ctx, so2, h)
                 for upper in product(range(q), repeat=len(upper_slots)):
                     b = [[0] * k for _ in range(k)]
@@ -658,6 +579,11 @@ def _symmetric_matrices(ctx: FieldCtx, r: int):
         yield tuple(tuple(row) for row in m)
 
 
+def sym_sum_terms(q: int, r: int) -> int:
+    """Term count of the direct symmetric-matrix sum at dimension r."""
+    return q ** (r * (r + 1) // 2 + 2 * r)
+
+
 def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:
     """Direct double sum of lambda(twist * Tr(delta th B h)) over nonsingular
     symmetric B and all r x 2 matrices h."""
@@ -666,7 +592,7 @@ def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:
     if not 0 < twist < ctx.q:
         raise ValueError("twist must be a nonzero field element")
     q = ctx.q
-    if q ** (r * (r + 1) // 2 + 2 * r) > SYM_SUM_BUDGET:
+    if sym_sum_terms(q, r) > SYM_SUM_BUDGET:
         raise BudgetError("symmetric-matrix sum exceeds its term budget")
     a = ctx.a_param
     total = 0

@@ -6,8 +6,10 @@ import sys
 
 import pytest
 
-from cosetmoments import __version__
+from cosetmoments import __version__, cli, ominus_groups
 from cosetmoments.cli import main, verify_all
+from cosetmoments.finite_field import make_field
+from cosetmoments.kloosterman import BudgetError
 
 
 def run(capsys, *args):
@@ -235,6 +237,28 @@ def test_verify_all_bounds():
         verify_all(0)
     with pytest.raises(ValueError):
         verify_all(9)
+
+
+def _fits(call, *args) -> bool:
+    try:
+        call(*args)
+    except BudgetError:
+        return False
+    return True
+
+
+def test_verify_all_gates_plan_exactly_what_fits_the_budgets(monkeypatch):
+    # the direct sum checks its budget before the first term; skip the terms
+    monkeypatch.setattr(ominus_groups, "_symmetric_matrices", lambda ctx, r: iter(()))
+    plan = {name: args for name, _, args, _ in cli._build_checks(cli.MAX_VERIFY_R, {})}
+    for r in range(1, cli.MAX_VERIFY_R + 1):
+        ctx = make_field(r)
+        dims = tuple(d for d in (1, 2) if _fits(ominus_groups.b_r_sum, ctx, d))
+        assert plan.get(f"symmetric-matrix-sum-r{r}", (r, ctx.modulus, ()))[2] == dims
+        for n in (1, 2, 3):
+            fits = _fits(lambda: [ominus_groups.bruhat_cell(ctx, n, k) for k in range(n)])
+            for kind in ("parabolic-cells", "character-sums", "trace-distributions"):
+                assert (f"{kind}-n{n}-r{r}" in plan) == fits
 
 
 @pytest.mark.parametrize(

@@ -90,7 +90,7 @@ def test_singular_vector_count(n, q):
 
 
 def test_isometry_checks_agree_on_all_two_by_two():
-    for ctx in (CTX2, CTX4):
+    for ctx in (CTX2, CTX4, make_field(2, a_param=0x3)):
         mats = [
             ((a, b), (c, d))
             for a in range(ctx.q)
@@ -107,6 +107,54 @@ def test_isometry_checks_agree_on_random_four_by_four():
     for _ in range(200):
         m = tuple(tuple(rng.randrange(2) for _ in range(4)) for _ in range(4))
         assert isometry_relations(CTX2, 2, m) == is_isometry_exhaustive(CTX2, 2, m)
+
+
+# (field r, n, a_param): the relations read the form only on a basis and its
+# pairs, so compare them with the full scan on group elements, on the same
+# elements with one entry changed, and on random matrices
+ISOMETRY_FIELDS = {
+    "q2-n2": (1, 2, None),
+    "q2-n3": (1, 3, None),
+    "q4-n2": (2, 2, None),
+    "q4-n2-a3": (2, 2, 0x3),
+    "q8-n1": (3, 1, None),
+}
+
+
+@pytest.mark.parametrize("key", sorted(ISOMETRY_FIELDS))
+def test_isometry_checks_agree_near_the_group(key):
+    field_r, n, a_param = ISOMETRY_FIELDS[key]
+    ctx = make_field(field_r, a_param=a_param)
+    rng = random.Random(field_r * 10 + n)
+    size = 2 * n
+    group = [*enumerate_q_minus(ctx, n)]
+    for r in range(n):
+        for twisted in (False, True):
+            group += bruhat_cell(ctx, n, r, twisted)
+    sigmas, rho = weyl_elements(ctx, n)
+    sample = [*sigmas, rho, *rng.sample(group, min(len(group), 40))]
+    near = []
+    for m in sample:
+        for _ in range(3):
+            i, j = rng.randrange(size), rng.randrange(size)
+            rows = [list(row) for row in m]
+            rows[i][j] ^= rng.randrange(1, ctx.q)
+            near.append(tuple(tuple(row) for row in rows))
+    noise = [
+        tuple(tuple(rng.randrange(ctx.q) for _ in range(size)) for _ in range(size))
+        for _ in range(40)
+    ]
+    for m in sample:
+        assert isometry_relations(ctx, n, m) and is_isometry_exhaustive(ctx, n, m)
+    for m in near + noise:
+        assert isometry_relations(ctx, n, m) == is_isometry_exhaustive(ctx, n, m)
+
+
+def test_isometry_relations_reject_wrong_shapes():
+    with pytest.raises(ValueError):
+        isometry_relations(CTX2, 2, identity_matrix(3))
+    with pytest.raises(ValueError):
+        isometry_relations(CTX2, 1, ((1, 0), (0, 1, 0)))
 
 
 # --- orders ---------------------------------------------------------------
@@ -156,6 +204,18 @@ def test_so2_enumeration():
         # closure
         products = {mat_mul(ctx, x, y) for x in group for y in group}
         assert products == set(group)
+
+
+def test_so2_preserves_the_polar_gram_matrix():
+    # enumerate_q_minus relies on so2^T eta so2 = eta for every so2
+    eta = ((0, 1), (1, 0))
+    ctxs = [make_field(r) for r in range(1, 7)]
+    for r in (1, 2, 3):
+        field = make_field(r)
+        ctxs += [make_field(r, a_param=a) for a in range(field.q) if trace(field, a) == 1]
+    for ctx in ctxs:
+        for so2 in enumerate_so2(ctx):
+            assert mat_mul(ctx, transpose(so2), mat_mul(ctx, eta, so2)) == eta
 
 
 def test_so2_frozen_q2():
