@@ -42,6 +42,7 @@ from .kloosterman import (
     carlitz_k2,
     kgl_closed,
     kgl_recursive,
+    kloosterman_spectrum,
     kloosterman_sum,
     power_moment_oracle,
     predicted_spectrum,
@@ -298,12 +299,20 @@ def _check_moment_oracle(r: int, modulus: int) -> None:
         raise AssertionError("the first power moment must be 1")
     if series.values[2] != ctx.q * ctx.q - ctx.q - 1:
         raise AssertionError("the second power moment must be q^2 - q - 1")
+    spectrum = kloosterman_spectrum(ctx, 1)
+    for a in range(1, ctx.q):
+        if spectrum[a] != kloosterman_sum(ctx, 1, a):
+            raise AssertionError(f"spectrum differs from the direct sum at a = {to_hex(a)}")
 
 
 def _check_carlitz(r: int, modulus: int) -> None:
     ctx = make_field(r, modulus)
+    spectrum = kloosterman_spectrum(ctx, 2)
     for a in range(1, ctx.q):
-        if kloosterman_sum(ctx, 2, a) != carlitz_k2(ctx, a):
+        if spectrum[a] != carlitz_k2(ctx, a):
+            raise AssertionError(f"two-dimensional spectrum mismatch at a = {to_hex(a)}")
+    for a in {1, ctx.a_param}:  # the direct double sum at two points
+        if kloosterman_sum(ctx, 2, a) != spectrum[a]:
             raise AssertionError(f"two-dimensional sum mismatch at a = {to_hex(a)}")
 
 

@@ -155,13 +155,7 @@ def _packed_dual_words(spec: DoubleCosetSpec) -> tuple[int, ...]:
     """Distinct words c(a) packed as integers, bit j = coordinate of g_(j+1)."""
     ctx = spec.ctx
     vec = _trace_vector(spec)
-    words = set()
-    for a in range(ctx.q):
-        acc = 0
-        for j, t in enumerate(vec):
-            if trace(ctx, mul(ctx, a, t)):
-                acc |= 1 << j
-        words.add(acc)
+    words = {sum(trace(ctx, mul(ctx, a, t)) << j for j, t in enumerate(vec)) for a in range(ctx.q)}
     return tuple(sorted(words))
 
 
@@ -210,13 +204,7 @@ def delsarte_check(spec: DoubleCosetSpec) -> bool:
     if n > DUALITY_N_LIMIT:
         raise BudgetError(f"duality check needs length <= {DUALITY_N_LIMIT}")
     words = set(_packed_dual_words(spec))
-    rows = []
-    for k in range(ctx.r):
-        row = 0
-        for j, t in enumerate(vec):
-            if (t >> k) & 1:
-                row |= 1 << j
-        rows.append(row)
+    rows = [sum(((t >> k) & 1) << j for j, t in enumerate(vec)) for k in range(ctx.r)]
     basis: list[int] = []
     for row in rows:
         cur = row

@@ -1,14 +1,16 @@
 """Kloosterman-type character sums: brute-force oracles and closed identities.
 
-Everything here is an exact integer computation; the direct sums serve as
-the independent oracles against which every closed form in the package is
-checked.  Results are cached per (context, arguments) since the same
-Kloosterman values feed trace distributions, code weights, and moment
-recursions.
+Everything here is an exact integer computation.  Point values come from
+direct sums over the exponents of a generator g; the values at every a at
+once, which the moment oracle, the value range and the coset closed forms
+read, come from `kloosterman_spectrum`, one exact big-integer product per
+dimension (Kronecker substitution).  The direct sums stay the independent
+oracles against which the spectrum and every closed form are checked.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -65,11 +67,9 @@ def _kloosterman_generic(ctx: FieldCtx, m: int, a: int) -> int:
     lam = lambda_table(ctx)
     total = 0
     for alphas in product(range(1, ctx.q), repeat=m):
-        s = 0
-        p = 1
+        s, p = 0, 1
         for al in alphas:
-            s ^= al
-            p = mul(ctx, p, al)
+            s, p = s ^ al, mul(ctx, p, al)
         total += lam[s ^ mul(ctx, a, inv(ctx, p))]
     return total
 
@@ -81,22 +81,64 @@ def carlitz_k2(ctx: FieldCtx, a: int) -> int:
     return k * k - ctx.q
 
 
+def _cyclic_convolution(a: list[int], b: list[int]) -> list[int]:
+    """c_k = sum over i + j = k (mod n) of a_i b_j, for nonnegative digit lists of
+    one length n, by Kronecker substitution: pack each list into one integer of
+    w-byte digits, multiply once, add the top n digits of the product onto the
+    bottom n, and read the digits back from one to_bytes.  w bytes hold every
+    input digit and every c_k <= n max(a) max(b), so no carry crosses a digit."""
+    n = len(a)
+    width = max(n * max(a) * max(b), max(a), max(b)).bit_length() // 8 + 1
+
+    def pack(digits: list[int]) -> int:
+        return int.from_bytes(b"".join(d.to_bytes(width, "little") for d in digits), "little")
+
+    x = pack(a)
+    prod = x * (x if b is a else pack(b))
+    shift = 8 * width * n
+    buf = ((prod & ((1 << shift) - 1)) + (prod >> shift)).to_bytes(width * n, "little")
+    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, width * n, width)]
+
+
+@lru_cache(maxsize=None)
+def kloosterman_spectrum(ctx: FieldCtx, m: int) -> tuple[int, ...]:
+    """K_m(lambda;a) for every a at once: entry a of a q-entry tuple (entry 0 unused).
+
+    With n = q - 1 and s_i = lambda(g^i), lambda(x + y) = lambda(x) lambda(y)
+    makes K_1(g^k) = sum over i + j = k (mod n) of s_i s_j and K_2(g^k) = sum_i
+    s_i K_1(g^(k-i)): two cyclic convolutions, taken on nonnegative digits and
+    shifted back."""
+    if m not in (1, 2):
+        raise ValueError(f"the spectrum covers m in {{1, 2}}, got {m}")
+    lam, exp, n = lambda_table(ctx), ctx.exp, ctx.q - 1
+    s = [lam[x] for x in exp[:n]]
+    digits = [v + 1 for v in s]  # in {0, 2}
+    if m == 1:
+        # sum (s_i + 1)(s_j + 1) = K_1 + 2 sum(s) + n; product digits at most n * 2 * 2
+        other, excess = digits, 2 * sum(s) + n
+    else:
+        k1 = kloosterman_spectrum(ctx, 1)
+        ks = [k1[x] for x in exp[:n]]
+        off = isqrt(4 * ctx.q) + 1  # K_1^2 <= 4q, so 0 < K_1 + off < 2 off
+        # sum (s_i + 1)(K_j + off) = K_2 + off sum(s) + sum(K_1) + n off;
+        # product digits at most n * 2 * 2off
+        other, excess = [k + off for k in ks], off * sum(s) + sum(ks) + n * off
+    out = [0] * ctx.q
+    for x, v in zip(exp, _cyclic_convolution(digits, other)):
+        out[x] = v - excess
+    return tuple(out)
+
+
 def power_moment_oracle(ctx: FieldCtx, m: int, h_max: int) -> MomentSeries:
-    """Exact moments MK_m^h = sum over a != 0 of K_m^h, for h = 0..h_max."""
+    """Exact moments MK_m^h = sum over a != 0 of K_m^h, for h = 0..h_max, as
+    sum over values v of mult(v) v^h from the spectrum's value histogram."""
     if m not in (1, 2):
         raise ValueError(f"moment oracle covers m in {{1, 2}}, got {m}")
     if h_max < 0:
         raise ValueError("h_max must be nonnegative")
-    if m == 1:
-        ks = [kloosterman_sum(ctx, 1, a) for a in units(ctx)]
-    else:
-        ks = [carlitz_k2(ctx, a) for a in units(ctx)]
-    values = []
-    powers = [1] * len(ks)
-    for h in range(h_max + 1):
-        values.append(sum(powers))
-        powers = [p * k for p, k in zip(powers, ks)]
-    return MomentSeries(m=m, h_max=h_max, values=tuple(values))
+    hist = Counter(kloosterman_spectrum(ctx, m)[1:])
+    values = tuple(sum(mult * v ** h for v, mult in hist.items()) for h in range(h_max + 1))
+    return MomentSeries(m=m, h_max=h_max, values=values)
 
 
 def kgl_recursive(ctx: FieldCtx, t: int, a: int) -> int:
@@ -153,14 +195,14 @@ def twisted_sum_check(ctx: FieldCtx, m: int, beta: int) -> tuple[int, int]:
     In characteristic two -a*beta = a*beta.  The right side lowers the
     dimension: q K_(m-1)(lambda;beta^-1) + (-1)^(m+1) for beta != 0, where
     K_0(lambda;x) means lambda(x); it degenerates to (-1)^(m+1) at beta = 0.
+    The left side reads the spectrum, the right side the direct sums.
     """
     if m not in (1, 2):
         raise ValueError(f"the twist check covers m in {{1, 2}}, got {m}")
     if not 0 <= beta < ctx.q:
         raise ValueError(f"beta must be a field element, got {beta}")
-    lhs = sum(
-        lambda_char(ctx, mul(ctx, a, beta)) * kloosterman_sum(ctx, m, a) for a in units(ctx)
-    )
+    spectrum = kloosterman_spectrum(ctx, m)
+    lhs = sum(lambda_char(ctx, mul(ctx, a, beta)) * spectrum[a] for a in units(ctx))
     parity = 1 if m % 2 == 1 else -1  # (-1)^(m+1)
     if beta == 0:
         return lhs, parity
@@ -193,7 +235,7 @@ def range_spectrum(ctx: FieldCtx) -> frozenset[int]:
     """The set of Kloosterman values {K(lambda;a) : a != 0}."""
     if ctx.r < 2:
         raise ValueError("the value-range description requires r >= 2")
-    return frozenset(kloosterman_sum(ctx, 1, a) for a in units(ctx))
+    return frozenset(kloosterman_spectrum(ctx, 1)[1:])
 
 
 def predicted_spectrum(q: int) -> frozenset[int]:

@@ -215,9 +215,7 @@ def smallest_case_recursions(
         c = -1
         spec = DoubleCosetSpec(1, "+", 2, ctx)
     elif variant == "b":
-        counts = {0: 1}
-        for beta in range(1, q):
-            counts[beta] = 2 if trace(ctx, inv(ctx, beta)) else 0
+        counts = {0: 1} | {beta: 2 * trace(ctx, inv(ctx, beta)) for beta in range(1, q)}
         a_cnt = 1
         base = q + 1
         c = 1

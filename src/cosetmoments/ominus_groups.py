@@ -19,9 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import product
+from math import prod
 
-from .finite_field import FieldCtx, inv, lambda_char, mul, trace
-from .kloosterman import BudgetError, kloosterman_sum
+from .finite_field import FieldCtx, inv, lambda_char, mul
+from .kloosterman import BudgetError, kloosterman_spectrum
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -155,10 +156,7 @@ def isometry_relations(ctx: FieldCtx, n: int, m: Matrix) -> bool:
 
 
 def gl_order(n: int, q: int) -> int:
-    out = q ** (n * (n - 1) // 2)
-    for j in range(1, n + 1):
-        out *= q ** j - 1
-    return out
+    return q ** (n * (n - 1) // 2) * prod(q ** j - 1 for j in range(1, n + 1))
 
 
 def gauss_binomial(n: int, r: int, q: int) -> int:
@@ -226,15 +224,22 @@ O2_COSET_REP: Matrix = ((1, 1), (0, 1))  # generates O^-(2,q) over SO^-(2,q)
 
 @lru_cache(maxsize=None)
 def enumerate_so2(ctx: FieldCtx) -> tuple[Matrix, ...]:
-    """All norm-one elements [[d1, a d2], [d2, d1 + d2]]; exactly q + 1."""
-    a = ctx.a_param
-    out = []
-    for d1 in range(ctx.q):
-        for d2 in range(ctx.q):
-            if theta_minus(ctx, 1, (d1, d2)) == 1:
-                out.append(((d1, mul(ctx, a, d2)), (d2, d1 ^ d2)))
-    if len(out) != so2_order(ctx.q):
+    """All norm-one elements [[d1, a d2], [d2, d1 + d2]]; exactly q + 1.
+
+    d1^2 + d1 d2 + a d2^2 = 1 has d1 = 1 at d2 = 0, and otherwise d1 = d2 t
+    for each root t of t^2 + t = a + 1/d2^2, read from one map x -> x^2 + x."""
+    a, q = ctx.a_param, ctx.q
+    roots: dict[int, list[int]] = {}
+    for t in range(q):
+        roots.setdefault(mul(ctx, t, t) ^ t, []).append(t)
+    pairs = [(1, 0)]
+    for d2 in range(1, q):
+        pairs += [(mul(ctx, d2, t), d2) for t in roots.get(a ^ inv(ctx, mul(ctx, d2, d2)), ())]
+    if any(theta_minus(ctx, 1, pair) != 1 for pair in pairs):
+        raise AssertionError("a solved pair must have norm one")
+    if len(pairs) != so2_order(q):
         raise AssertionError("norm-one solution count must be q + 1")
+    out = [((d1, mul(ctx, a, d2)), (d2, d1 ^ d2)) for d1, d2 in pairs]
     return tuple(sorted(out))
 
 
@@ -427,17 +432,11 @@ def double_coset_elements(spec: DoubleCosetSpec) -> tuple[Matrix, ...]:
 
 
 def _oddprod(q: int, half: int) -> int:
-    out = 1
-    for j in range(1, half + 1):
-        out *= q ** (2 * j - 1) - 1
-    return out
+    return prod(q ** (2 * j - 1) - 1 for j in range(1, half + 1))
 
 
 def _evenprod(q: int, half: int) -> int:
-    out = 1
-    for j in range(1, half + 1):
-        out *= q ** (2 * j) - 1
-    return out
+    return prod(q ** (2 * j) - 1 for j in range(1, half + 1))
 
 
 def _q_pow_quarter(q: int, numerator: int) -> int:
@@ -514,25 +513,14 @@ def _trace_counts(spec: DoubleCosetSpec, mode: str) -> tuple[int, ...]:
     a_cnt, b_cnt, _ = dc_cardinality(spec)
     s = spec.sign_value
     fam = spec.family
+    k1 = kloosterman_spectrum(ctx, 1) if fam in (2, 4) else ()
+    shift = q if fam == 2 else q * q  # families 2 and 4; the beta = 0 class reads K as shift
     out = []
     for beta in range(q):
         if fam in (1, 3):
-            if beta == 0:
-                eps = 1
-            elif trace(ctx, inv(ctx, beta)) == 0:
-                eps = q + 1
-            else:
-                eps = 1 - q
-        elif fam == 2:
-            if beta == 0:
-                eps = -(q * q - q - 1)
-            else:
-                eps = -(q * kloosterman_sum(ctx, 1, inv(ctx, beta)) - q - 1)
+            eps = 1 + q * lambda_char(ctx, inv(ctx, beta)) if beta else 1
         else:
-            if beta == 0:
-                eps = -(q ** 3 - q * q - 1)
-            else:
-                eps = -(q * kloosterman_sum(ctx, 1, inv(ctx, beta)) - q * q - 1)
+            eps = shift + 1 - q * (k1[inv(ctx, beta)] if beta else shift)
         count, rem = divmod(a_cnt * (b_cnt + s * eps), q)
         if rem or count < 0:
             raise AssertionError("trace-class count must be a nonnegative integer")
@@ -556,7 +544,7 @@ def exp_sum_dc(spec: DoubleCosetSpec, a: int, mode: str = "closed_form") -> int:
     if mode != "closed_form":
         raise ValueError(f"mode must be 'enumerated' or 'closed_form', got {mode!r}")
     a_cnt, _, _ = dc_cardinality(spec)
-    k = kloosterman_sum(ctx, 1, a)
+    k = kloosterman_spectrum(ctx, 1)[a]
     s = spec.sign_value
     if spec.family in (1, 3):
         return s * a_cnt * k

@@ -1,16 +1,21 @@
 """Kloosterman sums, their power moments, and the classical identities."""
 
+from functools import lru_cache
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetmoments.finite_field import make_field, units
+from cosetmoments.finite_field import is_irreducible, make_field, units
 from cosetmoments.kloosterman import (
     BudgetError,
+    _cyclic_convolution,
+    _kloosterman_generic,
     artin_schreier_sums,
     carlitz_k2,
     kgl_closed,
     kgl_recursive,
+    kloosterman_spectrum,
     kloosterman_sum,
     power_moment_oracle,
     predicted_spectrum,
@@ -68,6 +73,93 @@ def test_exponent_form_matches_generic_sum(r, modulus, m):
     ctx = make_field(r, modulus)
     for a in units(ctx):
         assert _kloosterman_generic(ctx, m, a) == kloosterman_sum(ctx, m, a)
+
+
+@given(
+    st.integers(min_value=1, max_value=40).flatmap(
+        lambda n: st.tuples(*[st.lists(st.integers(0, 10 ** 6), min_size=n, max_size=n)] * 2)
+    )
+)
+@example(([0], [256]))  # an all-zero list must not shrink the digit width below the other's
+@settings(deadline=None, max_examples=100)
+def test_cyclic_convolution_matches_schoolbook(pair):
+    a, b = pair
+    n = len(a)
+    expected = [sum(a[i] * b[(k - i) % n] for i in range(n)) for k in range(n)]
+    assert _cyclic_convolution(a, b) == expected
+    assert _cyclic_convolution(a, a) == _cyclic_convolution(a, list(a))
+
+
+@pytest.mark.parametrize("r,modulus", [(r, None) for r in range(1, 11)] + [(4, 0x1F), (8, 0x11B)])
+def test_spectrum_matches_direct_sums(r, modulus):
+    """The convolution spectrum equals the exponent-form sum at every a, also
+    when z does not generate the unit group (0x1F, 0x11B)."""
+    ctx = make_field(r, modulus)
+    spectrum = kloosterman_spectrum(ctx, 1)
+    assert len(spectrum) == ctx.q
+    assert all(spectrum[a] == kloosterman_sum(ctx, 1, a) for a in units(ctx))
+
+
+@lru_cache(maxsize=None)
+def _irreducibles(r):
+    return [m for m in range(1 << r, 1 << (r + 1)) if is_irreducible(m, r)]
+
+
+@given(data=st.data())
+@settings(deadline=None, max_examples=30)
+def test_spectrum_matches_direct_sums_for_random_moduli(data):
+    r = data.draw(st.integers(min_value=1, max_value=8))
+    ctx = make_field(r, data.draw(st.sampled_from(_irreducibles(r))))
+    spectrum = kloosterman_spectrum(ctx, 1)
+    assert all(spectrum[a] == kloosterman_sum(ctx, 1, a) for a in units(ctx))
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_two_dimensional_spectrum_matches_double_sum(r):
+    ctx = make_field(r)
+    spectrum = kloosterman_spectrum(ctx, 2)
+    for a in units(ctx):
+        assert spectrum[a] == _kloosterman_generic(ctx, 2, a) == kloosterman_sum(ctx, 2, a)
+
+
+@pytest.mark.parametrize("r", range(1, 13))
+def test_two_dimensional_spectrum_satisfies_carlitz(r):
+    ctx = make_field(r)
+    k1, k2 = kloosterman_spectrum(ctx, 1), kloosterman_spectrum(ctx, 2)
+    assert all(k2[a] == k1[a] ** 2 - ctx.q for a in units(ctx))
+
+
+@pytest.mark.parametrize("r", (12, 14, 16))
+def test_first_moments_at_large_r(r):
+    ctx = make_field(r)
+    q = ctx.q
+    assert power_moment_oracle(ctx, 1, 2).values == (q - 1, 1, q * q - q - 1)
+
+
+def test_spectrum_of_the_two_element_field():
+    # q = 2: one unit and one digit, lambda(1) + 1 = 0
+    ctx = make_field(1)
+    assert kloosterman_spectrum(ctx, 1) == (0, 1)
+    assert kloosterman_spectrum(ctx, 2) == (0, -1)
+    with pytest.raises(ValueError):
+        kloosterman_spectrum(ctx, 3)
+
+
+def _per_a_moments(ctx, m, h_max):
+    """The moment oracle before the value histogram: one product per a and h."""
+    ks = [kloosterman_sum(ctx, 1, a) if m == 1 else carlitz_k2(ctx, a) for a in units(ctx)]
+    values, powers = [], [1] * len(ks)
+    for _ in range(h_max + 1):
+        values.append(sum(powers))
+        powers = [p * k for p, k in zip(powers, ks)]
+    return tuple(values)
+
+
+@pytest.mark.parametrize("m", (1, 2))
+@pytest.mark.parametrize("r", (1, 2, 3, 5, 8))
+def test_histogram_moments_match_per_a_products(r, m):
+    ctx = make_field(r)
+    assert power_moment_oracle(ctx, m, 12).values == _per_a_moments(ctx, m, 12)
 
 
 @pytest.mark.parametrize("r", range(1, 7))

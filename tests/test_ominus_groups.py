@@ -6,7 +6,7 @@ from functools import lru_cache
 import pytest
 
 from cosetmoments import cli, ominus_groups
-from cosetmoments.finite_field import make_field, trace, units
+from cosetmoments.finite_field import make_field, mul, trace, units
 from cosetmoments.kloosterman import BudgetError, kloosterman_sum
 from cosetmoments.ominus_groups import (
     PRODUCT_BUDGET,
@@ -216,6 +216,32 @@ def test_so2_preserves_the_polar_gram_matrix():
     for ctx in ctxs:
         for so2 in enumerate_so2(ctx):
             assert mat_mul(ctx, transpose(so2), mat_mul(ctx, eta, so2)) == eta
+
+
+def _so2_by_scan(ctx):
+    """The q^2 scan over (d1, d2) that enumerate_so2 ran before it solved
+    the norm equation per d2; kept as its oracle."""
+    out = []
+    for d1 in range(ctx.q):
+        for d2 in range(ctx.q):
+            if theta_minus(ctx, 1, (d1, d2)) == 1:
+                out.append(((d1, mul(ctx, ctx.a_param, d2)), (d2, d1 ^ d2)))
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_so2_matches_the_scan(r):
+    ctx = make_field(r)
+    assert enumerate_so2(ctx) == _so2_by_scan(ctx)
+
+
+@pytest.mark.parametrize("r", (1, 2, 3))
+def test_so2_matches_the_scan_for_every_a_param(r):
+    field = make_field(r)
+    for a in range(field.q):
+        if trace(field, a) == 1:
+            ctx = make_field(r, a_param=a)
+            assert enumerate_so2(ctx) == _so2_by_scan(ctx)
 
 
 def test_so2_frozen_q2():

@@ -1,0 +1,459 @@
+"""Per-layer before-and-after records (the BENCH_<pr>.json files) from one registry.
+
+Usage (from the repository root):
+    PYTHONPATH=src python3 tools/bench_layers.py --out BENCH_7.json \
+        --layers spectrum,commands,checks [--parent-src DIR] \
+        [--e2e-parent DIR --e2e-change DIR]
+
+DIR is the src/ directory of a checkout of the parent commit; the change
+side is this checkout's src/. Every figure comes from a fresh interpreter
+that imports one side's package, so first-use costs (tables, caches) are
+paid inside the measurement. Each case of a layer runs PROCESSES times per
+side: float fields keep their median, every other field must repeat exactly
+and is kept as a string. Fields a layer names in `agree` (values, digests)
+must also be equal between the two sides. A case that exceeds its time
+limit is recorded as such and not repeated. Layers marked change-only
+compare two paths of the same checkout and ignore DIR.
+
+With the two directories of `bench/run.py --trace 0` records (parent and
+change), the medians, quartiles and per-seed wins of the end-to-end metrics
+are added per workload.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import platform
+import random
+import statistics
+import subprocess
+import sys
+import time
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PROCESSES = 3  # fresh interpreters per case and side; the record keeps their median
+REPEATS = 3  # timed calls per process where a child repeats a call
+CHILD_TIMEOUT_S = 60.0
+METRICS = ("wall_s", "job_p50_s", "cpu_s", "peak_rss_mib", "success_rate", "setup_s")
+
+
+# ---------------------------------------------------------------------------
+# children: each runs in a fresh interpreter and returns one row of fields
+
+
+def _median_s(call, repeats: int = REPEATS, reset=None) -> float:
+    samples = []
+    for _ in range(repeats):
+        if reset:
+            reset()
+        start = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples)
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+PREFIX_SHAPES = {"1+/n2": (1, "+", 2), "1-/n1": (1, "-", 1), "3-/n3": (3, "-", 3),
+                 "3+/n2": (3, "+", 2), "2+/n2": (2, "+", 2)}
+PREFIX_J_MAXES = (8, 16, 32)
+PREFIX_DP_R_LIMIT = 8  # the XOR-state DP oracle runs only up to here
+
+
+def child_prefix(r: str, shape: str) -> dict:
+    """The MacWilliams engine against the XOR-state DP it replaced (kept in
+    tests/test_coset_codes.py as the oracle), per j_max, on one spec's
+    closed-form trace classes."""
+    sys.path.insert(0, str(ROOT / "tests"))
+    from test_coset_codes import dp_prefix
+
+    from cosetmoments.coset_codes import _walsh_hadamard, prefix_counts_from_distribution
+    from cosetmoments.finite_field import make_field
+    from cosetmoments.ominus_groups import DoubleCosetSpec, trace_distribution
+
+    ctx = make_field(int(r))
+    counts = trace_distribution(DoubleCosetSpec(*PREFIX_SHAPES[shape], ctx), "closed_form")
+    weights = len(Counter(_walsh_hadamard([counts.get(b, 0) for b in range(ctx.q)])))
+    row = {"distinct_weights": weights, "walsh_hadamard_adds": ctx.q * int(r)}
+    for j_max in PREFIX_J_MAXES:
+        engine = prefix_counts_from_distribution(ctx, counts, j_max)
+        row[f"j{j_max}_engine_s"] = _median_s(
+            lambda: prefix_counts_from_distribution(ctx, counts, j_max))
+        row[f"j{j_max}_engine_work"] = weights * j_max
+        row[f"j{j_max}_digest"] = _digest(engine)
+        if int(r) <= PREFIX_DP_R_LIMIT:
+            start = time.perf_counter()
+            if dp_prefix(ctx, counts, j_max) != engine:
+                raise AssertionError(f"engine and DP disagree at r = {r}, {shape}, j = {j_max}")
+            row[f"j{j_max}_dp_s"] = time.perf_counter() - start
+    return row
+
+
+def _count_calls(module, name: str) -> list[int]:
+    """Route every call of module.name through a counter; returns the counter."""
+    calls = [0]
+    plain = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return plain(*args)
+
+    setattr(module, name, counted)
+    return calls
+
+
+FIELD_MUL_OPS = 20_000
+FIELD_INV_OPS = 2_000
+
+
+def child_field(r: str) -> dict:
+    """Set-up of a context plus its first mul and inv, then ns per mul and inv
+    on a seeded operand stream, and the carry-less products each one makes."""
+    from cosetmoments import finite_field as ff
+
+    r_int = int(r)
+    rng = random.Random(f"field:{r_int}")
+    pairs = [(rng.randrange(1, 1 << r_int), rng.randrange(1, 1 << r_int)) for _ in range(FIELD_MUL_OPS)]
+    units = [rng.randrange(1, 1 << r_int) for _ in range(FIELD_INV_OPS)]
+    mul, inv = ff.mul, ff.inv
+    start = time.perf_counter()
+    ctx = ff.make_field(r_int)
+    mul(ctx, *pairs[0])
+    inv(ctx, units[0])
+    row = {"modulus": hex(ctx.modulus), "setup_s": time.perf_counter() - start}
+
+    def mul_loop():
+        for x, y in pairs:
+            mul(ctx, x, y)
+
+    def inv_loop():
+        for x in units:
+            inv(ctx, x)
+
+    row["mul_ns"] = _median_s(mul_loop, 5) * 1e9 / len(pairs)
+    row["inv_ns"] = _median_s(inv_loop, 5) * 1e9 / len(units)
+    calls = _count_calls(ff, "_raw_mul")
+    mul_loop()
+    row["raw_mul_per_mul"] = calls[0] / len(pairs)
+    calls[0] = 0
+    inv_loop()
+    row["raw_mul_per_inv"] = calls[0] / len(units)
+    return row
+
+
+def child_cell(field_r: str, n: str, r: str) -> dict:
+    """One untwisted Bruhat cell with Q^- already enumerated, and the matrix
+    products it makes (`_packed_mul` at q = 2, `mat_mul` otherwise)."""
+    from cosetmoments import ominus_groups as og
+    from cosetmoments.finite_field import make_field
+
+    ctx = make_field(int(field_r))
+    n_int, r_int = int(n), int(r)
+    qm = og.enumerate_q_minus(ctx, n_int)
+    seconds = _median_s(lambda: og.bruhat_cell(ctx, n_int, r_int), reset=og.bruhat_cell.cache_clear)
+    calls = _count_calls(og, "_packed_mul" if ctx.q == 2 else "mat_mul")
+    og.bruhat_cell.cache_clear()
+    cell = og.bruhat_cell(ctx, n_int, r_int)
+    return {"s": seconds, "products": calls[0], "cell_size": len(cell),
+            "q_minus_order": len(qm), "digest": _digest(cell)}
+
+
+def child_checks(max_r: str, prefixes: str) -> dict:
+    """Seconds of each verify-all check whose name starts with one of the
+    comma-separated prefixes (all checks when empty), run in plan order in one
+    process as `--workers 1` runs them, and their sum."""
+    from cosetmoments.cli import _build_checks
+
+    wanted = tuple(p for p in prefixes.split(",") if p)
+    row = {}
+    for name, fn, args, skip in _build_checks(int(max_r), {}):
+        if skip or (wanted and not name.startswith(wanted)):
+            continue
+        start = time.perf_counter()
+        fn(*args)
+        row[name] = time.perf_counter() - start
+    row["sum_s"] = sum(row.values())
+    return row
+
+
+SPECTRUM_DIRECT_SAMPLE = 64  # arguments a whose direct sum is timed at every r
+SPECTRUM_DIRECT_FULL_R = 10  # the direct sum over every a is timed up to here
+SPECTRUM_K2_DIRECT_R = 8  # one direct K_2 double sum is timed up to here
+
+
+def child_spectrum(r: str) -> dict:
+    """The all-a Kloosterman values: the convolution spectrum (m = 1, then
+    m = 2 from the cached m = 1) against the direct exponent-form sums."""
+    from cosetmoments import kloosterman as kl
+    from cosetmoments.finite_field import make_field
+
+    r_int = int(r)
+    ctx = make_field(r_int)
+    q, n = ctx.q, ctx.q - 1
+    start = time.perf_counter()
+    k1 = kl.kloosterman_spectrum(ctx, 1)
+    conv1_s = time.perf_counter() - start
+    start = time.perf_counter()
+    k2 = kl.kloosterman_spectrum(ctx, 2)
+    conv2_s = time.perf_counter() - start
+    off = math.isqrt(4 * q) + 1
+    row = {
+        "conv_m1_s": conv1_s,
+        "conv_m2_s": conv2_s,
+        "conv_digits": n,
+        "conv_m1_digit_bytes": (n * 2 * 2).bit_length() // 8 + 1,
+        "conv_m2_digit_bytes": (n * 2 * 2 * off).bit_length() // 8 + 1,
+        "direct_m1_terms": n * n,
+        "direct_m2_terms": n ** 3,
+        "m1_digest": _digest(k1),
+        "m2_digest": _digest(k2),
+    }
+    sample = random.Random(f"spectrum:{r_int}").sample(range(1, q), min(SPECTRUM_DIRECT_SAMPLE, n))
+    start = time.perf_counter()
+    for a in sample:
+        if kl.kloosterman_sum.__wrapped__(ctx, 1, a) != k1[a]:
+            raise AssertionError(f"spectrum and direct sum disagree at r = {r}, a = {a}")
+    per_a = (time.perf_counter() - start) / len(sample)
+    row["direct_m1_s_per_a"] = per_a
+    row["direct_m1_s_estimated"] = per_a * n
+    if r_int <= SPECTRUM_DIRECT_FULL_R:
+        start = time.perf_counter()
+        for a in range(1, q):
+            kl.kloosterman_sum.__wrapped__(ctx, 1, a)
+        row["direct_m1_s"] = time.perf_counter() - start
+    if r_int <= SPECTRUM_K2_DIRECT_R:
+        start = time.perf_counter()
+        if kl.kloosterman_sum.__wrapped__(ctx, 2, 1) != k2[1]:
+            raise AssertionError(f"K_2 spectrum and double sum disagree at r = {r}")
+        row["direct_m2_s_per_a"] = time.perf_counter() - start
+    return row
+
+
+def child_command(*argv: str) -> dict:
+    """One CLI document, timed from the package import to the written output;
+    the digest covers the document and the exit code."""
+    start = time.perf_counter()
+    from cosetmoments.cli import main
+
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink):
+        code = main(list(argv))
+    return {"s": time.perf_counter() - start, "exit": code, "digest": _digest((code, sink.getvalue()))}
+
+
+CHILDREN = {f.__name__: f for f in (
+    child_prefix, child_field, child_cell, child_checks, child_spectrum, child_command)}
+
+
+# ---------------------------------------------------------------------------
+# the registry of layers
+
+
+@dataclass(frozen=True)
+class Layer:
+    doc: str
+    cases: tuple[tuple[str, str, tuple[str, ...]], ...]  # (row key, child name, child args)
+    work_units: str
+    agree: tuple[str, ...] = ()
+    change_only: bool = False
+
+
+SPECTRUM_CHECKS = (
+    "moment-oracle", "carlitz-two-dimensional", "twisted-sums", "range-spectrum",
+    "so2-isometries", "character-sums", "code-weights-and-duality",
+    "power-moment-identity", "recursions-vs-oracle",
+)
+
+LAYERS = {
+    "prefix": Layer(
+        "weight-distribution prefix: MacWilliams engine vs the XOR-state DP (BENCH_2)",
+        tuple((f"r{r}-{shape}", "child_prefix", (str(r), shape))
+              for r in (4, 6, 8, 10, 12, 14, 16) for shape in PREFIX_SHAPES),
+        "distinct dual weights x j_max (Krawtchouk steps); q log2 q Walsh-Hadamard additions",
+        change_only=True,
+    ),
+    "field": Layer(
+        "GF(2^r) arithmetic: context set-up, ns per mul and inv (BENCH_4)",
+        tuple((f"r{r}", "child_field", (str(r),)) for r in (2, 8, 10, 12, 16)),
+        "_raw_mul calls (bit-serial carry-less products) per operation",
+        agree=("modulus",),
+    ),
+    "cells": Layer(
+        "Bruhat cells Q^- sigma_r Q^- with Q^- enumerated (BENCH_5)",
+        tuple((f"q{1 << f}-n{n}-r{r}", "child_cell", (str(f), str(n), str(r)))
+              for f, n in ((1, 2), (1, 3), (2, 2)) for r in range(1, n)),
+        "matrix products (_packed_mul at q = 2, mat_mul otherwise)",
+        agree=("digest", "cell_size"),
+    ),
+    "spectrum": Layer(
+        "all-a Kloosterman values: Kronecker-substituted convolutions vs direct sums",
+        tuple((f"r{r}", "child_spectrum", (str(r),)) for r in (8, 10, 12, 14, 16)),
+        "direct: (q-1)^2 terms for m = 1, (q-1)^3 for m = 2; convolution: q - 1 digits "
+        "of the stated bytes, one big-integer product per m",
+        change_only=True,
+    ),
+    "commands": Layer(
+        "end-to-end CLI documents in a fresh interpreter, package import included",
+        tuple((" ".join(argv), "child_command", argv) for argv in (
+            ("kloos", "--r", "10", "--hmax", "4"),
+            ("kloos", "--r", "12", "--a", "0x3"),
+            ("kloos", "--r", "12", "--hmax", "8"),
+            ("kloos", "--r", "16", "--hmax", "8"),
+            ("kloos", "--r", "16", "--m", "2", "--hmax", "8"),
+            ("moments", "--r", "8", "--family", "2", "--sign", "plus", "--n", "2", "--hmax", "7", "--verify"),
+            ("moments", "--r", "16", "--family", "2", "--sign", "plus", "--n", "2", "--hmax", "8"),
+        )),
+        "one CLI document; the digest must agree between the sides",
+        agree=("digest", "exit"),
+    ),
+    "checks": Layer(
+        "verify-all --max-r 8 checks that read the spectrum or SO(2,q), serially",
+        (("verify-all-r8", "child_checks", ("8", ",".join(SPECTRUM_CHECKS))),),
+        "seconds per check; the plan is fixed by the check names",
+    ),
+}
+
+
+# ---------------------------------------------------------------------------
+# running and recording
+
+
+def run_child(src: Path, child: str, args: tuple[str, ...]) -> dict | None:
+    """One child in a fresh interpreter on src; None when it exceeds its limit."""
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    try:
+        out = subprocess.run(
+            [sys.executable, __file__, "--child", child, *args],
+            env=env, capture_output=True, text=True, check=True, timeout=CHILD_TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+    return json.loads(out.stdout)
+
+
+def median_row(runs: list[dict]) -> dict:
+    merged = {}
+    for key, value in runs[0].items():
+        if isinstance(value, float):
+            merged[key] = statistics.median(run[key] for run in runs)
+        elif any(run[key] != value for run in runs):
+            raise AssertionError(f"{key} differs between runs")
+        else:
+            merged[key] = str(value)
+    return merged
+
+
+def side_record(src: Path, layer: Layer) -> dict:
+    rows = {}
+    for key, child, args in layer.cases:
+        runs = []
+        for _ in range(PROCESSES):
+            row = run_child(src, child, args)
+            if row is None:
+                break
+            runs.append(row)
+        rows[key] = median_row(runs) if runs else {"timed_out_after_s": str(CHILD_TIMEOUT_S)}
+        print(json.dumps({"src": str(src), "case": key, **rows[key]}), file=sys.stderr, flush=True)
+    return rows
+
+
+def layer_record(layer: Layer, parent_src: Path | None) -> dict:
+    record = {"doc": layer.doc, "work_units": layer.work_units, "processes": str(PROCESSES)}
+    after = side_record(ROOT / "src", layer)
+    if layer.change_only or parent_src is None:
+        record["rows"] = after
+        return record
+    before = side_record(parent_src, layer)
+    for key, row in before.items():
+        for field in layer.agree:
+            if field in row and field in after[key] and row[field] != after[key][field]:
+                raise AssertionError(f"{key}: the two sides disagree on {field}")
+    record["before"], record["after"] = before, after
+    return record
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as info:
+            for line in info:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.machine()
+
+
+def e2e_summary(parent_dir: Path, change_dir: Path) -> dict:
+    runs: dict[str, dict[str, list[dict]]] = {}
+    for side, folder in (("parent", parent_dir), ("change", change_dir)):
+        for path in sorted(folder.glob("*-trace0-*.json")):
+            record = json.loads(path.read_text())
+            runs.setdefault(record["workload"], {}).setdefault(side, []).append(record)
+    out = {}
+    for workload, sides in sorted(runs.items()):
+        entry = {}
+        for side, records in sides.items():
+            stats = {"runs": str(len(records)), "seeds": [str(rec["seed"]) for rec in records]}
+            for metric in METRICS:
+                values = sorted(rec["metrics"][metric] for rec in records)
+                q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+                stats[metric] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+            entry[side] = stats
+        parent = {rec["seed"]: rec["metrics"] for rec in sides.get("parent", [])}
+        change = {rec["seed"]: rec["metrics"] for rec in sides.get("change", [])}
+        seeds = sorted(parent.keys() & change.keys())
+        wins = {}
+        for metric in METRICS:
+            sign = -1 if metric == "success_rate" else 1  # the one metric where higher is better
+            better = sum(sign * (parent[s][metric] - change[s][metric]) > 0 for s in seeds)
+            wins[metric] = f"{better}/{len(seeds)}"
+        entry["change_better_pairs"] = wins
+        out[workload] = entry
+    return out
+
+
+def main() -> None:
+    if sys.argv[1:2] == ["--child"]:  # the child's own arguments may look like options
+        print(json.dumps(CHILDREN[sys.argv[2]](*sys.argv[3:])))
+        return
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--layers", help=f"comma-separated, from {', '.join(LAYERS)}")
+    parser.add_argument("--parent-src", type=Path)
+    parser.add_argument("--e2e-parent", type=Path)
+    parser.add_argument("--e2e-change", type=Path)
+    args = parser.parse_args()
+    if not (args.out and args.layers):
+        parser.error("--out and --layers are required")
+    names = args.layers.split(",")
+    unknown = [name for name in names if name not in LAYERS]
+    if unknown:
+        parser.error(f"unknown layers: {', '.join(unknown)}")
+    parent_src = args.parent_src.resolve() if args.parent_src else None
+    doc = {
+        "host": {
+            "cpu": cpu_model(),
+            "cores": str(os.cpu_count()),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
+        "layers": {name: layer_record(LAYERS[name], parent_src) for name in names},
+    }
+    if args.e2e_parent and args.e2e_change:
+        doc["end_to_end"] = e2e_summary(args.e2e_parent, args.e2e_change)
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()
