@@ -19,6 +19,7 @@ from .coset_codes import (
     DUALITY_N_LIMIT,
     MACWILLIAMS_N_LIMIT,
     codeword_weight_closed,
+    degenerate_kernel,
     delsarte_check,
     dual_codeword,
     full_weight_distribution_small,
@@ -51,6 +52,7 @@ from .kloosterman import (
 )
 from .moment_recursion import (
     pless_check,
+    recursion_series,
     recursive_moments,
     smallest_case_recursions,
     stirling2,
@@ -72,6 +74,7 @@ from .ominus_groups import (
     enumerate_q_minus,
     enumerate_so2,
     exp_sum_dc,
+    first_specs,
     is_isometry_exhaustive,
     isometry_relations,
     o_minus_order,
@@ -80,6 +83,7 @@ from .ominus_groups import (
     q_minus_order,
     sym_sum_terms,
     trace_distribution,
+    valid_specs,
 )
 
 MAX_VERIFY_R = 8
@@ -141,7 +145,11 @@ def _cmd_kloos(args: argparse.Namespace) -> tuple[dict, int]:
     if args.a is not None:
         a = parse_hex(args.a)
         params["a"] = to_hex(a)
-        result["value"] = _dec(kloosterman_sum(ctx, args.m, a))
+        # K_2 reads the spectrum; kloosterman_sum rejects an a outside the units
+        if args.m == 2 and 0 < a < ctx.q:
+            result["value"] = _dec(kloosterman_spectrum(ctx, 2)[a])
+        else:
+            result["value"] = _dec(kloosterman_sum(ctx, args.m, a))
     if args.hmax is not None:
         params["h_max"] = _dec(args.hmax)
         series = power_moment_oracle(ctx, args.m, args.hmax)
@@ -235,12 +243,10 @@ def _cmd_moments(args: argparse.Namespace) -> tuple[dict, int]:
     params["h_max"] = _dec(args.hmax)
     params["verify"] = bool(args.verify)
     if args.series is not None:
-        series_list: tuple[str | None, ...] = (args.series.replace("-", "_"),)
+        series_list = (args.series.replace("-", "_"),)
         params["series"] = args.series
-    elif spec.family in (2, 4):
-        series_list = ("mk2", "mk_even")
     else:
-        series_list = (None,)
+        series_list = recursion_series(spec)
     reports = [
         recursive_moments(spec, args.hmax, series, with_oracle=args.verify)
         for series in series_list
@@ -389,17 +395,6 @@ def _check_so2(r: int, modulus: int) -> None:
         raise AssertionError("the outer coset representative must lie outside")
 
 
-def _valid_specs(ctx: FieldCtx, n: int) -> list[DoubleCosetSpec]:
-    sign = "+" if n % 2 == 0 else "-"
-    specs = []
-    for fam in (1, 2, 3, 4):
-        try:
-            specs.append(DoubleCosetSpec(fam, sign, n, ctx))
-        except ValueError:
-            continue
-    return specs
-
-
 def _check_parabolic_cells(r: int, modulus: int, n: int) -> None:
     ctx = make_field(r, modulus)
     q = ctx.q
@@ -428,13 +423,13 @@ def _check_parabolic_cells(r: int, modulus: int, n: int) -> None:
             total += len(cell)
     if total != o_minus_order(q, n) or len(union) != total:
         raise AssertionError("cells must partition the whole isometry group")
-    for spec in _valid_specs(ctx, n):
+    for spec in valid_specs(ctx, n):
         dc_cardinality(spec)  # internal consistency assertion runs here
 
 
 def _check_exp_sums(r: int, modulus: int, n: int) -> None:
     ctx = make_field(r, modulus)
-    for spec in _valid_specs(ctx, n):
+    for spec in valid_specs(ctx, n):
         for a in range(1, ctx.q):
             if exp_sum_dc(spec, a, "enumerated") != exp_sum_dc(spec, a, "closed_form"):
                 raise AssertionError(
@@ -444,7 +439,7 @@ def _check_exp_sums(r: int, modulus: int, n: int) -> None:
 
 def _check_trace_distributions(r: int, modulus: int, n: int) -> None:
     ctx = make_field(r, modulus)
-    for spec in _valid_specs(ctx, n):
+    for spec in valid_specs(ctx, n):
         if trace_distribution(spec, "enumerated") != trace_distribution(spec, "closed_form"):
             raise AssertionError(f"trace distribution mismatch at family {spec.family}")
 
@@ -478,36 +473,26 @@ def _check_codes(r: int, modulus: int) -> None:
 
 def _check_pless(r: int, modulus: int) -> None:
     ctx = make_field(r, modulus)
-    specs = [DoubleCosetSpec(1, "-", 1, ctx)]
-    if ctx.q == 2:
-        specs += [DoubleCosetSpec(1, "+", 2, ctx), DoubleCosetSpec(2, "+", 2, ctx)]
-    for spec in specs:
+    for spec in _code_specs(ctx):
+        if degenerate_kernel(spec):
+            try:
+                pless_check(spec, 1)
+            except ValueError:
+                continue
+            raise AssertionError("a degenerate kernel must be rejected")
         for h in range(1, 6):
             lhs, rhs = pless_check(spec, h)
             if lhs != rhs:
                 raise AssertionError(f"power moment identity fails at family {spec.family}, h={h}")
-    if ctx.q == 2:
-        try:
-            pless_check(DoubleCosetSpec(3, "+", 2, ctx), 1)
-        except ValueError:
-            return
-        raise AssertionError("a degenerate kernel must be rejected")
 
 
 def _check_recursions(r: int, modulus: int) -> None:
     ctx = make_field(r, modulus)
-    q = ctx.q
-    jobs: list[tuple[DoubleCosetSpec, tuple[str | None, ...]]] = [
-        (DoubleCosetSpec(1, "+", 2, ctx), (None,)),
-        (DoubleCosetSpec(1, "-", 1, ctx), (None,)),
-        (DoubleCosetSpec(3, "-", 3, ctx), (None,)),
-    ]
-    if q >= 8:
-        jobs.append((DoubleCosetSpec(3, "+", 2, ctx), (None,)))
-    if q >= 4:
-        for fam, sign, n in ((2, "+", 2), (2, "-", 3), (4, "+", 4), (4, "-", 3)):
-            jobs.append((DoubleCosetSpec(fam, sign, n, ctx), ("mk2", "mk_even")))
-    for spec, series_list in jobs:
+    for spec in first_specs(ctx):
+        try:
+            series_list = recursion_series(spec)
+        except ValueError:
+            continue  # outside the recursion domain at this q
         for series in series_list:
             report = recursive_moments(spec, 4, series)
             if not all(report.agree):
@@ -599,7 +584,8 @@ def verify_all(
     plan = _build_checks(max_r, modulus_overrides or {})
     if workers <= 1:
         return [_run_check(entry) for entry in plan]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool forks all its workers at the first submit: fork no more than there are checks
+    with ProcessPoolExecutor(max_workers=min(workers, len(plan))) as pool:
         return list(pool.map(_run_check, plan))
 
 

@@ -36,6 +36,10 @@ DUALITY_N_LIMIT = 24          # largest length for the exhaustive duality check
 DEGENERATE_KERNEL_SPECS = frozenset({(3, "+", 2, 2), (3, "+", 2, 4), (4, "-", 3, 2)})
 
 
+def degenerate_kernel(spec: DoubleCosetSpec) -> bool:
+    return (spec.family, spec.sign, spec.n, spec.ctx.q) in DEGENERATE_KERNEL_SPECS
+
+
 @lru_cache(maxsize=None)
 def _trace_vector(spec: DoubleCosetSpec) -> tuple[int, ...]:
     return tuple(mat_trace(w) for w in double_coset_elements(spec))
@@ -47,14 +51,6 @@ def dual_codeword(spec: DoubleCosetSpec, a: int) -> tuple[int, ...]:
     if not 0 <= a < ctx.q:
         raise ValueError(f"a must be a field element below {ctx.q}")
     return tuple(trace(ctx, mul(ctx, a, t)) for t in _trace_vector(spec))
-
-
-def codeword_hex(word: tuple[int, ...]) -> str:
-    """Hex packing with the first coordinate as the most significant bit."""
-    value = 0
-    for bit in word:
-        value = (value << 1) | bit
-    return "0x%0*X" % (max(1, (len(word) + 3) // 4), value)
 
 
 def codeword_weight_closed(spec: DoubleCosetSpec, a: int) -> int:
@@ -219,6 +215,5 @@ def delsarte_check(spec: DoubleCosetSpec) -> bool:
     kernel = tuple(
         a for a in range(ctx.q) if all(trace(ctx, mul(ctx, a, t)) == 0 for t in vec)
     )
-    key = (spec.family, spec.sign, spec.n, ctx.q)
-    expected = (0, 1) if key in DEGENERATE_KERNEL_SPECS else (0,)
+    expected = (0, 1) if degenerate_kernel(spec) else (0,)
     return span == words and kernel == expected and kernel == dual_code_kernel(spec)

@@ -44,10 +44,7 @@ def kloosterman_sum(ctx: FieldCtx, m: int, a: int) -> int:
         raise ValueError(f"dimension m must be positive, got {m}")
     _check_unit(ctx, a)
     if (ctx.q - 1) ** m > ENUM_BUDGET:
-        raise BudgetError(
-            f"direct K_{m} sum needs {(ctx.q - 1) ** m} terms (budget {ENUM_BUDGET}); "
-            "for m = 2 use carlitz_k2 instead"
-        )
+        raise BudgetError(f"direct K_{m} sum needs {(ctx.q - 1) ** m} terms (budget {ENUM_BUDGET})")
     if m > 2:
         return _kloosterman_generic(ctx, m, a)
     lam = lambda_table(ctx)

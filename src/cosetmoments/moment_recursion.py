@@ -16,6 +16,7 @@ from math import comb, factorial
 
 from .coset_codes import (
     codeword_weight_closed,
+    degenerate_kernel,
     dual_code_kernel,
     prefix_counts_from_distribution,
     weight_distribution_prefix,
@@ -67,35 +68,36 @@ class SeriesParams:
     oracle_stride: int
 
 
-def _validate_recursion_domain(spec: DoubleCosetSpec) -> None:
+def recursion_series(spec: DoubleCosetSpec) -> tuple[str, ...]:
+    """The series the spec's recursion solves, the default first: "mk" where the
+    closed character sum is linear in K, "mk2" and "mk_even" where it is
+    quadratic.  Raises ValueError for a spec outside the recursion domain."""
     q = spec.ctx.q
-    if spec.family == 3 and spec.sign == "+" and spec.n == 2 and q < 8:
+    if spec.k2_shift is not None and q < 4:
+        raise ValueError(f"family-{spec.family} recursions need q >= 4")
+    if degenerate_kernel(spec):
+        # past the q >= 4 gate, only family 3+ at n = 2 and q in {2, 4} is left
         raise ValueError(
             "the family-3 plus recursion at n = 2 needs q >= 8: at q in {2,4} "
             "the map a -> c(a) has the two-element subfield as kernel"
         )
-    if spec.family in (2, 4) and q < 4:
-        raise ValueError(f"family-{spec.family} recursions need q >= 4")
+    return ("mk",) if spec.k2_shift is None else ("mk2", "mk_even")
 
 
 def _series_params(spec: DoubleCosetSpec, series: str | None) -> SeriesParams:
-    _validate_recursion_domain(spec)
-    s = spec.sign_value
-    b_cnt = dc_cardinality(spec)[1]
-    q = spec.ctx.q
-    if spec.family in (1, 3):
-        if series not in (None, "mk"):
+    labels = recursion_series(spec)
+    series = labels[0] if series is None else series
+    if series not in labels:
+        if labels == ("mk",):
             raise ValueError(f"family {spec.family} admits only the 'mk' series")
+        raise ValueError(f"series must be 'mk2' or 'mk_even', got {series!r}")
+    s, c = spec.sign_value, spec.k2_shift
+    b_cnt = dc_cardinality(spec)[1]
+    if series == "mk":
         return SeriesParams("mk", b_cnt, -s, 1, 1)
-    if series is None:
-        series = "mk2"
     if series == "mk2":
-        shift = q if spec.family == 2 else q * q
-        return SeriesParams("mk2", b_cnt + s * shift, s, 2, 1)
-    if series == "mk_even":
-        shift = 0 if spec.family == 2 else q * q - q
-        return SeriesParams("mk_even", b_cnt + s * shift, s, 1, 2)
-    raise ValueError(f"series must be 'mk2' or 'mk_even', got {series!r}")
+        return SeriesParams("mk2", b_cnt + s * c, s, 2, 1)
+    return SeriesParams("mk_even", b_cnt + s * (c - spec.ctx.q), s, 1, 2)
 
 
 def _oracle_moments(ctx: FieldCtx, params: SeriesParams, h_max: int) -> tuple[int, ...]:

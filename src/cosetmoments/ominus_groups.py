@@ -360,11 +360,12 @@ def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[M
         raise ValueError(f"r must lie in 0..{n - 1}, got {r}")
     if twisted:
         return tuple(sorted(_rho_left_mul(w) for w in bruhat_cell(ctx, n, r, False)))
+    size = q_minus_order(ctx.q, n)
+    if r and size ** 2 > PRODUCT_BUDGET:  # refuse before enumerating Q^-
+        raise BudgetError(f"|Q^-|^2 = {size ** 2} exceeds the product budget {PRODUCT_BUDGET}")
     qm = enumerate_q_minus(ctx, n)
     if r == 0:
         return qm  # sigma_0 is the identity and Q^- is a group
-    if len(qm) ** 2 > PRODUCT_BUDGET:
-        raise BudgetError(f"|Q^-|^2 = {len(qm) ** 2} exceeds the product budget {PRODUCT_BUDGET}")
     sigma = weyl_elements(ctx, n)[0][r]
     if ctx.q == 2:
         elems, sigma, times = [_pack_rows(w) for w in qm], _pack_rows(sigma), _packed_mul
@@ -385,7 +386,10 @@ def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[M
     return tuple(sorted(seen))
 
 
-_SIGMA_SHIFT = {1: 1, 2: 2, 3: 2, 4: 3}
+# family -> (n - r of its Weyl element sigma_r, rho twist, exponent e of the
+# shift c = q^e in its closed character sum -s A (K_2 + c); None where that
+# sum is linear, s A K)
+_FAMILIES = {1: (1, False, None), 2: (2, False, 1), 3: (2, True, None), 4: (3, True, 2)}
 _MIN_N = {
     ("+", 1): 2, ("+", 2): 2, ("+", 3): 2, ("+", 4): 4,
     ("-", 1): 1, ("-", 2): 3, ("-", 3): 3, ("-", 4): 3,
@@ -400,7 +404,7 @@ class DoubleCosetSpec:
     ctx: FieldCtx
 
     def __post_init__(self) -> None:
-        if self.family not in (1, 2, 3, 4):
+        if self.family not in _FAMILIES:
             raise ValueError(f"family must be 1..4, got {self.family}")
         if self.sign not in ("+", "-"):
             raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
@@ -416,15 +420,33 @@ class DoubleCosetSpec:
 
     @property
     def sigma_index(self) -> int:
-        return self.n - _SIGMA_SHIFT[self.family]
+        return self.n - _FAMILIES[self.family][0]
 
     @property
     def rho_twisted(self) -> bool:
-        return self.family in (3, 4)
+        return _FAMILIES[self.family][1]
+
+    @property
+    def k2_shift(self) -> int | None:
+        """c of the closed character sum -s A (K_2 + c), or None for the
+        families whose sum is linear, s A K."""
+        e = _FAMILIES[self.family][2]
+        return None if e is None else self.ctx.q ** e
 
     @property
     def sign_value(self) -> int:
         return 1 if self.sign == "+" else -1
+
+
+def valid_specs(ctx: FieldCtx, n: int) -> list[DoubleCosetSpec]:
+    """Every family that exists at n, in family order; n fixes the sign."""
+    sign = "+" if n % 2 == 0 else "-"
+    return [DoubleCosetSpec(fam, sign, n, ctx) for fam in _FAMILIES if n >= _MIN_N[(sign, fam)]]
+
+
+def first_specs(ctx: FieldCtx) -> list[DoubleCosetSpec]:
+    """The eight families, each at its least n: plus signs first, in family order."""
+    return [DoubleCosetSpec(fam, sign, n, ctx) for (sign, fam), n in _MIN_N.items()]
 
 
 def double_coset_elements(spec: DoubleCosetSpec) -> tuple[Matrix, ...]:
@@ -511,16 +533,14 @@ def _trace_counts(spec: DoubleCosetSpec, mode: str) -> tuple[int, ...]:
     if mode != "closed_form":
         raise ValueError(f"mode must be 'enumerated' or 'closed_form', got {mode!r}")
     a_cnt, b_cnt, _ = dc_cardinality(spec)
-    s = spec.sign_value
-    fam = spec.family
-    k1 = kloosterman_spectrum(ctx, 1) if fam in (2, 4) else ()
-    shift = q if fam == 2 else q * q  # families 2 and 4; the beta = 0 class reads K as shift
+    s, c = spec.sign_value, spec.k2_shift
+    k1 = kloosterman_spectrum(ctx, 1) if c is not None else ()
     out = []
     for beta in range(q):
-        if fam in (1, 3):
+        if c is None:
             eps = 1 + q * lambda_char(ctx, inv(ctx, beta)) if beta else 1
-        else:
-            eps = shift + 1 - q * (k1[inv(ctx, beta)] if beta else shift)
+        else:  # the beta = 0 class reads K as c
+            eps = c + 1 - q * (k1[inv(ctx, beta)] if beta else c)
         count, rem = divmod(a_cnt * (b_cnt + s * eps), q)
         if rem or count < 0:
             raise AssertionError("trace-class count must be a nonnegative integer")
@@ -545,12 +565,10 @@ def exp_sum_dc(spec: DoubleCosetSpec, a: int, mode: str = "closed_form") -> int:
         raise ValueError(f"mode must be 'enumerated' or 'closed_form', got {mode!r}")
     a_cnt, _, _ = dc_cardinality(spec)
     k = kloosterman_spectrum(ctx, 1)[a]
-    s = spec.sign_value
-    if spec.family in (1, 3):
+    s, c = spec.sign_value, spec.k2_shift
+    if c is None:
         return s * a_cnt * k
-    if spec.family == 2:
-        return -s * a_cnt * k * k
-    return -s * a_cnt * (k * k + ctx.q * ctx.q - ctx.q)
+    return -s * a_cnt * (k * k - ctx.q + c)  # K_2 = K^2 - q
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import time
 
 import pytest
 
-from cosetmoments.cli import _valid_specs
 from cosetmoments.coset_codes import (
     codeword_weight_closed,
     delsarte_check,
@@ -45,6 +44,7 @@ from cosetmoments.ominus_groups import (
     o_minus_order,
     q_minus_order,
     trace_distribution,
+    valid_specs,
 )
 
 ENUMERATION_POINTS = ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1))  # (n, r) pairs
@@ -103,7 +103,7 @@ def test_criterion_04_enumerated_group_orders_and_coset_sizes():
         ctx = make_field(r)
         assert len(enumerate_so2(ctx)) == ctx.q + 1
         assert len(enumerate_q_minus(ctx, n)) == q_minus_order(ctx.q, n)
-        for spec in _valid_specs(ctx, n):
+        for spec in valid_specs(ctx, n):
             a_cnt, b_cnt, total = dc_cardinality(spec)
             assert a_cnt * b_cnt == total
             assert total == bruhat_cell_order(ctx.q, n, spec.sigma_index)
@@ -124,7 +124,7 @@ def test_criterion_04_enumerated_group_orders_and_coset_sizes():
 def test_criterion_05_character_sums_match_their_closed_forms():
     for n, r in ENUMERATION_POINTS:
         ctx = make_field(r)
-        for spec in _valid_specs(ctx, n):
+        for spec in valid_specs(ctx, n):
             for a in units(ctx):
                 assert exp_sum_dc(spec, a, "enumerated") == exp_sum_dc(
                     spec, a, "closed_form"
@@ -134,7 +134,7 @@ def test_criterion_05_character_sums_match_their_closed_forms():
 def test_criterion_06_trace_distributions_classwise():
     for n, r in ENUMERATION_POINTS:
         ctx = make_field(r)
-        for spec in _valid_specs(ctx, n):
+        for spec in valid_specs(ctx, n):
             assert trace_distribution(spec, "enumerated") == trace_distribution(
                 spec, "closed_form"
             )

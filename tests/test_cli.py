@@ -8,8 +8,8 @@ import pytest
 
 from cosetmoments import __version__, cli, ominus_groups
 from cosetmoments.cli import main, verify_all
-from cosetmoments.finite_field import make_field
-from cosetmoments.kloosterman import BudgetError
+from cosetmoments.finite_field import default_modulus, make_field
+from cosetmoments.kloosterman import BudgetError, carlitz_k2, kloosterman_sum
 
 
 def run(capsys, *args):
@@ -74,6 +74,24 @@ def test_kloos_needs_a_or_hmax(capsys):
     code, doc, err = run(capsys, "kloos", "--r", "2")
     assert code == 2
     assert "--a and/or --hmax" in err
+
+
+def test_kloos_two_dimensional_point_query_past_the_direct_budget(capsys):
+    code, doc, _ = run(capsys, "kloos", "--r", "14", "--m", "2", "--a", "0x3")
+    assert code == 0
+    assert doc["result"]["value"] == str(carlitz_k2(make_field(14), 3))
+    code, doc, err = run(capsys, "kloos", "--r", "14", "--m", "2", "--a", "0x4000")
+    assert code == 2
+    assert "nonzero element" in err
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_kloos_two_dimensional_point_queries_equal_the_direct_sum(capsys, r):
+    ctx = make_field(r)
+    for a in range(1, ctx.q):
+        code, doc, _ = run(capsys, "kloos", "--r", str(r), "--m", "2", "--a", hex(a))
+        assert code == 0
+        assert doc["result"]["value"] == str(kloosterman_sum(ctx, 2, a))
 
 
 def test_enumerate_document(capsys):
@@ -181,6 +199,76 @@ def test_moments_domain_error_is_usage_error(capsys):
     )
     assert code == 2
     assert "q >= 4" in err
+
+
+# (family, sign, n) at each family's least n
+FIRST_SHAPES = (
+    (1, "plus", 2), (2, "plus", 2), (3, "plus", 2), (4, "plus", 4),
+    (1, "minus", 1), (2, "minus", 3), (3, "minus", 3), (4, "minus", 3),
+)
+
+
+@pytest.mark.parametrize("family, sign, n", FIRST_SHAPES)
+def test_moments_default_series_per_family(capsys, family, sign, n):
+    code, doc, _ = run(
+        capsys,
+        "moments", "--r", "3", "--family", str(family), "--sign", sign, "--n", str(n),
+        "--hmax", "1",
+    )
+    assert code == 0
+    series = [rep["series"] for rep in doc["result"]["reports"]]
+    assert series == (["mk2", "mk_even"] if family in (2, 4) else ["mk"])
+
+
+def _hand_written_recursion_jobs(q):
+    """The recursion jobs of the verify-all check, as listed before the
+    recursion domain had one owner; the default series is labelled "mk"."""
+    jobs = [(1, "+", 2, "mk"), (1, "-", 1, "mk"), (3, "-", 3, "mk")]
+    if q >= 8:
+        jobs.append((3, "+", 2, "mk"))
+    if q >= 4:
+        for fam, sign, n in ((2, "+", 2), (2, "-", 3), (4, "+", 4), (4, "-", 3)):
+            jobs += [(fam, sign, n, series) for series in ("mk2", "mk_even")]
+    return jobs
+
+
+@pytest.mark.parametrize("r", range(1, 5))
+def test_recursion_check_runs_the_hand_written_jobs(monkeypatch, r):
+    real = cli.recursive_moments
+    jobs = []
+
+    def recorder(spec, h_max, series=None, with_oracle=True):
+        report = real(spec, h_max, series, with_oracle)
+        if with_oracle:  # the others compare the smallest cases with the general form
+            jobs.append((spec.family, spec.sign, spec.n, report.series))
+        return report
+
+    monkeypatch.setattr(cli, "recursive_moments", recorder)
+    cli._check_recursions(r, default_modulus(r))
+    assert sorted(jobs) == sorted(_hand_written_recursion_jobs(1 << r))
+
+
+def test_verify_all_caps_workers_at_the_plan_length(monkeypatch):
+    pool_sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            return map(func, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    plan_length = len(cli._build_checks(1, {}))
+    assert verify_all(1, workers=5000) == verify_all(1, workers=1)
+    assert verify_all(1, workers=2) == verify_all(1, workers=1)
+    assert pool_sizes == [plan_length, 2]
 
 
 def test_verify_all_small(capsys):

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetmoments.cli import _valid_specs
 from cosetmoments.coset_codes import (
     DEGENERATE_KERNEL_SPECS,
     MACWILLIAMS_N_LIMIT,
     PREFIX_J_LIMIT,
     _walsh_hadamard,
-    codeword_hex,
     codeword_weight_closed,
     delsarte_check,
     dual_code_kernel,
@@ -23,7 +21,12 @@ from cosetmoments.coset_codes import (
     weight_distribution_prefix,
 )
 from cosetmoments.finite_field import is_irreducible, make_field, trace, units
-from cosetmoments.ominus_groups import DoubleCosetSpec, dc_cardinality, trace_distribution
+from cosetmoments.ominus_groups import (
+    DoubleCosetSpec,
+    dc_cardinality,
+    trace_distribution,
+    valid_specs,
+)
 
 CTX2 = make_field(1)
 CTX4 = make_field(2)
@@ -63,14 +66,10 @@ def test_frozen_weights():
     assert [codeword_weight_closed(spec, a) for a in (1, 2, 3)] == [4, 2, 2]
 
 
-def test_codeword_hex():
-    assert codeword_hex((1, 0, 1)) == "0x5"
-    assert codeword_hex((0, 0, 0, 1, 1)) == "0x03"
-    assert codeword_hex((1,) * 8) == "0xFF"
+def test_smallest_dual_codeword():
     # the middle coordinate is the identity matrix, the only trace-zero one
     spec = DoubleCosetSpec(1, "-", 1, CTX2)
     assert dual_codeword(spec, 1) == (1, 0, 1)
-    assert codeword_hex(dual_codeword(spec, 1)) == "0x5"
 
 
 # full distributions, small enough to freeze outright
@@ -192,7 +191,7 @@ def dp_prefix(ctx, class_counts, j_max):
 
 
 def _every_spec(ctx, n_max=5):
-    return [spec for n in range(1, n_max + 1) for spec in _valid_specs(ctx, n)]
+    return [spec for n in range(1, n_max + 1) for spec in valid_specs(ctx, n)]
 
 
 # the DP costs O(q^2 j^2), so the cutoff shrinks as q grows

@@ -2,6 +2,7 @@
 
 import random
 from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -24,6 +25,7 @@ from cosetmoments.ominus_groups import (
     enumerate_q_minus,
     enumerate_so2,
     exp_sum_dc,
+    first_specs,
     gauss_binomial,
     gl_order,
     identity_matrix,
@@ -39,6 +41,7 @@ from cosetmoments.ominus_groups import (
     theta_minus,
     trace_distribution,
     transpose,
+    valid_specs,
     weyl_elements,
 )
 
@@ -396,6 +399,15 @@ def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, 
 # --- double-coset specs ---------------------------------------------------
 
 
+def test_bruhat_cell_refuses_before_enumerating(monkeypatch):
+    def refuse(ctx, n):
+        raise AssertionError("Q^- must not be enumerated past the product budget")
+
+    monkeypatch.setattr(ominus_groups, "enumerate_q_minus", refuse)
+    with pytest.raises(BudgetError):
+        bruhat_cell(make_field(3), 2, 1)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError, match="n even"):
         DoubleCosetSpec(1, "+", 3, CTX2)
@@ -420,6 +432,32 @@ def test_spec_properties():
     assert spec.sigma_index == 2
     assert not spec.rho_twisted
     assert spec.sign_value == -1
+
+
+def _constructible(ctx, n):
+    """The catalogue's oracle: every family whose spec constructs at n."""
+    sign = "+" if n % 2 == 0 else "-"
+    out = []
+    for fam in (1, 2, 3, 4):
+        try:
+            out.append(DoubleCosetSpec(fam, sign, n, ctx))
+        except ValueError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_valid_specs_are_the_constructible_ones(n):
+    assert valid_specs(CTX4, n) == _constructible(CTX4, n)
+
+
+def test_first_specs_are_each_family_at_its_least_n():
+    specs = first_specs(CTX2)
+    assert sorted((s.family, s.sign) for s in specs) == sorted(product((1, 2, 3, 4), "+-"))
+    for spec in specs:
+        assert spec in valid_specs(CTX2, spec.n)
+        with pytest.raises(ValueError, match=f"n >= {spec.n}"):
+            DoubleCosetSpec(spec.family, spec.sign, spec.n - 2, CTX2)
 
 
 # closed-form (A, B, N) anchors, cross-checked against full enumeration
