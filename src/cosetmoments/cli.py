@@ -581,6 +581,9 @@ def verify_all(
 ) -> list[tuple[str, str, str]]:
     if not 1 <= max_r <= MAX_VERIFY_R:
         raise ValueError(f"max_r must lie in 1..{MAX_VERIFY_R}")
+    outside = sorted(r for r in modulus_overrides or {} if not 1 <= r <= max_r)
+    if outside:
+        raise ValueError(f"modulus override for r = {outside[0]} lies outside 1..{max_r}")
     plan = _build_checks(max_r, modulus_overrides or {})
     if workers <= 1:
         return [_run_check(entry) for entry in plan]
@@ -688,8 +691,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="ascii") as sink:
-            sink.write(payload)
+        try:
+            with open(args.out, "w", encoding="ascii") as sink:
+                sink.write(payload)
+        except OSError as exc:
+            print(str(exc), file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(payload)
     return code

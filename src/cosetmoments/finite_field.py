@@ -8,7 +8,7 @@ Every context carries a distinguished element a_param of trace 1, so that
 z^2 + z + a_param has no root; it parametrizes the minus-type quadratic
 form used by the group modules.
 
-Products, inverses and powers are one lookup each in the tables exp[i] = g^i
+Products and inverses are one lookup each in the tables exp[i] = g^i
 and log of the smallest generator g of GF(q)^*, built once per (modulus, r)
 by the carry-less product `_raw_mul` and held by every context.  g is searched
 for: the modulus need not be primitive (z has order 51 under 0x11B, r = 8).
@@ -167,15 +167,6 @@ def mul(ctx: FieldCtx, x: int, y: int) -> int:
         log = ctx.log
         return ctx.exp[log[x] + log[y]]
     return 0
-
-
-def fpow(ctx: FieldCtx, x: int, e: int) -> int:
-    """x^e for any integer e; 0^0 = 1 and 0 to a negative power raises."""
-    if x:
-        return ctx.exp[ctx.log[x] * e % (ctx.q - 1)]
-    if e < 0:
-        raise ZeroDivisionError(f"0 has no inverse in GF({ctx.q})")
-    return 0 if e else 1
 
 
 def inv(ctx: FieldCtx, x: int) -> int:

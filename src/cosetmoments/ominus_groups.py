@@ -592,7 +592,9 @@ def sym_sum_terms(q: int, r: int) -> int:
 
 def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:
     """Direct double sum of lambda(twist * Tr(delta th B h)) over nonsingular
-    symmetric B and all r x 2 matrices h."""
+    symmetric B and all r x 2 matrices h = (u | v), one term per (B, u, v):
+    Tr(delta th B h) = u^T B u + v^T B u + a v^T B v, read from per-B tables
+    of B v and v^T B v over every v in GF(q)^r."""
     if r not in (1, 2, 3):
         raise ValueError(f"r must be 1, 2, or 3, got {r}")
     if not 0 < twist < ctx.q:
@@ -600,24 +602,17 @@ def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:
     q = ctx.q
     if sym_sum_terms(q, r) > SYM_SUM_BUDGET:
         raise BudgetError("symmetric-matrix sum exceeds its term budget")
-    a = ctx.a_param
+    sign = [lambda_char(ctx, mul(ctx, twist, x)) for x in range(q)]
+    vecs = tuple(product(range(q), repeat=r))
     total = 0
     for sym in _symmetric_matrices(ctx, r):
         if not _is_nonsingular(ctx, sym):
             continue
-        for hvals in product(range(q), repeat=2 * r):
-            h = tuple((hvals[2 * t], hvals[2 * t + 1]) for t in range(r))
-            x00 = x10 = x11 = 0
-            for s_i in range(r):
-                for t_i in range(r):
-                    bst = sym[s_i][t_i]
-                    if not bst:
-                        continue
-                    x00 ^= mul(ctx, h[s_i][0], mul(ctx, bst, h[t_i][0]))
-                    x10 ^= mul(ctx, h[s_i][1], mul(ctx, bst, h[t_i][0]))
-                    x11 ^= mul(ctx, h[s_i][1], mul(ctx, bst, h[t_i][1]))
-            arg = x00 ^ x10 ^ mul(ctx, a, x11)
-            total += lambda_char(ctx, mul(ctx, twist, arg))
+        images = [mat_vec(ctx, sym, v) for v in vecs]  # B v
+        forms = [mat_vec(ctx, (v,), bv)[0] for v, bv in zip(vecs, images)]  # v^T B v
+        tails = [mul(ctx, ctx.a_param, f) for f in forms]
+        for bu, fu in zip(images, forms):  # mat_vec(vecs, B u) lists v^T B u over every v
+            total += sum(sign[fu ^ x ^ t] for x, t in zip(mat_vec(ctx, vecs, bu), tails))
     return total
 
 

@@ -306,6 +306,14 @@ def test_verify_all_reducible_override(capsys):
     )
 
 
+def test_verify_all_rejects_an_override_outside_the_run(capsys):
+    with pytest.raises(ValueError, match="r = 5"):
+        verify_all(1, modulus_overrides={5: 0x25})
+    code, doc, err = run(capsys, "verify-all", "--max-r", "1", "--modulus-override", "5:0x25")
+    assert code == 2 and doc is None
+    assert "r = 5" in err
+
+
 def test_verify_all_output_is_worker_independent(capsys):
     main(["verify-all", "--max-r", "2", "--workers", "1"])
     serial = capsys.readouterr().out
@@ -391,6 +399,14 @@ def test_out_flag_writes_the_document_to_a_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     main(["field", "--r", "2"])
     assert target.read_text() == capsys.readouterr().out
+
+
+def test_out_flag_write_failure_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "doc.json"
+    code = main(["field", "--r", "2", "--out", str(target)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert str(target) in err
 
 
 def test_module_entry_point():

@@ -13,7 +13,6 @@ from cosetmoments.finite_field import (
     _exp_log_tables,
     _raw_mul,
     default_modulus,
-    fpow,
     inv,
     is_irreducible,
     lambda_char,
@@ -109,31 +108,12 @@ def test_every_unit_has_an_inverse(r):
     ctx = make_field(r)
     for x in units(ctx):
         assert mul(ctx, x, inv(ctx, x)) == 1
-        assert fpow(ctx, x, ctx.q - 1) == 1
     with pytest.raises(ZeroDivisionError):
         inv(ctx, 0)
 
 
-def test_fpow_negative_exponent():
-    ctx = make_field(3)
-    for x in units(ctx):
-        assert mul(ctx, fpow(ctx, x, -2), fpow(ctx, x, 2)) == 1
-
-
 # every default modulus, plus a non-primitive override (z has order 5 mod 0x1F)
 TABLE_FIELDS = [(r, default_modulus(r)) for r in range(1, MAX_R + 1)] + [(4, 0x1F)]
-EXPONENTS = (0, 1, 2, 3, 7, 254, 255, 256, 65534, 65535, 65536, 1 << 20)
-
-
-def _raw_pow(x, e, modulus, r):
-    """x^e for e >= 0 by square-and-multiply on the carry-less product."""
-    acc = 1
-    while e:
-        if e & 1:
-            acc = _raw_mul(acc, x, modulus, r)
-        x = _raw_mul(x, x, modulus, r)
-        e >>= 1
-    return acc
 
 
 def _order(x, modulus, r):
@@ -150,10 +130,6 @@ def _assert_matches_carry_less_product(ctx, pairs):
         assert mul(ctx, x, y) == _raw_mul(x, y, m, r)
         if x:
             assert _raw_mul(x, inv(ctx, x), m, r) == 1
-        for e in EXPONENTS:
-            assert fpow(ctx, x, e) == _raw_pow(x, e, m, r)
-            if x:
-                assert _raw_mul(fpow(ctx, x, -e), _raw_pow(x, e, m, r), m, r) == 1
 
 
 @pytest.mark.parametrize("r,modulus", TABLE_FIELDS)
@@ -206,16 +182,11 @@ def test_trivial_unit_group_at_r1():
     assert (ctx.exp, ctx.log) == ((1, 1), (0, 0))
     assert mul(ctx, 1, 1) == 1 and mul(ctx, 0, 1) == 0 and mul(ctx, 1, 0) == 0
     assert inv(ctx, 1) == 1
-    assert all(fpow(ctx, 1, e) == 1 for e in range(-3, 4))
 
 
 @pytest.mark.parametrize("r", (1, 3, 9))
 def test_zero_powers(r):
     ctx = make_field(r)
-    assert fpow(ctx, 0, 0) == 1
-    assert fpow(ctx, 0, 5) == 0
-    with pytest.raises(ZeroDivisionError):
-        fpow(ctx, 0, -1)
     with pytest.raises(ZeroDivisionError):
         inv(ctx, 0)
 

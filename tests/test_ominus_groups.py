@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from cosetmoments import cli, ominus_groups
-from cosetmoments.finite_field import make_field, mul, trace, units
+from cosetmoments.finite_field import lambda_char, make_field, mul, trace, units
 from cosetmoments.kloosterman import BudgetError, kloosterman_sum
 from cosetmoments.ominus_groups import (
     PRODUCT_BUDGET,
@@ -593,3 +593,48 @@ def test_symmetric_sum_is_twist_independent():
 def test_symmetric_sum_budget():
     with pytest.raises(BudgetError):
         b_r_sum(CTX4, 3)
+
+
+def _accumulator_sum(ctx, r, twist):
+    """The (s, t) accumulator loop that b_r_sum ran before it read per-B
+    tables: every product of Tr(delta th B h) recomputed per h; kept as its
+    oracle."""
+    q, a = ctx.q, ctx.a_param
+    total = 0
+    for sym in ominus_groups._symmetric_matrices(ctx, r):
+        if not ominus_groups._is_nonsingular(ctx, sym):
+            continue
+        for hvals in product(range(q), repeat=2 * r):
+            h = tuple((hvals[2 * t], hvals[2 * t + 1]) for t in range(r))
+            x00 = x10 = x11 = 0
+            for s_i in range(r):
+                for t_i in range(r):
+                    bst = sym[s_i][t_i]
+                    if not bst:
+                        continue
+                    x00 ^= mul(ctx, h[s_i][0], mul(ctx, bst, h[t_i][0]))
+                    x10 ^= mul(ctx, h[s_i][1], mul(ctx, bst, h[t_i][0]))
+                    x11 ^= mul(ctx, h[s_i][1], mul(ctx, bst, h[t_i][1]))
+            arg = x00 ^ x10 ^ mul(ctx, a, x11)
+            total += lambda_char(ctx, mul(ctx, twist, arg))
+    return total
+
+
+@pytest.mark.parametrize("q,dim", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (8, 1)])
+def test_symmetric_sum_matches_the_accumulator_loop_for_every_a_param_and_twist(q, dim):
+    field = make_field(q.bit_length() - 1)
+    for a in range(field.q):
+        if trace(field, a) == 1:
+            ctx = make_field(field.r, a_param=a)
+            closed = b_r_sum_closed(ctx, dim)
+            for twist in units(ctx):
+                assert b_r_sum(ctx, dim, twist) == _accumulator_sum(ctx, dim, twist) == closed
+
+
+def test_symmetric_sum_at_q8_dim2_with_a_twist_and_the_largest_a_param():
+    # the accumulator loop would take about 10 s here; the closed form is the oracle
+    field = make_field(3)
+    a = max(x for x in range(field.q) if trace(field, x) == 1)
+    assert a != field.a_param
+    ctx = make_field(3, a_param=a)
+    assert b_r_sum(ctx, 2, twist=5) == b_r_sum_closed(ctx, 2)

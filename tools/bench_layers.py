@@ -322,6 +322,15 @@ LAYERS = {
         (("verify-all-r8", "child_checks", ("8", ",".join(SPECTRUM_CHECKS))),),
         "seconds per check; the plan is fixed by the check names",
     ),
+    "symmetric": Layer(
+        "the direct symmetric-matrix sum: verify-all --max-r 8 symmetric-matrix-sum checks, "
+        "serially, and the whole serial verify-all --max-r 8 document",
+        (("verify-all-r8", "child_checks", ("8", "symmetric-matrix-sum")),
+         ("verify-all --max-r 8", "child_command", ("verify-all", "--max-r", "8"))),
+        "seconds per check; terms per check: #nonsingular B x q^(2 dim) for dim 1 and 2, "
+        "once more where a_param != 1; the digest must agree between the sides",
+        agree=("digest", "exit"),
+    ),
 }
 
 
