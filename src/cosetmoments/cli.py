@@ -12,7 +12,6 @@ import argparse
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .coset_codes import (
@@ -584,9 +583,12 @@ def verify_all(
     outside = sorted(r for r in modulus_overrides or {} if not 1 <= r <= max_r)
     if outside:
         raise ValueError(f"modulus override for r = {outside[0]} lies outside 1..{max_r}")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     plan = _build_checks(max_r, modulus_overrides or {})
-    if workers <= 1:
+    if workers == 1:
         return [_run_check(entry) for entry in plan]
+    from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
     # the pool forks all its workers at the first submit: fork no more than there are checks
     with ProcessPoolExecutor(max_workers=min(workers, len(plan))) as pool:
         return list(pool.map(_run_check, plan))

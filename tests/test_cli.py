@@ -264,7 +264,8 @@ def test_verify_all_caps_workers_at_the_plan_length(monkeypatch):
         def map(self, func, items):
             return map(func, items)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    # verify_all imports the pool class from concurrent.futures only when it forks one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     plan_length = len(cli._build_checks(1, {}))
     assert verify_all(1, workers=5000) == verify_all(1, workers=1)
     assert verify_all(1, workers=2) == verify_all(1, workers=1)
@@ -312,6 +313,13 @@ def test_verify_all_rejects_an_override_outside_the_run(capsys):
     code, doc, err = run(capsys, "verify-all", "--max-r", "1", "--modulus-override", "5:0x25")
     assert code == 2 and doc is None
     assert "r = 5" in err
+
+
+def test_verify_all_rejects_fewer_than_one_worker(capsys):
+    for workers in ("0", "-3"):
+        code, doc, err = run(capsys, "verify-all", "--max-r", "1", "--workers", workers)
+        assert code == 2 and doc is None
+        assert "workers must be at least 1" in err
 
 
 def test_verify_all_output_is_worker_independent(capsys):
@@ -407,6 +415,20 @@ def test_out_flag_write_failure_is_a_usage_error(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert str(target) in err
+
+
+def test_cold_start_leaves_the_process_pool_unloaded():
+    probe = (
+        "import sys, contextlib, io\n"
+        "import cosetmoments.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['kloos', '--r', '3', '--a', '0x2']) == 0\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point():

@@ -15,9 +15,17 @@ must also be equal between the two sides. A case that exceeds its time
 limit is recorded as such and not repeated. Layers marked change-only
 compare two paths of the same checkout and ignore DIR.
 
+As in `bench/run.py`, every child runs pinned to one core, and every float
+field a child returns is a time, divided by the speed of that core while
+the child ran (`bench/hostspeed.SpeedProbe`): the times are seconds on a
+core of the probe's reference speed. Each row keeps the raw times under
+"raw" and the median speed factor under "speed".
+
 With the two directories of `bench/run.py --trace 0` records (parent and
-change), the medians, quartiles and per-seed wins of the end-to-end metrics
-are added per workload.
+change), the medians and quartiles of the end-to-end metrics and the pairs
+the change wins are added per workload, and per seed under "by_seed". The
+k-th run of a seed on one side pairs with the k-th run of that seed on the
+other, in the order of the record names (which hold their start time).
 """
 
 from __future__ import annotations
@@ -37,12 +45,17 @@ import sys
 import time
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import hostspeed  # noqa: E402 - the benchmark's probe, read from its own directory
+
 PROCESSES = 3  # fresh interpreters per case and side; the record keeps their median
 REPEATS = 3  # timed calls per process where a child repeats a call
 CHILD_TIMEOUT_S = 60.0
+CHILD_CPUS = sorted(os.sched_getaffinity(0))[:1]  # every child runs on this one core
 METRICS = ("wall_s", "job_p50_s", "cpu_s", "peak_rss_mib", "success_rate", "setup_s")
 
 
@@ -145,10 +158,10 @@ def child_field(r: str) -> dict:
     row["inv_ns"] = _median_s(inv_loop, 5) * 1e9 / len(units)
     calls = _count_calls(ff, "_raw_mul")
     mul_loop()
-    row["raw_mul_per_mul"] = calls[0] / len(pairs)
+    row["raw_mul_per_mul"] = str(Fraction(calls[0], len(pairs)))
     calls[0] = 0
     inv_loop()
-    row["raw_mul_per_inv"] = calls[0] / len(units)
+    row["raw_mul_per_inv"] = str(Fraction(calls[0], len(units)))
     return row
 
 
@@ -252,8 +265,42 @@ def child_command(*argv: str) -> dict:
     return {"s": time.perf_counter() - start, "exit": code, "digest": _digest((code, sink.getvalue()))}
 
 
+IMPORT_PROBE = """\
+import sys
+before = len(sys.modules)
+from cosetmoments.cli import main
+imported = len(sys.modules) - before
+import contextlib, io, json
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main(sys.argv[1:])
+pool = ("concurrent.futures.process", "multiprocessing")
+print(json.dumps({"modules_imported": imported, "pool_loaded": any(m in sys.modules for m in pool)}))
+"""
+
+
+def child_startup(*argv: str) -> dict:
+    """`python -m cosetmoments.cli ARGV` in a fresh interpreter, timed from
+    outside it; then, in another fresh interpreter, the modules that
+    `import cosetmoments.cli` loads and whether the run loaded the process pool."""
+    samples, outputs = [], set()
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "cosetmoments.cli", *argv],
+                              capture_output=True, timeout=CHILD_TIMEOUT_S)
+        samples.append(time.perf_counter() - start)
+        outputs.add((proc.returncode, proc.stdout))
+    if len(outputs) != 1:
+        raise AssertionError(f"{' '.join(argv)}: the document differs between runs")
+    ((code, document),) = outputs
+    probe = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv], capture_output=True,
+                           text=True, check=True, timeout=CHILD_TIMEOUT_S)
+    return {"s": statistics.median(samples), "exit": code, "digest": _digest((code, document)),
+            **json.loads(probe.stdout)}
+
+
 CHILDREN = {f.__name__: f for f in (
-    child_prefix, child_field, child_cell, child_checks, child_spectrum, child_command)}
+    child_prefix, child_field, child_cell, child_checks, child_spectrum, child_command,
+    child_startup)}
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +378,20 @@ LAYERS = {
         "once more where a_param != 1; the digest must agree between the sides",
         agree=("digest", "exit"),
     ),
+    "startup": Layer(
+        "cold start: python -m cosetmoments.cli ARGV in a fresh interpreter, timed from "
+        f"outside, {REPEATS} runs per process; a pool's workers share the child's one core",
+        tuple((" ".join(argv), "child_startup", argv) for argv in (
+            ("--help",),
+            ("kloos", "--r", "12", "--a", "0x3"),
+            ("moments", "--r", "8", "--family", "2", "--sign", "plus", "--n", "2", "--hmax", "7", "--verify"),
+            ("verify-all", "--max-r", "1", "--workers", "2"),
+        )),
+        "modules_imported: modules `import cosetmoments.cli` adds to a fresh interpreter; "
+        "pool_loaded: whether the run loaded concurrent.futures.process or multiprocessing; "
+        "the digest must agree between the sides",
+        agree=("digest", "exit"),
+    ),
 }
 
 
@@ -339,22 +400,31 @@ LAYERS = {
 
 
 def run_child(src: Path, child: str, args: tuple[str, ...]) -> dict | None:
-    """One child in a fresh interpreter on src; None when it exceeds its limit."""
+    """One child in a fresh interpreter on src, pinned to CHILD_CPUS, with its
+    times divided by the speed of that core; None when it exceeds its limit."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    try:
-        out = subprocess.run(
-            [sys.executable, __file__, "--child", child, *args],
-            env=env, capture_output=True, text=True, check=True, timeout=CHILD_TIMEOUT_S,
-        )
-    except subprocess.TimeoutExpired:
-        return None
-    return json.loads(out.stdout)
+    os.sched_setaffinity(0, CHILD_CPUS)  # this thread's core, which the child inherits
+    with hostspeed.SpeedProbe(CHILD_CPUS) as probe:
+        start = time.perf_counter()
+        try:
+            out = subprocess.run(
+                [sys.executable, __file__, "--child", child, *args],
+                env=env, capture_output=True, text=True, check=True, timeout=CHILD_TIMEOUT_S,
+            )
+        except subprocess.TimeoutExpired:
+            return None
+        speed = probe.factor(CHILD_CPUS, start, time.perf_counter())
+    row = json.loads(out.stdout)
+    raw = {key: value for key, value in row.items() if isinstance(value, float)}
+    return {**row, **{key: value / speed for key, value in raw.items()}, "raw": raw, "speed": speed}
 
 
 def median_row(runs: list[dict]) -> dict:
     merged = {}
     for key, value in runs[0].items():
-        if isinstance(value, float):
+        if isinstance(value, dict):
+            merged[key] = median_row([run[key] for run in runs])
+        elif isinstance(value, float):
             merged[key] = statistics.median(run[key] for run in runs)
         elif any(run[key] != value for run in runs):
             raise AssertionError(f"{key} differs between runs")
@@ -403,33 +473,44 @@ def cpu_model() -> str:
     return platform.machine()
 
 
+def pair_summary(by_seed: dict[str, dict[str, list[dict]]]) -> dict:
+    """Medians and quartiles per side, and the pairs the change wins, of one
+    workload's records by seed and side (each side's in the order they ran)."""
+    entry = {}
+    for side in ("parent", "change"):
+        records = [rec for sides in by_seed.values() for rec in sides.get(side, [])]
+        if not records:
+            continue
+        stats = {"runs": str(len(records)), "seeds": [str(rec["seed"]) for rec in records]}
+        for metric in METRICS:
+            values = sorted(rec["metrics"][metric] for rec in records)
+            q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+            stats[metric] = {"median": statistics.median(values), "q1": q1, "q3": q3}
+        entry[side] = stats
+    pairs = [pair for sides in by_seed.values()
+             for pair in zip(sides.get("parent", []), sides.get("change", []))]
+    wins = {}
+    for metric in METRICS:
+        sign = -1 if metric == "success_rate" else 1  # the one metric where higher is better
+        better = sum(sign * (parent["metrics"][metric] - change["metrics"][metric]) > 0
+                     for parent, change in pairs)
+        wins[metric] = f"{better}/{len(pairs)}"
+    entry["change_better_pairs"] = wins
+    return entry
+
+
 def e2e_summary(parent_dir: Path, change_dir: Path) -> dict:
-    runs: dict[str, dict[str, list[dict]]] = {}
+    runs: dict[str, dict[str, dict[str, list[dict]]]] = {}  # workload -> seed -> side -> records
     for side, folder in (("parent", parent_dir), ("change", change_dir)):
         for path in sorted(folder.glob("*-trace0-*.json")):
             record = json.loads(path.read_text())
-            runs.setdefault(record["workload"], {}).setdefault(side, []).append(record)
-    out = {}
-    for workload, sides in sorted(runs.items()):
-        entry = {}
-        for side, records in sides.items():
-            stats = {"runs": str(len(records)), "seeds": [str(rec["seed"]) for rec in records]}
-            for metric in METRICS:
-                values = sorted(rec["metrics"][metric] for rec in records)
-                q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
-                stats[metric] = {"median": statistics.median(values), "q1": q1, "q3": q3}
-            entry[side] = stats
-        parent = {rec["seed"]: rec["metrics"] for rec in sides.get("parent", [])}
-        change = {rec["seed"]: rec["metrics"] for rec in sides.get("change", [])}
-        seeds = sorted(parent.keys() & change.keys())
-        wins = {}
-        for metric in METRICS:
-            sign = -1 if metric == "success_rate" else 1  # the one metric where higher is better
-            better = sum(sign * (parent[s][metric] - change[s][metric]) > 0 for s in seeds)
-            wins[metric] = f"{better}/{len(seeds)}"
-        entry["change_better_pairs"] = wins
-        out[workload] = entry
-    return out
+            runs.setdefault(record["workload"], {}).setdefault(str(record["seed"]), {}).setdefault(
+                side, []).append(record)
+    return {
+        workload: {**pair_summary(by_seed),
+                   "by_seed": {seed: pair_summary({seed: by_seed[seed]}) for seed in sorted(by_seed)}}
+        for workload, by_seed in sorted(runs.items())
+    }
 
 
 def main() -> None:
