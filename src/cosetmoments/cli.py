@@ -404,7 +404,7 @@ def _check_parabolic_cells(r: int, modulus: int, n: int) -> None:
     for m in qm[::step]:
         if not isometry_relations(ctx, n, m):
             raise AssertionError("a parabolic element fails the isometry relations")
-    if q ** (2 * n) <= 10 ** 4:
+    if q ** (2 * n) <= SCAN_BUDGET:
         for m in qm[:4]:
             if not is_isometry_exhaustive(ctx, n, m):
                 raise AssertionError("a parabolic element fails the exhaustive scan")

@@ -10,15 +10,17 @@ right cosets of Q^-) is the oracle for every closed form.
 Matrices are tuples of row tuples of field elements; field addition is
 XOR throughout.  Enumerations return canonically sorted tuples (row-major
 lexicographic on entry encodings) so all derived orderings are
-reproducible.
+reproducible.  Cells and scans work on row codes, a row of GF(q)^(2n) as one
+integer with entry 0 in the top r bits, so codes order as rows do; the
+right-action table of m lists code(v m) at code(v) for every row vector v.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 from math import prod
 
 from .finite_field import FieldCtx, inv, lambda_char, mul
@@ -67,6 +69,26 @@ def mat_vec(ctx: FieldCtx, m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
             acc ^= mul(ctx, a, b)
         out.append(acc)
     return tuple(out)
+
+
+def _row_code(ctx: FieldCtx, row) -> int:
+    code = 0
+    for entry in row:
+        code = code << ctx.r | entry
+    return code
+
+
+def _right_action(ctx: FieldCtx, m: Matrix) -> list[int]:
+    """table[code(v)] = code(v m) for every row vector v.  v -> v m is additive,
+    so the table doubles once per bit of v: bit k of entry i stands for the row
+    z^k e_i, whose image is z^k times row i of m."""
+    powers = [[mul(ctx, 1 << k, e) for e in range(ctx.q)] for k in range(ctx.r)]
+    table = [0]
+    for row in reversed(m):  # the last entry holds the lowest bits
+        for times in powers:
+            image = _row_code(ctx, map(times.__getitem__, row))
+            table += [code ^ image for code in table]
+    return table
 
 
 def mat_trace(m: Matrix) -> int:
@@ -119,14 +141,19 @@ def theta_minus(ctx: FieldCtx, n: int, v: tuple[int, ...]) -> int:
     return acc
 
 
+@lru_cache(maxsize=None)
+def _theta_table(ctx: FieldCtx, n: int) -> tuple[int, ...]:
+    """theta_minus on every vector of GF(q)^(2n), indexed by row code."""
+    return tuple(theta_minus(ctx, n, v) for v in product(range(ctx.q), repeat=2 * n))
+
+
 def is_isometry_exhaustive(ctx: FieldCtx, n: int, m: Matrix) -> bool:
-    """theta(Mv) = theta(v) for every vector; budget-gated full scan."""
+    """theta(Mv) = theta(v) for every vector; budget-gated full scan, with
+    every Mv read from the right-action table of M^T."""
     if ctx.q ** (2 * n) > SCAN_BUDGET:
         raise BudgetError(f"exhaustive form check needs q^(2n) <= {SCAN_BUDGET}")
-    for v in product(range(ctx.q), repeat=2 * n):
-        if theta_minus(ctx, n, mat_vec(ctx, m, v)) != theta_minus(ctx, n, v):
-            return False
-    return True
+    theta = _theta_table(ctx, n)
+    return tuple(map(theta.__getitem__, _right_action(ctx, transpose(m)))) == theta
 
 
 def isometry_relations(ctx: FieldCtx, n: int, m: Matrix) -> bool:
@@ -320,34 +347,12 @@ def weyl_elements(ctx: FieldCtx, n: int) -> tuple[tuple[Matrix, ...], Matrix]:
         sigmas.append(
             tuple(tuple(1 if c == perm[rw] else 0 for c in range(2 * n)) for rw in range(2 * n))
         )
-    return tuple(sigmas), _rho_left_mul(identity_matrix(2 * n))
+    rows = identity_matrix(2 * n)  # rho: the last row adds into the next-to-last
+    return tuple(sigmas), (*rows[:-2], rows[-2][:-1] + (1,), rows[-1])
 
 
 # ---------------------------------------------------------------------------
 # double cosets
-
-
-def _pack_rows(m: Matrix) -> tuple[int, ...]:
-    return tuple(sum(bit << j for j, bit in enumerate(row)) for row in m)
-
-
-def _packed_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for bits in x:
-        acc = 0
-        while bits:
-            low = bits & -bits
-            acc ^= y[low.bit_length() - 1]
-            bits ^= low
-        out.append(acc)
-    return tuple(out)
-
-
-def _rho_left_mul(m: Matrix) -> Matrix:
-    # only the next-to-last row changes: it absorbs the last row
-    rows = list(m)
-    rows[-2] = tuple(a ^ b for a, b in zip(rows[-2], rows[-1]))
-    return tuple(rows)
 
 
 @lru_cache(maxsize=None)
@@ -355,35 +360,40 @@ def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[M
     """The double coset Q^- sigma_r Q^- (rho-twisted when requested) as the
     disjoint union of its right cosets x sigma_r Q^-, x in Q^-: a coset is built
     only if x sigma_r is in none built yet and must add |Q^-| new elements, so
-    each element is computed once and a Q^- that is not a group fails loudly."""
+    each element is computed once and a Q^- that is not a group fails loudly.
+    On row codes, with images[code(v)] = (code(v y) for y in Q^-), a coset w Q^-
+    is one zip of the images of the rows of w; rho adds the last row code of
+    each leader to the next-to-last; one sort of code tuples, one decode."""
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..{n - 1}, got {r}")
-    if twisted:
-        return tuple(sorted(_rho_left_mul(w) for w in bruhat_cell(ctx, n, r, False)))
     size = q_minus_order(ctx.q, n)
     if r and size ** 2 > PRODUCT_BUDGET:  # refuse before enumerating Q^-
         raise BudgetError(f"|Q^-|^2 = {size ** 2} exceeds the product budget {PRODUCT_BUDGET}")
     qm = enumerate_q_minus(ctx, n)
-    if r == 0:
+    if not (r or twisted):
         return qm  # sigma_0 is the identity and Q^- is a group
-    sigma = weyl_elements(ctx, n)[0][r]
-    if ctx.q == 2:
-        elems, sigma, times = [_pack_rows(w) for w in qm], _pack_rows(sigma), _packed_mul
+    mask, shifts = ctx.q - 1, range(ctx.r * (2 * n - 1), -1, -ctx.r)
+
+    def rho(w: tuple[int, ...]) -> tuple[int, ...]:  # rho w on row codes
+        return (*w[:-2], w[-2] ^ w[-1], w[-1]) if twisted else w
+
+    if not r:
+        cell = [rho(tuple(_row_code(ctx, row) for row in y)) for y in qm]
     else:
-        elems, times = qm, partial(mat_mul, ctx)
-    seen: set = set()
-    for x in elems:
-        left = times(x, sigma)
-        if left in seen:
-            continue
-        before = len(seen)
-        seen.update(times(left, y) for y in elems)
-        if len(seen) - before != len(elems):
-            raise AssertionError("right cosets of Q^- must be disjoint")
-    if ctx.q == 2:
-        bit_rows = [tuple((v >> j) & 1 for j in range(2 * n)) for v in range(1 << (2 * n))]
-        seen = {tuple(bit_rows[row] for row in w) for w in seen}
-    return tuple(sorted(seen))
+        images = list(zip(*(_right_action(ctx, y) for y in qm)))
+        sigma = _right_action(ctx, weyl_elements(ctx, n)[0][r])
+        cell = set()
+        for x in zip(*(images[1 << s] for s in shifts)):  # the identity's coset, Q^-
+            left = rho(tuple(sigma[c] for c in x))
+            if left in cell:
+                continue
+            before = len(cell)
+            cell.update(zip(*(images[c] for c in left)))
+            if len(cell) - before != len(qm):
+                raise AssertionError("right cosets of Q^- must be disjoint")
+    codes = sorted(cell)
+    rows = {c: tuple(c >> s & mask for s in shifts) for c in set(chain.from_iterable(codes))}
+    return tuple(tuple(map(rows.__getitem__, w)) for w in codes)
 
 
 # family -> (n - r of its Weyl element sigma_r, rho twist, exponent e of the

@@ -12,9 +12,8 @@ from cosetmoments.kloosterman import BudgetError, kloosterman_sum
 from cosetmoments.ominus_groups import (
     PRODUCT_BUDGET,
     DoubleCosetSpec,
-    _pack_rows,
-    _packed_mul,
-    _rho_left_mul,
+    _right_action,
+    _row_code,
     b_r_sum,
     b_r_sum_closed,
     bruhat_cell,
@@ -34,6 +33,7 @@ from cosetmoments.ominus_groups import (
     mat_inv,
     mat_mul,
     mat_trace,
+    mat_vec,
     o_minus_order,
     p_minus_order,
     parabolic_indices,
@@ -284,6 +284,7 @@ def test_weyl_elements_are_isometric_involutions():
         sigmas, rho = weyl_elements(ctx, n)
         assert len(sigmas) == n
         assert sigmas[0] == identity_matrix(2 * n)
+        assert rho == _rho_left_mul(identity_matrix(2 * n))
         for w in (*sigmas, rho):
             assert isometry_relations(ctx, n, w)
             assert mat_mul(ctx, w, w) == identity_matrix(2 * n)
@@ -306,6 +307,29 @@ def test_bruhat_cells_partition_small_group():
 
 # The construction bruhat_cell used before the right-coset walk: all |Q^-|^2
 # two-sided products, deduplicated in a set.  Kept as the oracle.
+
+
+def _rho_left_mul(m):
+    # only the next-to-last row changes: it absorbs the last row
+    rows = list(m)
+    rows[-2] = tuple(a ^ b for a, b in zip(rows[-2], rows[-1]))
+    return tuple(rows)
+
+
+def _pack_rows(m):
+    return tuple(sum(bit << j for j, bit in enumerate(row)) for row in m)
+
+
+def _packed_mul(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    out = []
+    for bits in x:
+        acc = 0
+        while bits:
+            low = bits & -bits
+            acc ^= y[low.bit_length() - 1]
+            bits ^= low
+        out.append(acc)
+    return tuple(out)
 
 
 def _unpack_rows(packed: tuple[int, ...], size: int):
@@ -357,6 +381,58 @@ def test_bruhat_cell_matches_all_products_oracle(key):
     for r in range(n):
         for twisted in (False, True):
             assert bruhat_cell(ctx, n, r, twisted) == all_products_cell(ctx, n, r, twisted)
+
+
+@pytest.mark.parametrize("key", sorted(CELL_FIELDS))
+def test_bruhat_cell_is_sorted_and_twisted_by_rho(key):
+    # row codes order as rows do, so the code-form sort is the matrix sort
+    field_r, n, a_param = CELL_FIELDS[key]
+    ctx = make_field(field_r, a_param=a_param)
+    for r in range(n):
+        cell = bruhat_cell(ctx, n, r)
+        twisted = bruhat_cell(ctx, n, r, True)
+        assert cell == tuple(sorted(cell)) and twisted == tuple(sorted(twisted))
+        assert twisted == tuple(sorted(_rho_left_mul(w) for w in cell))
+
+
+ACTION_FIELDS = ((1, 2, None), (1, 3, None), (2, 2, None), (2, 2, 0x3), (3, 1, None))
+
+
+@pytest.mark.parametrize("field_r,n,a_param", ACTION_FIELDS)
+def test_right_action_tables_match_mat_mul(field_r, n, a_param):
+    ctx = make_field(field_r, a_param=a_param)
+    vectors = list(product(range(ctx.q), repeat=2 * n))
+    assert [_row_code(ctx, v) for v in vectors] == list(range(len(vectors)))
+    group = enumerate_q_minus(ctx, n)
+    rng = random.Random(f"action:{field_r}:{n}")
+    for m in (*rng.sample(group, min(6, len(group))), *weyl_elements(ctx, n)[0]):
+        table = _right_action(ctx, m)
+        assert table == [_row_code(ctx, mat_mul(ctx, (v,), m)[0]) for v in vectors]
+        column = _right_action(ctx, transpose(m))  # v m^T is (m v)^T
+        assert column == [_row_code(ctx, mat_vec(ctx, m, v)) for v in vectors]
+
+
+def _literal_scan(ctx, n, m):
+    vectors = product(range(ctx.q), repeat=2 * n)
+    return all(theta_minus(ctx, n, mat_vec(ctx, m, v)) == theta_minus(ctx, n, v) for v in vectors)
+
+
+@pytest.mark.parametrize("field_r,n", [(f, 1) for f in range(1, 5)] + [(1, 2), (1, 3), (2, 2)])
+def test_table_scan_matches_the_literal_scan(field_r, n):
+    ctx = make_field(field_r)
+    group = enumerate_q_minus(ctx, n)
+    rng = random.Random(f"scan:{field_r}:{n}")
+    verdicts = []
+    for m in rng.sample(group, min(4, len(group))):
+        assert is_isometry_exhaustive(ctx, n, m) and _literal_scan(ctx, n, m)
+        for _ in range(4):  # one entry changed: mostly not an isometry
+            i, j = rng.randrange(2 * n), rng.randrange(2 * n)
+            rows = [list(row) for row in m]
+            rows[i][j] ^= rng.randrange(1, ctx.q)
+            bent = tuple(tuple(row) for row in rows)
+            verdicts.append(is_isometry_exhaustive(ctx, n, bent))
+            assert verdicts[-1] == _literal_scan(ctx, n, bent)
+    assert not all(verdicts)
 
 
 @pytest.mark.parametrize("field_r", (1, 2, 3, 4))

@@ -9,7 +9,9 @@ DIR is the src/ directory of a checkout of the parent commit; the change
 side is this checkout's src/. Every figure comes from a fresh interpreter
 that imports one side's package, so first-use costs (tables, caches) are
 paid inside the measurement. Each case of a layer runs PROCESSES times per
-side: float fields keep their median, every other field must repeat exactly
+side, the two sides alternating process by process (and the side that
+starts alternating case by case), so a drift in host load reaches both:
+float fields keep their median, every other field must repeat exactly
 and is kept as a string. Fields a layer names in `agree` (values, digests)
 must also be equal between the two sides. A case that exceeds its time
 limit is recorded as such and not repeated. Layers marked change-only
@@ -166,8 +168,12 @@ def child_field(r: str) -> dict:
 
 
 def child_cell(field_r: str, n: str, r: str) -> dict:
-    """One untwisted Bruhat cell with Q^- already enumerated, and the matrix
-    products it makes (`_packed_mul` at q = 2, `mat_mul` otherwise)."""
+    """One untwisted Bruhat cell with Q^- already enumerated, and the work that
+    side's walk does: on a checkout with right-action tables, the tables built
+    (each q^(2n) row codes, one XOR each) and the cosets expanded (one zip of
+    2n image tuples of |Q^-| codes; each adds |Q^-| elements, so |cell| / |Q^-|
+    of them); otherwise the matrix products (`_packed_mul` at q = 2, `mat_mul`
+    at other q)."""
     from cosetmoments import ominus_groups as og
     from cosetmoments.finite_field import make_field
 
@@ -175,11 +181,14 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
     n_int, r_int = int(n), int(r)
     qm = og.enumerate_q_minus(ctx, n_int)
     seconds = _median_s(lambda: og.bruhat_cell(ctx, n_int, r_int), reset=og.bruhat_cell.cache_clear)
-    calls = _count_calls(og, "_packed_mul" if ctx.q == 2 else "mat_mul")
+    tables = hasattr(og, "_right_action")
+    calls = _count_calls(og, "_right_action" if tables else "_packed_mul" if ctx.q == 2 else "mat_mul")
     og.bruhat_cell.cache_clear()
     cell = og.bruhat_cell(ctx, n_int, r_int)
-    return {"s": seconds, "products": calls[0], "cell_size": len(cell),
-            "q_minus_order": len(qm), "digest": _digest(cell)}
+    work = ({"right_action_tables": calls[0], "table_codes": calls[0] * ctx.q ** (2 * n_int),
+             "cosets_expanded": len(cell) // len(qm)} if tables else {"products": calls[0]})
+    return {"s": seconds, **work, "cell_size": len(cell), "q_minus_order": len(qm),
+            "digest": _digest(cell)}
 
 
 def child_checks(max_r: str, prefixes: str) -> dict:
@@ -322,6 +331,8 @@ SPECTRUM_CHECKS = (
     "power-moment-identity", "recursions-vs-oracle",
 )
 
+CELL_CHECKS = ("parabolic-cells", "character-sums", "trace-distributions", "so2-isometries")
+
 LAYERS = {
     "prefix": Layer(
         "weight-distribution prefix: MacWilliams engine vs the XOR-state DP (BENCH_2)",
@@ -340,7 +351,9 @@ LAYERS = {
         "Bruhat cells Q^- sigma_r Q^- with Q^- enumerated (BENCH_5)",
         tuple((f"q{1 << f}-n{n}-r{r}", "child_cell", (str(f), str(n), str(r)))
               for f, n in ((1, 2), (1, 3), (2, 2)) for r in range(1, n)),
-        "matrix products (_packed_mul at q = 2, mat_mul otherwise)",
+        "per side, labelled and not compared: before, matrix products (_packed_mul at q = 2, "
+        "mat_mul otherwise); after, right-action tables built (table_codes: q^(2n) row codes "
+        "each, one XOR per code) and cosets expanded (one zip of |Q^-| codes per row each)",
         agree=("digest", "cell_size"),
     ),
     "spectrum": Layer(
@@ -367,6 +380,12 @@ LAYERS = {
     "checks": Layer(
         "verify-all --max-r 8 checks that read the spectrum or SO(2,q), serially",
         (("verify-all-r8", "child_checks", ("8", ",".join(SPECTRUM_CHECKS))),),
+        "seconds per check; the plan is fixed by the check names",
+    ),
+    "cell-checks": Layer(
+        "verify-all --max-r 8 checks that enumerate Q^- and its Bruhat cells or scan every "
+        "vector for the form, serially",
+        (("verify-all-r8", "child_checks", ("8", ",".join(CELL_CHECKS))),),
         "seconds per check; the plan is fixed by the check names",
     ),
     "symmetric": Layer(
@@ -433,32 +452,41 @@ def median_row(runs: list[dict]) -> dict:
     return merged
 
 
-def side_record(src: Path, layer: Layer) -> dict:
-    rows = {}
-    for key, child, args in layer.cases:
-        runs = []
-        for _ in range(PROCESSES):
-            row = run_child(src, child, args)
-            if row is None:
-                break
-            runs.append(row)
-        rows[key] = median_row(runs) if runs else {"timed_out_after_s": str(CHILD_TIMEOUT_S)}
-        print(json.dumps({"src": str(src), "case": key, **rows[key]}), file=sys.stderr, flush=True)
-    return rows
-
-
 def layer_record(layer: Layer, parent_src: Path | None) -> dict:
+    """Every case on both sides, the sides alternating: the side that runs
+    first swaps from one process to the next and from one case to the next,
+    so a shift in host load lands on both."""
     record = {"doc": layer.doc, "work_units": layer.work_units, "processes": str(PROCESSES)}
-    after = side_record(ROOT / "src", layer)
-    if layer.change_only or parent_src is None:
-        record["rows"] = after
+    sides = {"after": ROOT / "src"}
+    if not (layer.change_only or parent_src is None):
+        sides["before"] = parent_src
+    rows: dict[str, dict] = {side: {} for side in sides}
+    for index, (key, child, args) in enumerate(layer.cases):
+        runs: dict[str, list[dict]] = {side: [] for side in sides}
+        timed_out: set[str] = set()
+        for process in range(PROCESSES):
+            order = list(sides) if (index + process) % 2 == 0 else list(reversed(sides))
+            for side in order:
+                if side in timed_out:
+                    continue
+                row = run_child(sides[side], child, args)
+                if row is None:
+                    timed_out.add(side)
+                else:
+                    runs[side].append(row)
+        for side, src in sides.items():
+            rows[side][key] = (median_row(runs[side]) if runs[side]
+                               else {"timed_out_after_s": str(CHILD_TIMEOUT_S)})
+            print(json.dumps({"src": str(src), "case": key, **rows[side][key]}),
+                  file=sys.stderr, flush=True)
+    if "before" not in rows:
+        record["rows"] = rows["after"]
         return record
-    before = side_record(parent_src, layer)
-    for key, row in before.items():
+    for key, row in rows["before"].items():
         for field in layer.agree:
-            if field in row and field in after[key] and row[field] != after[key][field]:
+            if field in row and field in rows["after"][key] and row[field] != rows["after"][key][field]:
                 raise AssertionError(f"{key}: the two sides disagree on {field}")
-    record["before"], record["after"] = before, after
+    record["before"], record["after"] = rows["before"], rows["after"]
     return record
 
 
