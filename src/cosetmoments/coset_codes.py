@@ -12,8 +12,7 @@ trace classes, or by popcount), then Krawtchouk values per distinct weight.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .finite_field import FieldCtx, mul, trace
@@ -64,11 +63,8 @@ def codeword_weight_closed(spec: DoubleCosetSpec, a: int) -> int:
     return weight
 
 
-@dataclass(frozen=True)
-class WeightPrefix:
-    spec: DoubleCosetSpec
-    j_max: int
-    counts: tuple[int, ...]
+# counts[j] = C_j, the words of weight j in the primal code, for j = 0..j_max
+WeightPrefix = namedtuple("WeightPrefix", "spec j_max counts")
 
 
 def _walsh_hadamard(vec: list[int]) -> list[int]:

@@ -13,28 +13,52 @@ and log of the smallest generator g of GF(q)^*, built once per (modulus, r)
 by the carry-less product `_raw_mul` and held by every context.  g is searched
 for: the modulus need not be primitive (z has order 51 under 0x11B, r = 8).
 
-All functions are pure and FieldCtx is immutable, so contexts can be shared
-freely across worker processes.
+All functions are pure and FieldCtx is immutable (its slots are set once, in
+__init__; assigning or deleting one raises AttributeError), so contexts can be
+shared freely across worker processes.  Equality, hash and repr read r, q,
+modulus, a_param and trace_mask; the exp and log tables follow from those.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 MAX_R = 16
 
 
-@dataclass(frozen=True)
 class FieldCtx:
-    r: int
-    q: int
-    modulus: int
-    a_param: int
-    trace_mask: int  # bit k set iff tr(z^k) = 1
-    # _exp_log_tables(modulus, r), shared by every context with this modulus
-    exp: tuple[int, ...] = field(compare=False, repr=False)
-    log: tuple[int, ...] = field(compare=False, repr=False)
+    __slots__ = ("r", "q", "modulus", "a_param", "trace_mask", "exp", "log")
+
+    def __init__(self, r: int, q: int, modulus: int, a_param: int, trace_mask: int,
+                 exp: tuple[int, ...], log: tuple[int, ...]) -> None:
+        # trace_mask: bit k set iff tr(z^k) = 1; exp and log: _exp_log_tables(modulus, r),
+        # shared by every context with this modulus
+        for name, value in zip(self.__slots__, (r, q, modulus, a_param, trace_mask, exp, log)):
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple[int, int, int, int, int]:
+        return (self.r, self.q, self.modulus, self.a_param, self.trace_mask)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:  # the tuple inline: every cache keyed by a context hashes it
+        return hash((self.r, self.q, self.modulus, self.a_param, self.trace_mask))
+
+    def __repr__(self) -> str:
+        return (f"FieldCtx(r={self.r!r}, q={self.q!r}, modulus={self.modulus!r}, "
+                f"a_param={self.a_param!r}, trace_mask={self.trace_mask!r})")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return FieldCtx, (*self._key(), self.exp, self.log)
 
 
 def poly_degree(mask: int) -> int:

@@ -10,8 +10,7 @@ oracles against which the spectrum and every closed form are checked.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import isqrt
@@ -19,17 +18,15 @@ from math import isqrt
 from .finite_field import FieldCtx, inv, lambda_char, lambda_table, mul, units
 
 ENUM_BUDGET = 10 ** 8  # direct-summation term cap
+ORACLE_H_LIMIT = 512  # largest h_max of the moment oracle
 
 
 class BudgetError(ValueError):
     """An enumeration would exceed its declared budget."""
 
 
-@dataclass(frozen=True)
-class MomentSeries:
-    m: int
-    h_max: int
-    values: tuple[int, ...]  # values[h] = sum over a != 0 of K_m(lambda;a)^h
+# values[h] = sum over a != 0 of K_m(lambda;a)^h, for h = 0..h_max
+MomentSeries = namedtuple("MomentSeries", "m h_max values")
 
 
 def _check_unit(ctx: FieldCtx, a: int, name: str = "a") -> None:
@@ -133,6 +130,8 @@ def power_moment_oracle(ctx: FieldCtx, m: int, h_max: int) -> MomentSeries:
         raise ValueError(f"moment oracle covers m in {{1, 2}}, got {m}")
     if h_max < 0:
         raise ValueError("h_max must be nonnegative")
+    if h_max > ORACLE_H_LIMIT:
+        raise BudgetError(f"h_max = {h_max} exceeds the moment-oracle limit {ORACLE_H_LIMIT}")
     hist = Counter(kloosterman_spectrum(ctx, m)[1:])
     values = tuple(sum(mult * v ** h for v, mult in hist.items()) for h in range(h_max + 1))
     return MomentSeries(m=m, h_max=h_max, values=values)

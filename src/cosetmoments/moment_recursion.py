@@ -10,7 +10,7 @@ series is compared against the brute-force moment oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb, factorial
 
@@ -54,18 +54,11 @@ def stirling2_alternating(h: int, t: int) -> int:
     return val
 
 
-@dataclass(frozen=True)
-class SeriesParams:
-    """One affine weight shape w(a) = (A/2)(base + c * X_a).
+SeriesParams = namedtuple("SeriesParams", "label base c oracle_m oracle_stride")
+SeriesParams.__doc__ = """One affine weight shape w(a) = (A/2)(base + c * X_a).
 
-    X_a is K(lambda;a) for label "mk", the two-dimensional sum for "mk2",
-    and K(lambda;a)^2 for "mk_even" (whose moments are the even MK^(2h))."""
-
-    label: str
-    base: int
-    c: int
-    oracle_m: int
-    oracle_stride: int
+X_a is K(lambda;a) for label "mk", the two-dimensional sum for "mk2",
+and K(lambda;a)^2 for "mk_even" (whose moments are the even MK^(2h))."""
 
 
 def recursion_series(spec: DoubleCosetSpec) -> tuple[str, ...]:
@@ -149,17 +142,10 @@ def _solve_recursion(
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class RecursionReport:
-    """Solved series next to its oracle.  For the 'mk_even' series the
-    values at index h are the 2h-th power moments."""
-
-    spec: DoubleCosetSpec
-    series: str
-    h_max: int
-    recursion_values: MomentSeries
-    oracle_values: MomentSeries | None
-    agree: tuple[bool, ...] | None
+RecursionReport = namedtuple("RecursionReport", "spec series h_max recursion_values oracle_values agree")
+RecursionReport.__doc__ = """Solved series next to its oracle (oracle_values and agree are None
+without it).  For the 'mk_even' series the values at index h are the 2h-th
+power moments."""
 
 
 def _package_report(

@@ -17,8 +17,7 @@ right-action table of m lists code(v m) at code(v) for every row vector v.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from itertools import chain, product
 from math import prod
@@ -406,27 +405,22 @@ _MIN_N = {
 }
 
 
-@dataclass(frozen=True)
-class DoubleCosetSpec:
-    family: int
-    sign: str
-    n: int
-    ctx: FieldCtx
+class DoubleCosetSpec(namedtuple("DoubleCosetSpec", "family sign n ctx")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"family must be 1..4, got {self.family}")
-        if self.sign not in ("+", "-"):
-            raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
-        parity = 0 if self.sign == "+" else 1
-        if self.n % 2 != parity:
+    def __new__(cls, family: int, sign: str, n: int, ctx: FieldCtx) -> DoubleCosetSpec:
+        if family not in _FAMILIES:
+            raise ValueError(f"family must be 1..4, got {family}")
+        if sign not in ("+", "-"):
+            raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+        parity = 0 if sign == "+" else 1
+        if n % 2 != parity:
             kind = "even" if parity == 0 else "odd"
-            raise ValueError(f"sign {self.sign} families need n {kind}, got n = {self.n}")
-        least = _MIN_N[(self.sign, self.family)]
-        if self.n < least:
-            raise ValueError(
-                f"family {self.family} with sign {self.sign} needs n >= {least}, got {self.n}"
-            )
+            raise ValueError(f"sign {sign} families need n {kind}, got n = {n}")
+        least = _MIN_N[(sign, family)]
+        if n < least:
+            raise ValueError(f"family {family} with sign {sign} needs n >= {least}, got {n}")
+        return super().__new__(cls, family, sign, n, ctx)
 
     @property
     def sigma_index(self) -> int:

@@ -6,10 +6,10 @@ import sys
 
 import pytest
 
-from cosetmoments import __version__, cli, ominus_groups
+from cosetmoments import __version__, cli, kloosterman, ominus_groups
 from cosetmoments.cli import main, verify_all
 from cosetmoments.finite_field import default_modulus, make_field
-from cosetmoments.kloosterman import BudgetError, carlitz_k2, kloosterman_sum
+from cosetmoments.kloosterman import ORACLE_H_LIMIT, BudgetError, carlitz_k2, kloosterman_sum
 
 
 def run(capsys, *args):
@@ -83,6 +83,19 @@ def test_kloos_two_dimensional_point_query_past_the_direct_budget(capsys):
     code, doc, err = run(capsys, "kloos", "--r", "14", "--m", "2", "--a", "0x4000")
     assert code == 2
     assert "nonzero element" in err
+
+
+def test_kloos_hmax_above_the_oracle_limit_exits_2_at_once(capsys, monkeypatch):
+    def refuse(ctx, m):
+        raise AssertionError("the spectrum must not be built past the h_max limit")
+
+    monkeypatch.setattr(kloosterman, "kloosterman_spectrum", refuse)
+    for m in ("1", "2"):
+        code, doc, err = run(
+            capsys, "kloos", "--r", "3", "--m", m, "--hmax", str(ORACLE_H_LIMIT + 1)
+        )
+        assert code == 2 and doc is None
+        assert f"moment-oracle limit {ORACLE_H_LIMIT}" in err
 
 
 @pytest.mark.parametrize("r", range(1, 7))
@@ -417,13 +430,14 @@ def test_out_flag_write_failure_is_a_usage_error(tmp_path, capsys):
     assert str(target) in err
 
 
-def test_cold_start_leaves_the_process_pool_unloaded():
+def test_cold_start_loads_neither_the_process_pool_nor_dataclasses():
+    forbidden = ("concurrent.futures.process", "multiprocessing", "dataclasses", "inspect")
     probe = (
         "import sys, contextlib, io\n"
         "import cosetmoments.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['kloos', '--r', '3', '--a', '0x2']) == 0\n"
-        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))\n"
+        f"print(sorted(m for m in {forbidden!r} if m in sys.modules))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True

@@ -1,5 +1,7 @@
 """Field construction, arithmetic axioms, and the trace/character layer."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from cosetmoments import finite_field
 from cosetmoments.cli import _check_field_axioms
 from cosetmoments.finite_field import (
     MAX_R,
+    FieldCtx,
     _exp_log_tables,
     _raw_mul,
     default_modulus,
@@ -266,3 +269,48 @@ def test_representation_independent_trace_counts():
     for mod in (0x13, 0x19):
         ctx = make_field(4, modulus=mod)
         assert sum(trace(ctx, x) for x in range(16)) == 8
+
+
+# --- the context record ---------------------------------------------------
+
+
+def test_context_equality_and_hash_read_the_five_fields():
+    ctx = make_field(3)
+    twin = FieldCtx(ctx.r, ctx.q, ctx.modulus, ctx.a_param, ctx.trace_mask,
+                    tuple(list(ctx.exp)), tuple(list(ctx.log)))
+    assert twin.exp is not ctx.exp and twin.log is not ctx.log
+    assert twin == ctx and hash(twin) == hash(ctx)
+    assert make_field(3, a_param=3) != ctx
+    assert make_field(3, modulus=0xD) != ctx
+    assert ctx.__eq__((3, 8, 0xB, 1, 1)) is NotImplemented
+    assert ctx != (3, 8, 0xB, 1, 1)
+
+
+def test_context_repr_leaves_out_the_tables():
+    assert repr(make_field(3)) == "FieldCtx(r=3, q=8, modulus=11, a_param=1, trace_mask=1)"
+    assert repr(make_field(8, modulus=0x11B)) == (
+        "FieldCtx(r=8, q=256, modulus=283, a_param=32, trace_mask=160)"
+    )
+
+
+def test_context_fields_cannot_be_assigned_or_deleted():
+    ctx = make_field(3)
+    for name, value in (("q", 16), ("exp", ()), ("log", ()), ("r", 4), ("spare", 0)):
+        with pytest.raises(AttributeError):
+            setattr(ctx, name, value)
+    with pytest.raises(AttributeError):
+        del ctx.q
+    assert (ctx.r, ctx.q) == (3, 8)
+    assert mul(ctx, 3, inv(ctx, 3)) == 1
+
+
+@pytest.mark.parametrize("clone", [lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy])
+def test_context_survives_pickle_and_deepcopy(clone):
+    ctx = make_field(8, modulus=0x11B)
+    other = clone(ctx)
+    assert other == ctx and hash(other) == hash(ctx) and repr(other) == repr(ctx)
+    rng = random.Random(8)
+    for _ in range(200):
+        x, y = rng.randrange(256), rng.randrange(1, 256)
+        assert mul(other, x, y) == mul(ctx, x, y) == _raw_mul(x, y, 0x11B, 8)
+        assert inv(other, y) == inv(ctx, y)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cosetmoments.finite_field import is_irreducible, make_field, units
 from cosetmoments.kloosterman import (
+    ORACLE_H_LIMIT,
     BudgetError,
     _cyclic_convolution,
     _kloosterman_generic,
@@ -22,6 +23,7 @@ from cosetmoments.kloosterman import (
     range_spectrum,
     twisted_sum_check,
 )
+from cosetmoments.moment_recursion import H_MAX_LIMIT
 
 # direct-sum values, stable across sessions
 K_TABLE_Q4 = {1: 3, 2: -1, 3: -1}
@@ -181,6 +183,15 @@ def test_moment_oracle_validation():
         power_moment_oracle(ctx, 3, 2)
     with pytest.raises(ValueError):
         power_moment_oracle(ctx, 1, -1)
+
+
+def test_moment_oracle_h_limit_covers_the_even_recursion():
+    # the mk_even series asks the oracle for the moments up to 2 H_MAX_LIMIT
+    assert ORACLE_H_LIMIT >= 2 * H_MAX_LIMIT
+    ctx = make_field(2)
+    assert len(power_moment_oracle(ctx, 2, ORACLE_H_LIMIT).values) == ORACLE_H_LIMIT + 1
+    with pytest.raises(BudgetError, match="moment-oracle limit"):
+        power_moment_oracle(ctx, 1, ORACLE_H_LIMIT + 1)
 
 
 def test_second_order_moments_from_carlitz():

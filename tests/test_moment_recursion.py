@@ -2,7 +2,7 @@
 
 import pytest
 
-from cosetmoments.coset_codes import codeword_weight_closed
+from cosetmoments.coset_codes import codeword_weight_closed, weight_distribution_prefix
 from cosetmoments.finite_field import make_field, units
 from cosetmoments.kloosterman import power_moment_oracle
 from cosetmoments.moment_recursion import (
@@ -219,3 +219,21 @@ def test_moment_expansion_series_independence():
         direct = sum(codeword_weight_closed(spec, a) ** h for a in units(CTX4))
         assert moment_lhs_expansion(spec, h, "mk2") == direct
         assert moment_lhs_expansion(spec, h, "mk_even") == direct
+
+
+# --- result records --------------------------------------------------------
+
+
+def test_results_keep_their_attribute_names():
+    series = power_moment_oracle(CTX8, 1, 3)
+    assert (series.m, series.h_max, series.values) == (1, 3, (7, 1, 55, -47))
+    spec = DoubleCosetSpec(1, "-", 1, CTX8)
+    prefix = weight_distribution_prefix(spec, 2)
+    assert (prefix.spec, prefix.j_max, len(prefix.counts), prefix.counts[0]) == (spec, 2, 3, 1)
+    report = recursive_moments(spec, 3)
+    assert (report.spec, report.series, report.h_max) == (spec, "mk", 3)
+    assert report.recursion_values.values == report.oracle_values.values == series.values
+    assert report.recursion_values.m == report.oracle_values.m == 1
+    assert report.agree == (True,) * 4
+    bare = recursive_moments(spec, 3, with_oracle=False)
+    assert bare.oracle_values is None and bare.agree is None

@@ -1,5 +1,7 @@
 """Minus-type orthogonal groups: enumeration, cells, cardinalities, sums."""
 
+import copy
+import pickle
 import random
 from functools import lru_cache
 from itertools import product
@@ -497,6 +499,29 @@ def test_spec_validation():
         DoubleCosetSpec(5, "+", 2, CTX2)
     with pytest.raises(ValueError, match="sign"):
         DoubleCosetSpec(1, "plus", 2, CTX2)
+
+
+def test_spec_record_repr_equality_and_immutability():
+    spec = DoubleCosetSpec(1, "+", 2, make_field(3))
+    assert repr(spec) == (
+        "DoubleCosetSpec(family=1, sign='+', n=2, "
+        "ctx=FieldCtx(r=3, q=8, modulus=11, a_param=1, trace_mask=1))"
+    )
+    twin = DoubleCosetSpec(family=1, sign="+", n=2, ctx=make_field(3))
+    assert twin == spec and hash(twin) == hash(spec)
+    assert DoubleCosetSpec(1, "+", 2, make_field(3, a_param=3)) != spec
+    with pytest.raises(AttributeError):
+        spec.n = 4
+    assert (spec.family, spec.sign, spec.n, spec.sigma_index, spec.k2_shift) == (1, "+", 2, 1, None)
+
+
+@pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy])
+def test_spec_survives_pickle_and_deepcopy(clone):
+    spec = DoubleCosetSpec(2, "+", 2, make_field(2))
+    other = clone(spec)
+    assert other == spec and hash(other) == hash(spec) and repr(other) == repr(spec)
+    assert dc_cardinality(other) == dc_cardinality(spec)
+    assert trace_distribution(other, "closed_form") == trace_distribution(spec, "closed_form")
 
 
 def test_spec_properties():

@@ -276,21 +276,23 @@ def child_command(*argv: str) -> dict:
 
 IMPORT_PROBE = """\
 import sys
-before = len(sys.modules)
+before = set(sys.modules)
 from cosetmoments.cli import main
-imported = len(sys.modules) - before
+imported = sorted(set(sys.modules) - before)
 import contextlib, io, json
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     main(sys.argv[1:])
 pool = ("concurrent.futures.process", "multiprocessing")
-print(json.dumps({"modules_imported": imported, "pool_loaded": any(m in sys.modules for m in pool)}))
+print(json.dumps({"modules_imported": len(imported), "modules": " ".join(imported),
+                  "pool_loaded": any(m in sys.modules for m in pool)}))
 """
 
 
 def child_startup(*argv: str) -> dict:
     """`python -m cosetmoments.cli ARGV` in a fresh interpreter, timed from
     outside it; then, in another fresh interpreter, the modules that
-    `import cosetmoments.cli` loads and whether the run loaded the process pool."""
+    `import cosetmoments.cli` loads (their count and names) and whether the
+    run loaded the process pool."""
     samples, outputs = [], set()
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -307,9 +309,69 @@ def child_startup(*argv: str) -> dict:
             **json.loads(probe.stdout)}
 
 
+VALUE_OPS = 20_000  # operations timed per figure of the values layer
+
+
+def child_values() -> dict:
+    """ns per operation on the record types and the arithmetic that reads
+    them: mul and inv at r = 8 and r = 16 on seeded operand streams, hash(ctx),
+    DoubleCosetSpec(...), and a cache hit of lambda_table(ctx) and of
+    _trace_counts(spec, "closed_form"); each figure times VALUE_OPS of them,
+    loop included, and keeps the median of five timed loops."""
+    from cosetmoments import finite_field as ff
+    from cosetmoments import ominus_groups as og
+
+    mul, inv, spec_type = ff.mul, ff.inv, og.DoubleCosetSpec
+    row, results = {"ops": VALUE_OPS}, []
+    for r in (8, 16):
+        ctx = ff.make_field(r)
+        rng = random.Random(f"values:{r}")
+        pairs = [(rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)) for _ in range(VALUE_OPS)]
+        units = [x for x, _ in pairs]
+        results += [mul(ctx, x, y) for x, y in pairs] + [inv(ctx, x) for x in units]
+
+        def mul_loop():
+            for x, y in pairs:
+                mul(ctx, x, y)
+
+        def inv_loop():
+            for x in units:
+                inv(ctx, x)
+
+        row[f"mul_r{r}_ns"] = _median_s(mul_loop, 5) * 1e9 / VALUE_OPS
+        row[f"inv_r{r}_ns"] = _median_s(inv_loop, 5) * 1e9 / VALUE_OPS
+    ctx = ff.make_field(8)
+    spec = spec_type(1, "+", 2, ctx)
+    lambda_table, trace_counts = ff.lambda_table, og._trace_counts
+    results += [lambda_table(ctx), trace_counts(spec, "closed_form")]
+    steps = range(VALUE_OPS)
+
+    def hash_loop():
+        for _ in steps:
+            hash(ctx)
+
+    def spec_loop():
+        for _ in steps:
+            spec_type(1, "+", 2, ctx)
+
+    def lambda_loop():
+        for _ in steps:
+            lambda_table(ctx)
+
+    def trace_counts_loop():
+        for _ in steps:
+            trace_counts(spec, "closed_form")
+
+    for name, loop in (("hash_ctx", hash_loop), ("spec_new", spec_loop),
+                       ("lambda_table_hit", lambda_loop), ("trace_counts_hit", trace_counts_loop)):
+        row[f"{name}_ns"] = _median_s(loop, 5) * 1e9 / VALUE_OPS
+    row["digest"] = _digest(results)
+    return row
+
+
 CHILDREN = {f.__name__: f for f in (
     child_prefix, child_field, child_cell, child_checks, child_spectrum, child_command,
-    child_startup)}
+    child_startup, child_values)}
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +468,18 @@ LAYERS = {
             ("moments", "--r", "8", "--family", "2", "--sign", "plus", "--n", "2", "--hmax", "7", "--verify"),
             ("verify-all", "--max-r", "1", "--workers", "2"),
         )),
-        "modules_imported: modules `import cosetmoments.cli` adds to a fresh interpreter; "
-        "pool_loaded: whether the run loaded concurrent.futures.process or multiprocessing; "
-        "the digest must agree between the sides",
+        "modules_imported: modules `import cosetmoments.cli` adds to a fresh interpreter, "
+        "named in modules; pool_loaded: whether the run loaded concurrent.futures.process "
+        "or multiprocessing; the digest must agree between the sides",
         agree=("digest", "exit"),
+    ),
+    "values": Layer(
+        "records and field arithmetic: ns per mul and inv at r = 8 and 16, per hash(ctx), "
+        "per DoubleCosetSpec(...) and per cache hit of lambda_table and _trace_counts",
+        (("values", "child_values", ()),),
+        "ops: operations timed per figure (one loop step each); the digest of the products, "
+        "inverses and cached values must agree between the sides",
+        agree=("digest", "ops"),
     ),
 }
 
