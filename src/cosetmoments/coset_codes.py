@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .finite_field import FieldCtx, mul, trace
+from .finite_field import FieldCtx, _walsh_hadamard, character_sums, mul, trace
 from .kloosterman import BudgetError
 from .ominus_groups import (
     DoubleCosetSpec,
@@ -67,19 +67,6 @@ def codeword_weight_closed(spec: DoubleCosetSpec, a: int) -> int:
 WeightPrefix = namedtuple("WeightPrefix", "spec j_max counts")
 
 
-def _walsh_hadamard(vec: list[int]) -> list[int]:
-    """W[u] = sum_x vec[x] (-1)^popcount(u & x) for a power-of-two length.
-    Each pass butterflies the top index bit and moves it to the bottom, so
-    after log2(len) passes every bit is transformed and back in place."""
-    half = len(vec) // 2
-    for _ in range(len(vec).bit_length() - 1):
-        lo, hi = vec[:half], vec[half:]
-        vec = [0] * (2 * half)
-        vec[0::2] = [x + y for x, y in zip(lo, hi)]
-        vec[1::2] = [x - y for x, y in zip(lo, hi)]
-    return vec
-
-
 def _macwilliams(
     length: int, dual_weights: dict[int, int], dual_size: int, j_max: int
 ) -> tuple[int, ...]:
@@ -117,11 +104,9 @@ def prefix_counts_from_distribution(
 ) -> tuple[int, ...]:
     """C_j for j <= j_max: the number of ways to pick j coordinates, nu_beta
     from the trace-beta class, with the field sum of picked betas zero.
-    The dual word c(a) has weight w_a = sum_beta N_beta tr(a beta), and
-    tr(a beta) = parity(M(a) & beta) with bit k of M(a) equal to tr(a z^k),
-    so w_a = (length - W[M(a)]) / 2 for the Walsh-Hadamard transform W of
-    the class counts.  M is a bijection (the trace form is nondegenerate),
-    hence the q dual weights are the values (length - W[u]) / 2."""
+    The dual word c(a) has weight (length - W[M(a)]) / 2 (see `character_sums`).
+    M is a bijection (the trace form is nondegenerate), so the q dual weights
+    are the values (length - W[u]) / 2 of the unpermuted transform."""
     if not 0 <= j_max <= PREFIX_J_LIMIT:
         raise ValueError(f"j_max must lie in 0..{PREFIX_J_LIMIT}")
     length = sum(class_counts.values())
@@ -177,14 +162,9 @@ def full_weight_distribution_small(spec: DoubleCosetSpec) -> tuple[int, ...]:
 
 
 def dual_code_kernel(spec: DoubleCosetSpec) -> tuple[int, ...]:
-    """Kernel of a -> c(a), from the closed-form trace-class support."""
-    ctx = spec.ctx
-    support = [beta for beta, cnt in trace_distribution(spec, "closed_form").items() if cnt]
-    return tuple(
-        a
-        for a in range(ctx.q)
-        if all(trace(ctx, mul(ctx, a, beta)) == 0 for beta in support)
-    )
+    """Kernel of a -> c(a): the a whose closed-class character sum is its value at 0, the length."""
+    sums = character_sums(spec.ctx, trace_distribution(spec, "closed_form").values())
+    return tuple(a for a, s in enumerate(sums) if s == sums[0])
 
 
 def delsarte_check(spec: DoubleCosetSpec) -> bool:

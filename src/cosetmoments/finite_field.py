@@ -213,6 +213,30 @@ def lambda_table(ctx: FieldCtx) -> tuple[int, ...]:
     return tuple(lambda_char(ctx, x) for x in range(ctx.q))
 
 
+def _walsh_hadamard(vec: list[int]) -> list[int]:
+    """W[u] = sum_x vec[x] (-1)^popcount(u & x) for a power-of-two length.
+    Each pass butterflies the top index bit and moves it to the bottom, so
+    after log2(len) passes every bit is transformed and back in place."""
+    half = len(vec) // 2
+    for _ in range(len(vec).bit_length() - 1):
+        lo, hi = vec[:half], vec[half:]
+        vec = [0] * (2 * half)
+        vec[0::2] = [x + y for x, y in zip(lo, hi)]
+        vec[1::2] = [x - y for x, y in zip(lo, hi)]
+    return vec
+
+
+def character_sums(ctx: FieldCtx, values) -> list[int]:
+    """S[b] = sum_x values[x] lambda(b x) for every b as W[M(b)]: bit k of M(b) is tr(b z^k),
+    so tr(b x) = parity(M(b) & x); M is linear, one XOR per b from the r basis images."""
+    images = [0]
+    for i in range(ctx.r):
+        row = sum(trace(ctx, mul(ctx, 1 << i, 1 << k)) << k for k in range(ctx.r))
+        images += [m ^ row for m in images]
+    walsh = _walsh_hadamard(list(values))
+    return [walsh[m] for m in images]
+
+
 def theta_subgroup(ctx: FieldCtx) -> frozenset[int]:
     """The image of x -> x^2 + x, an index-2 subgroup of the additive group."""
     return frozenset(mul(ctx, x, x) ^ x for x in range(ctx.q))

@@ -472,6 +472,7 @@ def _q_pow_quarter(q: int, numerator: int) -> int:
     return q ** e
 
 
+@lru_cache(maxsize=None)
 def dc_cardinality(spec: DoubleCosetSpec) -> tuple[int, int, int]:
     """Closed-form (A, B, N) with N = A * B the double-coset size."""
     q, n, fam = spec.ctx.q, spec.n, spec.family

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from cosetmoments import __version__, cli, kloosterman, ominus_groups
+from cosetmoments import __version__, cli, coset_codes, kloosterman, ominus_groups
 from cosetmoments.cli import main, verify_all
 from cosetmoments.finite_field import default_modulus, make_field
 from cosetmoments.kloosterman import ORACLE_H_LIMIT, BudgetError, carlitz_k2, kloosterman_sum
@@ -154,6 +154,64 @@ def test_weights_budget_degrades_to_null(capsys):
     assert code == 0
     assert doc["result"]["popcount_verified"] is None
     assert doc["result"]["weights"]["0x1"]  # closed weights still present
+
+
+def _weights_specs():
+    """Every valid spec at (n <= 3, r = 1), (n <= 2, r = 2) and (n <= 2, r = 2,
+    a_param 0x3), and at n = 1 for r <= 8."""
+    fields = [(make_field(1), 3), (make_field(2), 2), (make_field(2, a_param=0x3), 2)]
+    fields += [(make_field(r), 1) for r in range(3, 9)]
+    return [spec for ctx, n_max in fields for n in range(1, n_max + 1)
+            for spec in ominus_groups.valid_specs(ctx, n)]
+
+
+def _weights_argv(spec):
+    ctx = spec.ctx
+    sign = "plus" if spec.sign == "+" else "minus"
+    return ("weights", "--r", str(ctx.r), "--a-param", hex(ctx.a_param),
+            "--family", str(spec.family), "--sign", sign, "--n", str(spec.n))
+
+
+@pytest.mark.parametrize("spec", _weights_specs(),
+                         ids=lambda s: f"f{s.family}{s.sign}n{s.n}r{s.ctx.r}a{s.ctx.a_param}")
+def test_weights_verdict_equals_the_literal_popcount(capsys, spec):
+    """popcount_verified reads the enumerated classes through the transform;
+    the literal popcount of every dual word must give the same verdict."""
+    closed, word = coset_codes.codeword_weight_closed, coset_codes.dual_codeword
+    try:
+        literal = all(sum(word(spec, a)) == closed(spec, a) for a in range(1, spec.ctx.q))
+    except BudgetError:
+        literal = None
+    code, doc, _ = run(capsys, *_weights_argv(spec))
+    assert doc["result"]["popcount_verified"] is literal
+    assert code == (1 if literal is False else 0)
+
+
+def test_weights_verdict_catches_one_wrong_closed_weight(capsys, monkeypatch):
+    real = cli.codeword_weight_closed
+    monkeypatch.setattr(cli, "codeword_weight_closed",
+                        lambda spec, a: real(spec, a) + (a == 0x5))
+    code, doc, _ = run(capsys, "weights", "--r", "4", "--family", "1", "--sign", "minus", "--n", "1")
+    assert doc["result"]["popcount_verified"] is False
+    assert code == 1
+
+
+def test_weights_over_the_enumeration_budget_at_r14_is_null(capsys):
+    code, doc, _ = run(
+        capsys, "weights", "--r", "14", "--family", "1", "--sign", "minus", "--n", "1"
+    )
+    assert code == 0
+    assert doc["result"]["popcount_verified"] is None
+    assert len(doc["result"]["weights"]) == (1 << 14) - 1
+
+
+@pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (4, 1)])
+def test_character_sum_check_catches_one_wrong_closed_sum(monkeypatch, r, n):
+    cli._check_exp_sums(r, default_modulus(r), n)
+    real = cli.exp_sum_dc
+    monkeypatch.setattr(cli, "exp_sum_dc", lambda spec, a, mode: real(spec, a, mode) + (a == 0x3))
+    with pytest.raises(AssertionError, match="character sum mismatch at family 1, a = 0x3"):
+        cli._check_exp_sums(r, default_modulus(r), n)
 
 
 def test_moments_with_verification(capsys):

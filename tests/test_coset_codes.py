@@ -1,7 +1,5 @@
 """Dual codewords, weight distributions, and the duality checks."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,8 +8,8 @@ from cosetmoments.coset_codes import (
     DEGENERATE_KERNEL_SPECS,
     MACWILLIAMS_N_LIMIT,
     PREFIX_J_LIMIT,
-    _walsh_hadamard,
     codeword_weight_closed,
+    degenerate_kernel,
     delsarte_check,
     dual_code_kernel,
     dual_code_rank,
@@ -20,7 +18,7 @@ from cosetmoments.coset_codes import (
     prefix_counts_from_distribution,
     weight_distribution_prefix,
 )
-from cosetmoments.finite_field import is_irreducible, make_field, trace, units
+from cosetmoments.finite_field import is_irreducible, make_field, mul, trace, units
 from cosetmoments.ominus_groups import (
     DoubleCosetSpec,
     dc_cardinality,
@@ -134,6 +132,36 @@ def test_degenerate_kernel_registry_is_accurate():
         assert dual_code_kernel(spec) == (0, 1)
 
 
+def support_kernel(spec):
+    """Oracle: the a with tr(a beta) = 0 on every nonempty closed trace class,
+    one trace per (a, class)."""
+    ctx = spec.ctx
+    support = [beta for beta, cnt in trace_distribution(spec, "closed_form").items() if cnt]
+    return tuple(
+        a
+        for a in range(ctx.q)
+        if all(trace(ctx, mul(ctx, a, beta)) == 0 for beta in support)
+    )
+
+
+def kernel_specs():
+    """Every valid spec at (n <= 3, r = 1), (n <= 2, r = 2) and (n <= 2, r = 2,
+    a_param 0x3), and at n = 1 for r <= 8."""
+    fields = [(make_field(1), 3), (make_field(2), 2), (make_field(2, a_param=0x3), 2)]
+    fields += [(make_field(r), 1) for r in range(3, 9)]
+    return [spec for ctx, n_max in fields for n in range(1, n_max + 1) for spec in valid_specs(ctx, n)]
+
+
+def _kid(spec):
+    return _sid(spec) + f"a{spec.ctx.a_param}"
+
+
+@pytest.mark.parametrize("spec", kernel_specs(), ids=_kid)
+def test_kernel_matches_the_support_loop(spec):
+    kernel = dual_code_kernel(spec)
+    assert kernel == support_kernel(spec)
+    assert kernel == ((0, 1) if degenerate_kernel(spec) else (0,))
+
 @pytest.mark.parametrize("spec", small_specs(), ids=_sid)
 def test_delsarte_duality(spec):
     if dc_cardinality(spec)[2] > 24:
@@ -230,16 +258,6 @@ def test_engine_matches_dp_over_random_moduli(ctx, pick, j_max):
     # the code does not depend on the representation of the field
     default = DoubleCosetSpec(spec.family, spec.sign, spec.n, make_field(ctx.r))
     assert weight_distribution_prefix(default, j_max).counts == prefix
-
-
-def test_walsh_hadamard_matches_its_definition():
-    rng = random.Random(0)
-    for r in range(6):
-        vec = [rng.randrange(-50, 50) for _ in range(1 << r)]
-        direct = [
-            sum(v * (-1) ** (u & x).bit_count() for x, v in enumerate(vec)) for u in range(1 << r)
-        ]
-        assert _walsh_hadamard(vec) == direct
 
 
 def test_full_prefix_beyond_the_dp_at_r8():

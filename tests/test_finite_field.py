@@ -15,6 +15,8 @@ from cosetmoments.finite_field import (
     FieldCtx,
     _exp_log_tables,
     _raw_mul,
+    _walsh_hadamard,
+    character_sums,
     default_modulus,
     inv,
     is_irreducible,
@@ -237,6 +239,58 @@ def test_theta_subgroup_is_the_trace_kernel(r):
     assert theta == frozenset(x for x in range(ctx.q) if trace(ctx, x) == 0)
     assert len(theta) == ctx.q // 2
     assert ctx.a_param not in theta
+
+
+# --- the additive-character transform -------------------------------------
+
+
+def test_walsh_hadamard_matches_its_definition():
+    rng = random.Random(0)
+    for r in range(6):
+        vec = [rng.randrange(-50, 50) for _ in range(1 << r)]
+        direct = [
+            sum(v * (-1) ** (u & x).bit_count() for x, v in enumerate(vec)) for u in range(1 << r)
+        ]
+        assert _walsh_hadamard(vec) == direct
+
+
+def _mixed_values(q, seed):
+    """Small signed entries beside entries of several hundred bits, as the
+    closed trace classes of the larger double cosets are."""
+    rng = random.Random(seed)
+    return [rng.choice((rng.randrange(-9, 10), rng.randrange(-(1 << 600), 1 << 600)))
+            for _ in range(q)]
+
+
+def _direct_character_sums(ctx, values):
+    return [sum(v * lambda_char(ctx, mul(ctx, b, x)) for x, v in enumerate(values))
+            for b in range(ctx.q)]
+
+
+@pytest.mark.parametrize("r,modulus", [(r, default_modulus(r)) for r in range(1, 11)] + [(4, 0x1F)])
+def test_character_sums_match_their_definition(r, modulus):
+    ctx = make_field(r, modulus)
+    values = _mixed_values(ctx.q, f"character-sums:{r}:{modulus}")
+    assert character_sums(ctx, values) == _direct_character_sums(ctx, values)
+    # a dict's values view is read in key order, as the trace distributions pass it
+    assert character_sums(ctx, dict(enumerate(values)).values()) == character_sums(ctx, values)
+
+
+@st.composite
+def random_fields(draw, r_max=8):
+    """A field of random degree, irreducible modulus and trace-one a_param."""
+    r = draw(st.integers(min_value=1, max_value=r_max))
+    modulus = draw(st.sampled_from([m for m in range(1 << r, 1 << (r + 1)) if is_irreducible(m, r)]))
+    mask = make_field(r, modulus).trace_mask
+    a_param = draw(st.sampled_from([x for x in range(1 << r) if (x & mask).bit_count() & 1]))
+    return make_field(r, modulus, a_param)
+
+
+@given(ctx=random_fields(), seed=st.integers(min_value=0))
+@settings(deadline=None, max_examples=30)
+def test_character_sums_match_for_random_fields(ctx, seed):
+    values = _mixed_values(ctx.q, seed)
+    assert character_sums(ctx, values) == _direct_character_sums(ctx, values)
 
 
 def test_mul_table_limit():

@@ -93,8 +93,8 @@ def child_prefix(r: str, shape: str) -> dict:
     sys.path.insert(0, str(ROOT / "tests"))
     from test_coset_codes import dp_prefix
 
-    from cosetmoments.coset_codes import _walsh_hadamard, prefix_counts_from_distribution
-    from cosetmoments.finite_field import make_field
+    from cosetmoments.coset_codes import prefix_counts_from_distribution
+    from cosetmoments.finite_field import _walsh_hadamard, make_field
     from cosetmoments.ominus_groups import DoubleCosetSpec, trace_distribution
 
     ctx = make_field(int(r))
@@ -207,6 +207,22 @@ def child_checks(max_r: str, prefixes: str) -> dict:
         row[name] = time.perf_counter() - start
     row["sum_s"] = sum(row.values())
     return row
+
+
+def child_kernel(r: str, family: str, sign: str, n: str) -> dict:
+    """`dual_code_kernel` of one spec with its closed trace classes already
+    cached; the work of the support loop (one trace per a and nonempty class)
+    and of the transform (q log2 q additions, then q permuted reads)."""
+    from cosetmoments.coset_codes import dual_code_kernel
+    from cosetmoments.finite_field import make_field
+    from cosetmoments.ominus_groups import DoubleCosetSpec, trace_distribution
+
+    ctx = make_field(int(r))
+    spec = DoubleCosetSpec(int(family), sign, int(n), ctx)
+    support = sum(1 for count in trace_distribution(spec, "closed_form").values() if count)
+    return {"s": _median_s(lambda: dual_code_kernel(spec)), "support_traces": ctx.q * support,
+            "transform_adds": ctx.q * ctx.r, "transform_reads": ctx.q,
+            "digest": _digest(dual_code_kernel(spec))}
 
 
 SPECTRUM_DIRECT_SAMPLE = 64  # arguments a whose direct sum is timed at every r
@@ -370,8 +386,8 @@ def child_values() -> dict:
 
 
 CHILDREN = {f.__name__: f for f in (
-    child_prefix, child_field, child_cell, child_checks, child_spectrum, child_command,
-    child_startup, child_values)}
+    child_prefix, child_field, child_cell, child_checks, child_kernel, child_spectrum,
+    child_command, child_startup, child_values)}
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +408,8 @@ SPECTRUM_CHECKS = (
     "so2-isometries", "character-sums", "code-weights-and-duality",
     "power-moment-identity", "recursions-vs-oracle",
 )
+
+TRANSFORM_CHECKS = ("character-sums", "power-moment-identity", "code-weights-and-duality")
 
 CELL_CHECKS = ("parabolic-cells", "character-sums", "trace-distributions", "so2-isometries")
 
@@ -480,6 +498,22 @@ LAYERS = {
         "ops: operations timed per figure (one loop step each); the digest of the products, "
         "inverses and cached values must agree between the sides",
         agree=("digest", "ops"),
+    ),
+    "transforms": Layer(
+        "all-a character sums read from one Walsh-Hadamard transform: the weights "
+        "command's popcount_verified, dual_code_kernel and the verify-all checks that read them",
+        tuple((" ".join(argv), "child_command", argv) for argv in (
+            ("weights", "--r", "10", "--family", "1", "--sign", "minus", "--n", "1", "--jmax", "4"),
+            ("weights", "--r", "12", "--family", "1", "--sign", "minus", "--n", "1", "--jmax", "4"),
+            ("weights", "--r", "16", "--family", "4", "--sign", "plus", "--n", "4"),
+        )) + tuple((f"kernel-r{r}-{f}{sign}n{n}", "child_kernel", (str(r), str(f), sign, str(n)))
+                   for r in (8, 12, 16) for f, sign, n in ((1, "-", 1), (2, "+", 2)))
+        + (("verify-all-r8", "child_checks", ("8", ",".join(TRANSFORM_CHECKS))),),
+        "q per transform (the permuted reads), plus q log2 q additions; before, the weights "
+        "command built all q dual words (q x length traces) and the kernel took at most one "
+        "trace per a and nonempty class (support_traces; it stops at an a's first nonzero "
+        "trace); seconds per check; the digests must agree",
+        agree=("digest", "exit"),
     ),
 }
 
