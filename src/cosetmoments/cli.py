@@ -41,6 +41,7 @@ from .kloosterman import (
     BudgetError,
     artin_schreier_sums,
     carlitz_k2,
+    direct_sum_fits,
     kgl_closed,
     kgl_recursive,
     kloosterman_spectrum,
@@ -60,10 +61,6 @@ from .moment_recursion import (
 )
 from .ominus_groups import (
     O2_COSET_REP,
-    PRODUCT_BUDGET,
-    Q_ENUM_BUDGET,
-    SCAN_BUDGET,
-    SYM_SUM_BUDGET,
     DoubleCosetSpec,
     b_r_sum,
     b_r_sum_closed,
@@ -80,8 +77,11 @@ from .ominus_groups import (
     o_minus_order,
     p_minus_order,
     parabolic_indices,
+    products_fit,
+    q_minus_fits,
     q_minus_order,
-    sym_sum_terms,
+    scan_fits,
+    sym_sum_fits,
     trace_distribution,
     valid_specs,
 )
@@ -260,7 +260,8 @@ def _cmd_moments(args: argparse.Namespace) -> tuple[dict, int]:
 
 # ---------------------------------------------------------------------------
 # the verify-all registry; check functions are top level so a process pool
-# can pickle them, and take only plain integers
+# can pickle them, and the plan builds each degree's field once: its context
+# reaches a pool worker through FieldCtx.__reduce__
 
 
 def _check_stirling() -> None:
@@ -281,10 +282,9 @@ def _check_field_construction(r: int, modulus: int) -> None:
         raise AssertionError("the x^2 + x image must equal the trace kernel")
 
 
-def _check_field_axioms(r: int, modulus: int) -> None:
+def _check_field_axioms(ctx: FieldCtx) -> None:
     # x * x^-1 = 1 holds by construction of the log tables; compare with the carry-less product
-    ctx = make_field(r, modulus)
-    q = ctx.q
+    q, r, modulus = ctx.q, ctx.r, ctx.modulus
     rng = random.Random(0xC0DE + r)
     for _ in range(300):
         x, y, z = rng.randrange(q), rng.randrange(q), rng.randrange(q)
@@ -299,8 +299,7 @@ def _check_field_axioms(r: int, modulus: int) -> None:
             raise AssertionError(f"inverse fails at {to_hex(x)}")
 
 
-def _check_moment_oracle(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_moment_oracle(ctx: FieldCtx) -> None:
     series = power_moment_oracle(ctx, 1, 2)
     if series.values[1] != 1:
         raise AssertionError("the first power moment must be 1")
@@ -312,34 +311,31 @@ def _check_moment_oracle(r: int, modulus: int) -> None:
             raise AssertionError(f"spectrum differs from the direct sum at a = {to_hex(a)}")
 
 
-def _check_carlitz(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_carlitz(ctx: FieldCtx) -> None:
     spectrum = kloosterman_spectrum(ctx, 2)
     for a in range(1, ctx.q):
         if spectrum[a] != carlitz_k2(ctx, a):
             raise AssertionError(f"two-dimensional spectrum mismatch at a = {to_hex(a)}")
-    for a in {1, ctx.a_param}:  # the direct double sum at two points
-        if kloosterman_sum(ctx, 2, a) != spectrum[a]:
-            raise AssertionError(f"two-dimensional sum mismatch at a = {to_hex(a)}")
+    if direct_sum_fits(ctx.q, 2):  # the direct double sum at two points
+        for a in {1, ctx.a_param}:
+            if kloosterman_sum(ctx, 2, a) != spectrum[a]:
+                raise AssertionError(f"two-dimensional sum mismatch at a = {to_hex(a)}")
 
 
-def _check_weil_bound(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_weil_bound(ctx: FieldCtx) -> None:
     for a in range(1, ctx.q):
         k = kloosterman_sum(ctx, 1, a)
         if k * k > 4 * ctx.q:
             raise AssertionError(f"square-root bound violated at a = {to_hex(a)}")
 
 
-def _check_frobenius(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_frobenius(ctx: FieldCtx) -> None:
     for a in range(1, ctx.q):
         if kloosterman_sum(ctx, 1, mul(ctx, a, a)) != kloosterman_sum(ctx, 1, a):
             raise AssertionError(f"conjugate arguments disagree at a = {to_hex(a)}")
 
 
-def _check_twisted_sums(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_twisted_sums(ctx: FieldCtx) -> None:
     for m in (1, 2):
         for beta in range(ctx.q):
             lhs, rhs = twisted_sum_check(ctx, m, beta)
@@ -347,8 +343,7 @@ def _check_twisted_sums(r: int, modulus: int) -> None:
                 raise AssertionError(f"twisted identity fails at m={m}, beta={to_hex(beta)}")
 
 
-def _check_artin_schreier(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_artin_schreier(ctx: FieldCtx) -> None:
     for beta in range(1, ctx.q):
         s0, s1 = artin_schreier_sums(ctx, beta)
         k = kloosterman_sum(ctx, 1, beta)
@@ -356,22 +351,19 @@ def _check_artin_schreier(r: int, modulus: int) -> None:
             raise AssertionError(f"quadratic-fiber sums fail at beta = {to_hex(beta)}")
 
 
-def _check_kgl(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_kgl(ctx: FieldCtx) -> None:
     for t in range(1, 7):
         for a in {1, ctx.a_param}:
             if a and kgl_recursive(ctx, t, a) != kgl_closed(ctx, t, a):
                 raise AssertionError(f"matrix-average forms differ at t={t}, a={to_hex(a)}")
 
 
-def _check_range_spectrum(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_range_spectrum(ctx: FieldCtx) -> None:
     if range_spectrum(ctx) != predicted_spectrum(ctx.q):
         raise AssertionError("attained values must fill the predicted residue range")
 
 
-def _check_symmetric_sum(r: int, modulus: int, dims: tuple[int, ...]) -> None:
-    ctx = make_field(r, modulus)
+def _check_symmetric_sum(ctx: FieldCtx, dims: tuple[int, ...]) -> None:
     for rdim in dims:
         closed = b_r_sum_closed(ctx, rdim)
         if b_r_sum(ctx, rdim) != closed:
@@ -380,13 +372,12 @@ def _check_symmetric_sum(r: int, modulus: int, dims: tuple[int, ...]) -> None:
             raise AssertionError(f"twisted symmetric-matrix sum mismatch at r = {rdim}")
 
 
-def _check_so2(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_so2(ctx: FieldCtx) -> None:
     group = enumerate_so2(ctx)
     for m in group:
         if not isometry_relations(ctx, 1, m):
             raise AssertionError("a norm-one element fails the isometry relations")
-    if ctx.q ** 2 <= SCAN_BUDGET:
+    if scan_fits(ctx.q, 1):
         for m in group[:8]:
             if not is_isometry_exhaustive(ctx, 1, m):
                 raise AssertionError("a norm-one element fails the exhaustive scan")
@@ -396,8 +387,7 @@ def _check_so2(r: int, modulus: int) -> None:
         raise AssertionError("the outer coset representative must lie outside")
 
 
-def _check_parabolic_cells(r: int, modulus: int, n: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_parabolic_cells(ctx: FieldCtx, n: int) -> None:
     q = ctx.q
     qm = enumerate_q_minus(ctx, n)
     if len(qm) != q_minus_order(q, n):
@@ -406,7 +396,7 @@ def _check_parabolic_cells(r: int, modulus: int, n: int) -> None:
     for m in qm[::step]:
         if not isometry_relations(ctx, n, m):
             raise AssertionError("a parabolic element fails the isometry relations")
-    if q ** (2 * n) <= SCAN_BUDGET:
+    if scan_fits(q, n):
         for m in qm[:4]:
             if not is_isometry_exhaustive(ctx, n, m):
                 raise AssertionError("a parabolic element fails the exhaustive scan")
@@ -428,8 +418,7 @@ def _check_parabolic_cells(r: int, modulus: int, n: int) -> None:
         dc_cardinality(spec)  # internal consistency assertion runs here
 
 
-def _check_exp_sums(r: int, modulus: int, n: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_exp_sums(ctx: FieldCtx, n: int) -> None:
     for spec in valid_specs(ctx, n):
         sums = character_sums(ctx, trace_distribution(spec, "enumerated").values())
         for a in range(1, ctx.q):
@@ -439,22 +428,17 @@ def _check_exp_sums(r: int, modulus: int, n: int) -> None:
                 )
 
 
-def _check_trace_distributions(r: int, modulus: int, n: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_trace_distributions(ctx: FieldCtx, n: int) -> None:
     for spec in valid_specs(ctx, n):
         if trace_distribution(spec, "enumerated") != trace_distribution(spec, "closed_form"):
             raise AssertionError(f"trace distribution mismatch at family {spec.family}")
 
 
 def _code_specs(ctx: FieldCtx) -> list[DoubleCosetSpec]:
-    specs = [DoubleCosetSpec(1, "-", 1, ctx)]
-    if ctx.q == 2:
-        specs += [DoubleCosetSpec(fam, "+", 2, ctx) for fam in (1, 2, 3)]
-    return specs
+    return valid_specs(ctx, 1) + (valid_specs(ctx, 2) if ctx.q == 2 else [])
 
 
-def _check_codes(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_codes(ctx: FieldCtx) -> None:
     for spec in _code_specs(ctx):
         for a in range(1, ctx.q):
             if codeword_weight_closed(spec, a) != sum(dual_codeword(spec, a)):
@@ -473,8 +457,7 @@ def _check_codes(r: int, modulus: int) -> None:
                 raise AssertionError(f"distribution symmetry fails at family {spec.family}")
 
 
-def _check_pless(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_pless(ctx: FieldCtx) -> None:
     for spec in _code_specs(ctx):
         if degenerate_kernel(spec):
             try:
@@ -488,8 +471,7 @@ def _check_pless(r: int, modulus: int) -> None:
                 raise AssertionError(f"power moment identity fails at family {spec.family}, h={h}")
 
 
-def _check_recursions(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
+def _check_recursions(ctx: FieldCtx) -> None:
     for spec in first_specs(ctx):
         try:
             series_list = recursion_series(spec)
@@ -519,51 +501,46 @@ def _build_checks(max_r: int, overrides: dict[int, int]) -> list[CheckEntry]:
     for r in range(1, max_r + 1):
         modulus = overrides.get(r, default_modulus(r))
         q = 1 << r
+        # (name, check, the arguments after the field context)
         entries: list[tuple[str, object, tuple]] = [
-            (f"field-construction-r{r}", _check_field_construction, (r, modulus)),
-            (f"field-axioms-r{r}", _check_field_axioms, (r, modulus)),
-            (f"moment-oracle-r{r}", _check_moment_oracle, (r, modulus)),
-            (f"carlitz-two-dimensional-r{r}", _check_carlitz, (r, modulus)),
-            (f"weil-bound-r{r}", _check_weil_bound, (r, modulus)),
-            (f"frobenius-invariance-r{r}", _check_frobenius, (r, modulus)),
-            (f"twisted-sums-r{r}", _check_twisted_sums, (r, modulus)),
-            (f"artin-schreier-fibers-r{r}", _check_artin_schreier, (r, modulus)),
-            (f"matrix-average-recursion-r{r}", _check_kgl, (r, modulus)),
+            (f"field-axioms-r{r}", _check_field_axioms, ()),
+            (f"moment-oracle-r{r}", _check_moment_oracle, ()),
+            (f"carlitz-two-dimensional-r{r}", _check_carlitz, ()),
+            (f"weil-bound-r{r}", _check_weil_bound, ()),
+            (f"frobenius-invariance-r{r}", _check_frobenius, ()),
+            (f"twisted-sums-r{r}", _check_twisted_sums, ()),
+            (f"artin-schreier-fibers-r{r}", _check_artin_schreier, ()),
+            (f"matrix-average-recursion-r{r}", _check_kgl, ()),
         ]
-        gate_skips: list[tuple[str, str]] = []
         if r >= 2:
-            entries.append((f"range-spectrum-r{r}", _check_range_spectrum, (r, modulus)))
-        else:
-            gate_skips.append((f"range-spectrum-r{r}", "needs r >= 2"))
-        sym_dims = tuple(d for d in (1, 2) if sym_sum_terms(q, d) <= SYM_SUM_BUDGET)
+            entries.append((f"range-spectrum-r{r}", _check_range_spectrum, ()))
+        sym_dims = tuple(d for d in (1, 2) if sym_sum_fits(q, d))
         if sym_dims:
-            entries.append(
-                (f"symmetric-matrix-sum-r{r}", _check_symmetric_sum, (r, modulus, sym_dims))
-            )
-        entries.append((f"so2-isometries-r{r}", _check_so2, (r, modulus)))
+            entries.append((f"symmetric-matrix-sum-r{r}", _check_symmetric_sum, (sym_dims,)))
+        entries.append((f"so2-isometries-r{r}", _check_so2, ()))
         for n in (1, 2, 3):
-            size = q_minus_order(q, n)
-            if size > Q_ENUM_BUDGET or (n > 1 and size * size > PRODUCT_BUDGET):
-                continue
-            entries += [
-                (f"parabolic-cells-n{n}-r{r}", _check_parabolic_cells, (r, modulus, n)),
-                (f"character-sums-n{n}-r{r}", _check_exp_sums, (r, modulus, n)),
-                (f"trace-distributions-n{n}-r{r}", _check_trace_distributions, (r, modulus, n)),
-            ]
+            if q_minus_fits(q, n) and (n == 1 or products_fit(q, n)):
+                entries += [
+                    (f"parabolic-cells-n{n}-r{r}", _check_parabolic_cells, (n,)),
+                    (f"character-sums-n{n}-r{r}", _check_exp_sums, (n,)),
+                    (f"trace-distributions-n{n}-r{r}", _check_trace_distributions, (n,)),
+                ]
+        if q_minus_fits(q, 1):
+            entries.append((f"code-weights-and-duality-r{r}", _check_codes, ()))
         entries += [
-            (f"code-weights-and-duality-r{r}", _check_codes, (r, modulus)),
-            (f"power-moment-identity-r{r}", _check_pless, (r, modulus)),
-            (f"recursions-vs-oracle-r{r}", _check_recursions, (r, modulus)),
+            (f"power-moment-identity-r{r}", _check_pless, ()),
+            (f"recursions-vs-oracle-r{r}", _check_recursions, ()),
         ]
+        plan.append((f"field-construction-r{r}", _check_field_construction, (r, modulus), ""))
         try:
-            make_field(r, modulus)
+            ctx = make_field(r, modulus)
         except ValueError as exc:
-            plan.append((entries[0][0], entries[0][1], entries[0][2], ""))
             reason = f"field construction failed: {exc}"
-            plan += [(name, None, (), reason) for name, _, _ in entries[1:]]
+            plan += [(name, None, (), reason) for name, _, _ in entries]
         else:
-            plan += [(name, func, fargs, "") for name, func, fargs in entries]
-        plan += [(name, None, (), reason) for name, reason in gate_skips]
+            plan += [(name, func, (ctx, *fargs), "") for name, func, fargs in entries]
+        if r < 2:
+            plan.append((f"range-spectrum-r{r}", None, (), "needs r >= 2"))
     return plan
 
 

@@ -28,7 +28,6 @@ from .ominus_groups import (
 
 PREFIX_J_LIMIT = 10 ** 3      # largest weight-prefix cutoff
 MACWILLIAMS_N_LIMIT = 64      # largest length for a full distribution
-MACWILLIAMS_RANK_LIMIT = 16   # largest dual dimension for a full distribution
 DUALITY_N_LIMIT = 24          # largest length for the exhaustive duality check
 
 # (family, sign, n, q) whose a -> c(a) kernel is the two-element subfield
@@ -152,8 +151,6 @@ def full_weight_distribution_small(spec: DoubleCosetSpec) -> tuple[int, ...]:
         raise BudgetError(f"full distribution needs length <= {MACWILLIAMS_N_LIMIT}")
     words = _packed_dual_words(spec)
     rank = dual_code_rank(spec)
-    if rank > MACWILLIAMS_RANK_LIMIT:
-        raise BudgetError(f"full distribution needs dual rank <= {MACWILLIAMS_RANK_LIMIT}")
     dual_counts = Counter(w.bit_count() for w in words)
     out = _macwilliams(length, dual_counts, len(words), length)
     if sum(out) != 1 << (length - rank):

@@ -34,13 +34,18 @@ def _check_unit(ctx: FieldCtx, a: int, name: str = "a") -> None:
         raise ValueError(f"{name} must be a nonzero element of GF({ctx.q}), got {a}")
 
 
+def direct_sum_fits(q: int, m: int) -> bool:
+    """Whether the direct K_m sum's (q - 1)^m terms fit ENUM_BUDGET."""
+    return (q - 1) ** m <= ENUM_BUDGET
+
+
 @lru_cache(maxsize=None)
 def kloosterman_sum(ctx: FieldCtx, m: int, a: int) -> int:
     """K_m(lambda;a) by direct summation over (F_q^*)^m."""
     if m < 1:
         raise ValueError(f"dimension m must be positive, got {m}")
     _check_unit(ctx, a)
-    if (ctx.q - 1) ** m > ENUM_BUDGET:
+    if not direct_sum_fits(ctx.q, m):
         raise BudgetError(f"direct K_{m} sum needs {(ctx.q - 1) ** m} terms (budget {ENUM_BUDGET})")
     if m > 2:
         return _kloosterman_generic(ctx, m, a)

@@ -146,10 +146,15 @@ def _theta_table(ctx: FieldCtx, n: int) -> tuple[int, ...]:
     return tuple(theta_minus(ctx, n, v) for v in product(range(ctx.q), repeat=2 * n))
 
 
+def scan_fits(q: int, n: int) -> bool:
+    """Whether the exhaustive form check over GF(q)^(2n) fits SCAN_BUDGET."""
+    return q ** (2 * n) <= SCAN_BUDGET
+
+
 def is_isometry_exhaustive(ctx: FieldCtx, n: int, m: Matrix) -> bool:
     """theta(Mv) = theta(v) for every vector; budget-gated full scan, with
     every Mv read from the right-action table of M^T."""
-    if ctx.q ** (2 * n) > SCAN_BUDGET:
+    if not scan_fits(ctx.q, n):
         raise BudgetError(f"exhaustive form check needs q^(2n) <= {SCAN_BUDGET}")
     theta = _theta_table(ctx, n)
     return tuple(map(theta.__getitem__, _right_action(ctx, transpose(m)))) == theta
@@ -206,6 +211,16 @@ def so2_order(q: int) -> int:
 
 def q_minus_order(q: int, n: int) -> int:
     return (q + 1) * gl_order(n - 1, q) * q ** ((n - 1) * (n + 2) // 2)
+
+
+def q_minus_fits(q: int, n: int) -> bool:
+    """Whether enumerating Q^-(2n,q) fits Q_ENUM_BUDGET."""
+    return q_minus_order(q, n) <= Q_ENUM_BUDGET
+
+
+def products_fit(q: int, n: int) -> bool:
+    """Whether |Q^-|^2, the two-sided products of a cell with r > 0, fits PRODUCT_BUDGET."""
+    return q_minus_order(q, n) ** 2 <= PRODUCT_BUDGET
 
 
 def p_minus_order(q: int, n: int) -> int:
@@ -294,7 +309,7 @@ def enumerate_q_minus(ctx: FieldCtx, n: int) -> tuple[Matrix, ...]:
     diag(A, tA^-1, i) times a unipotent factor over (A, i, h, B) with
     tB + th delta h alternating.  For n = 1 it degenerates to SO^-(2,q)."""
     size = q_minus_order(ctx.q, n)
-    if size > Q_ENUM_BUDGET:
+    if not q_minus_fits(ctx.q, n):
         raise BudgetError(f"|Q^-| = {size} exceeds the enumeration budget {Q_ENUM_BUDGET}")
     if n == 1:
         return enumerate_so2(ctx)
@@ -365,8 +380,8 @@ def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[M
     each leader to the next-to-last; one sort of code tuples, one decode."""
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..{n - 1}, got {r}")
-    size = q_minus_order(ctx.q, n)
-    if r and size ** 2 > PRODUCT_BUDGET:  # refuse before enumerating Q^-
+    if r and not products_fit(ctx.q, n):  # refuse before enumerating Q^-
+        size = q_minus_order(ctx.q, n)
         raise BudgetError(f"|Q^-|^2 = {size ** 2} exceeds the product budget {PRODUCT_BUDGET}")
     qm = enumerate_q_minus(ctx, n)
     if not (r or twisted):
@@ -590,9 +605,10 @@ def _symmetric_matrices(ctx: FieldCtx, r: int):
         yield tuple(tuple(row) for row in m)
 
 
-def sym_sum_terms(q: int, r: int) -> int:
-    """Term count of the direct symmetric-matrix sum at dimension r."""
-    return q ** (r * (r + 1) // 2 + 2 * r)
+def sym_sum_fits(q: int, r: int) -> bool:
+    """Whether the direct symmetric-matrix sum at dimension r, one term per
+    (B, h), fits SYM_SUM_BUDGET."""
+    return q ** (r * (r + 1) // 2 + 2 * r) <= SYM_SUM_BUDGET
 
 
 def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:
@@ -605,7 +621,7 @@ def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:
     if not 0 < twist < ctx.q:
         raise ValueError("twist must be a nonzero field element")
     q = ctx.q
-    if sym_sum_terms(q, r) > SYM_SUM_BUDGET:
+    if not sym_sum_fits(q, r):
         raise BudgetError("symmetric-matrix sum exceeds its term budget")
     sign = [lambda_char(ctx, mul(ctx, twist, x)) for x in range(q)]
     vecs = tuple(product(range(q), repeat=r))

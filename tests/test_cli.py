@@ -8,7 +8,7 @@ import pytest
 
 from cosetmoments import __version__, cli, coset_codes, kloosterman, ominus_groups
 from cosetmoments.cli import main, verify_all
-from cosetmoments.finite_field import default_modulus, make_field
+from cosetmoments.finite_field import MAX_R, make_field
 from cosetmoments.kloosterman import ORACLE_H_LIMIT, BudgetError, carlitz_k2, kloosterman_sum
 
 
@@ -207,11 +207,11 @@ def test_weights_over_the_enumeration_budget_at_r14_is_null(capsys):
 
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (4, 1)])
 def test_character_sum_check_catches_one_wrong_closed_sum(monkeypatch, r, n):
-    cli._check_exp_sums(r, default_modulus(r), n)
+    cli._check_exp_sums(make_field(r), n)
     real = cli.exp_sum_dc
     monkeypatch.setattr(cli, "exp_sum_dc", lambda spec, a, mode: real(spec, a, mode) + (a == 0x3))
     with pytest.raises(AssertionError, match="character sum mismatch at family 1, a = 0x3"):
-        cli._check_exp_sums(r, default_modulus(r), n)
+        cli._check_exp_sums(make_field(r), n)
 
 
 def test_moments_with_verification(capsys):
@@ -315,7 +315,7 @@ def test_recursion_check_runs_the_hand_written_jobs(monkeypatch, r):
         return report
 
     monkeypatch.setattr(cli, "recursive_moments", recorder)
-    cli._check_recursions(r, default_modulus(r))
+    cli._check_recursions(make_field(r))
     assert sorted(jobs) == sorted(_hand_written_recursion_jobs(1 << r))
 
 
@@ -425,15 +425,33 @@ def _fits(call, *args) -> bool:
 def test_verify_all_gates_plan_exactly_what_fits_the_budgets(monkeypatch):
     # the direct sum checks its budget before the first term; skip the terms
     monkeypatch.setattr(ominus_groups, "_symmetric_matrices", lambda ctx, r: iter(()))
-    plan = {name: args for name, _, args, _ in cli._build_checks(cli.MAX_VERIFY_R, {})}
-    for r in range(1, cli.MAX_VERIFY_R + 1):
+    plan = {name: args for name, _, args, _ in cli._build_checks(MAX_R, {})}
+    for r in range(1, MAX_R + 1):
         ctx = make_field(r)
         dims = tuple(d for d in (1, 2) if _fits(ominus_groups.b_r_sum, ctx, d))
-        assert plan.get(f"symmetric-matrix-sum-r{r}", (r, ctx.modulus, ()))[2] == dims
+        assert plan.get(f"symmetric-matrix-sum-r{r}", (ctx, ()))[1] == dims
         for n in (1, 2, 3):
             fits = _fits(lambda: [ominus_groups.bruhat_cell(ctx, n, k) for k in range(n)])
             for kind in ("parabolic-cells", "character-sums", "trace-distributions"):
                 assert (f"{kind}-n{n}-r{r}" in plan) == fits
+        # above q = 2 every coset the code check enumerates is an n = 1 cell
+        fits = _fits(ominus_groups.bruhat_cell, ctx, 1, 0)
+        assert (f"code-weights-and-duality-r{r}" in plan) == fits
+
+
+def test_carlitz_check_leaves_out_the_direct_sum_over_its_budget(monkeypatch):
+    ctx = make_field(14)
+    with pytest.raises(BudgetError):
+        cli.kloosterman_sum(ctx, 2, 1)
+    # carlitz_k2 sums K_1 directly at every a, O(q^2) in all; read the K_1 spectrum
+    k1 = kloosterman.kloosterman_spectrum(ctx, 1)
+    monkeypatch.setattr(cli, "carlitz_k2", lambda c, a: k1[a] * k1[a] - c.q)
+    cli._check_carlitz(ctx)
+
+
+def test_cli_names_no_budget_of_its_own():
+    # each budget is compared once, in its owning module's *_fits predicate
+    assert [name for name in vars(cli) if name.endswith("_BUDGET")] == []
 
 
 @pytest.mark.parametrize(

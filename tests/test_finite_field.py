@@ -208,7 +208,7 @@ def test_field_axioms_check_catches_self_consistent_wrong_tables(monkeypatch):
     ctx = make_field(8)
     assert all(mul(ctx, x, inv(ctx, x)) == 1 for x in units(ctx))
     with pytest.raises(AssertionError):
-        _check_field_axioms(8, 0x11B)
+        _check_field_axioms(ctx)
 
 
 @pytest.mark.parametrize("r", range(1, 6))

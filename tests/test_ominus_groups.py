@@ -469,7 +469,7 @@ def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, 
     bruhat_cell.cache_clear()
     try:
         with pytest.raises(AssertionError, match="right cosets of Q\\^- must be disjoint"):
-            cli._check_parabolic_cells(field_r, ctx.modulus, n)
+            cli._check_parabolic_cells(ctx, n)
     finally:
         bruhat_cell.cache_clear()
 
