@@ -17,7 +17,7 @@ from . import __version__
 from .coset_codes import (
     DUALITY_N_LIMIT,
     MACWILLIAMS_N_LIMIT,
-    codeword_weight_closed,
+    closed_weights,
     degenerate_kernel,
     delsarte_check,
     dual_codeword,
@@ -27,7 +27,6 @@ from .coset_codes import (
 from .finite_field import (
     FieldCtx,
     _raw_mul,
-    character_sums,
     default_modulus,
     inv,
     make_field,
@@ -70,7 +69,7 @@ from .ominus_groups import (
     double_coset_elements,
     enumerate_q_minus,
     enumerate_so2,
-    exp_sum_dc,
+    exp_sums_dc,
     first_specs,
     is_isometry_exhaustive,
     isometry_relations,
@@ -193,13 +192,13 @@ def _cmd_weights(args: argparse.Namespace) -> tuple[dict, int]:
     spec = _spec_from_args(args, ctx)
     params = _field_echo(ctx) | _spec_echo(spec)
     total = dc_cardinality(spec)[2]
-    closed = {a: codeword_weight_closed(spec, a) for a in range(1, ctx.q)}
-    weights = {to_hex(a): _dec(w) for a, w in closed.items()}
+    closed = closed_weights(spec)
+    weights = {to_hex(a): _dec(closed[a]) for a in range(1, ctx.q)}
     result: dict = {"length": _dec(total), "weights": weights}
     code = 0
     try:
-        sums = character_sums(ctx, trace_distribution(spec, "enumerated").values())
-        ok = all(2 * w == total - sums[a] for a, w in closed.items())
+        sums = exp_sums_dc(spec, "enumerated")
+        ok = all(2 * closed[a] == total - sums[a] for a in range(1, ctx.q))
         result["popcount_verified"] = ok
         if not ok:
             code = 1
@@ -420,9 +419,9 @@ def _check_parabolic_cells(ctx: FieldCtx, n: int) -> None:
 
 def _check_exp_sums(ctx: FieldCtx, n: int) -> None:
     for spec in valid_specs(ctx, n):
-        sums = character_sums(ctx, trace_distribution(spec, "enumerated").values())
+        enumerated, closed = exp_sums_dc(spec, "enumerated"), exp_sums_dc(spec)
         for a in range(1, ctx.q):
-            if sums[a] != exp_sum_dc(spec, a, "closed_form"):
+            if enumerated[a] != closed[a]:
                 raise AssertionError(
                     f"character sum mismatch at family {spec.family}, a = {to_hex(a)}"
                 )
@@ -440,8 +439,9 @@ def _code_specs(ctx: FieldCtx) -> list[DoubleCosetSpec]:
 
 def _check_codes(ctx: FieldCtx) -> None:
     for spec in _code_specs(ctx):
+        weights = closed_weights(spec)
         for a in range(1, ctx.q):
-            if codeword_weight_closed(spec, a) != sum(dual_codeword(spec, a)):
+            if weights[a] != sum(dual_codeword(spec, a)):
                 raise AssertionError(
                     f"closed weight differs from popcount at family {spec.family}, a = {to_hex(a)}"
                 )

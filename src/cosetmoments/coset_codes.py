@@ -15,13 +15,13 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .finite_field import FieldCtx, _walsh_hadamard, character_sums, mul, trace
+from .finite_field import FieldCtx, _walsh_hadamard, mul, trace
 from .kloosterman import BudgetError
 from .ominus_groups import (
     DoubleCosetSpec,
     dc_cardinality,
     double_coset_elements,
-    exp_sum_dc,
+    exp_sums_dc,
     mat_trace,
     trace_distribution,
 )
@@ -51,15 +51,21 @@ def dual_codeword(spec: DoubleCosetSpec, a: int) -> tuple[int, ...]:
     return tuple(trace(ctx, mul(ctx, a, t)) for t in _trace_vector(spec))
 
 
+@lru_cache(maxsize=None)
+def closed_weights(spec: DoubleCosetSpec) -> tuple[int, ...]:
+    """Hamming weight (N - S(a)) / 2 of every c(a) from the closed character
+    sums S(a); entry 0 is the zero word's."""
+    sums = exp_sums_dc(spec)
+    if any((sums[0] - s) % 2 or s > sums[0] for s in sums):
+        raise AssertionError("weight must be a nonnegative integer")
+    return tuple((sums[0] - s) // 2 for s in sums)
+
+
 def codeword_weight_closed(spec: DoubleCosetSpec, a: int) -> int:
     """Hamming weight of c(a) from the closed exponential-sum forms."""
     if not 0 < a < spec.ctx.q:
         raise ValueError("a must be a nonzero field element")
-    total = dc_cardinality(spec)[2]
-    weight, rem = divmod(total - exp_sum_dc(spec, a, "closed_form"), 2)
-    if rem or weight < 0:
-        raise AssertionError("weight must be a nonnegative integer")
-    return weight
+    return closed_weights(spec)[a]
 
 
 # counts[j] = C_j, the words of weight j in the primal code, for j = 0..j_max
@@ -129,9 +135,7 @@ def weight_distribution_prefix(spec: DoubleCosetSpec, j_max: int) -> WeightPrefi
 @lru_cache(maxsize=None)
 def _packed_dual_words(spec: DoubleCosetSpec) -> tuple[int, ...]:
     """Distinct words c(a) packed as integers, bit j = coordinate of g_(j+1)."""
-    ctx = spec.ctx
-    vec = _trace_vector(spec)
-    words = {sum(trace(ctx, mul(ctx, a, t)) << j for j, t in enumerate(vec)) for a in range(ctx.q)}
+    words = {sum(b << j for j, b in enumerate(dual_codeword(spec, a))) for a in range(spec.ctx.q)}
     return tuple(sorted(words))
 
 
@@ -159,8 +163,8 @@ def full_weight_distribution_small(spec: DoubleCosetSpec) -> tuple[int, ...]:
 
 
 def dual_code_kernel(spec: DoubleCosetSpec) -> tuple[int, ...]:
-    """Kernel of a -> c(a): the a whose closed-class character sum is its value at 0, the length."""
-    sums = character_sums(spec.ctx, trace_distribution(spec, "closed_form").values())
+    """Kernel of a -> c(a): the a whose closed character sum is its value at 0, the length."""
+    sums = exp_sums_dc(spec)
     return tuple(a for a, s in enumerate(sums) if s == sums[0])
 
 
@@ -185,8 +189,6 @@ def delsarte_check(spec: DoubleCosetSpec) -> bool:
     span = {0}
     for b in basis:
         span |= {x ^ b for x in span}
-    kernel = tuple(
-        a for a in range(ctx.q) if all(trace(ctx, mul(ctx, a, t)) == 0 for t in vec)
-    )
+    kernel = tuple(a for a in range(ctx.q) if not any(dual_codeword(spec, a)))
     expected = (0, 1) if degenerate_kernel(spec) else (0,)
     return span == words and kernel == expected and kernel == dual_code_kernel(spec)

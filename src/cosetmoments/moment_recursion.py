@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .coset_codes import (
-    codeword_weight_closed,
+    closed_weights,
     degenerate_kernel,
     dual_code_kernel,
     prefix_counts_from_distribution,
@@ -230,11 +230,10 @@ def pless_check(spec: DoubleCosetSpec, h: int) -> tuple[int, int]:
             f"the map a -> c(a) has nontrivial kernel {kernel}: the dual has "
             "fewer than q words and the q-term moment sum is unavailable"
         )
-    ctx = spec.ctx
-    lhs = sum(codeword_weight_closed(spec, a) ** h for a in range(1, ctx.q))
+    lhs = sum(w ** h for w in closed_weights(spec)[1:])
     n = dc_cardinality(spec)[2]
     prefix = weight_distribution_prefix(spec, min(n, h)).counts
-    rhs, rem = divmod(ctx.q * _pless_sum(prefix, n, h), 1 << h)
+    rhs, rem = divmod(spec.ctx.q * _pless_sum(prefix, n, h), 1 << h)
     if rem:
         raise AssertionError("the power-moment sum must be an integer")
     return lhs, rhs

@@ -22,7 +22,7 @@ from functools import lru_cache
 from itertools import chain, product
 from math import prod
 
-from .finite_field import FieldCtx, inv, lambda_char, mul
+from .finite_field import FieldCtx, character_sums, inv, lambda_char, mul
 from .kloosterman import BudgetError, kloosterman_spectrum
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -487,7 +487,6 @@ def _q_pow_quarter(q: int, numerator: int) -> int:
     return q ** e
 
 
-@lru_cache(maxsize=None)
 def dc_cardinality(spec: DoubleCosetSpec) -> tuple[int, int, int]:
     """Closed-form (A, B, N) with N = A * B the double-coset size."""
     q, n, fam = spec.ctx.q, spec.n, spec.family
@@ -573,22 +572,26 @@ def trace_distribution(spec: DoubleCosetSpec, mode: str = "closed_form") -> dict
     return dict(enumerate(_trace_counts(spec, mode)))
 
 
+@lru_cache(maxsize=None)
+def exp_sums_dc(spec: DoubleCosetSpec, mode: str = "closed_form") -> tuple[int, ...]:
+    """S(a), the character sum of lambda(a * trace) over the double coset, at
+    every a; entry 0 is the coset size N.  The enumerated sums are the
+    transform of the counted trace classes."""
+    if mode != "closed_form":
+        return tuple(character_sums(spec.ctx, _trace_counts(spec, mode)))
+    a_cnt, _, total = dc_cardinality(spec)
+    s, c, q = spec.sign_value, spec.k2_shift, spec.ctx.q
+    k1 = kloosterman_spectrum(spec.ctx, 1)[1:]
+    if c is None:
+        return (total, *(s * a_cnt * k for k in k1))
+    return (total, *(-s * a_cnt * (k * k - q + c) for k in k1))  # K_2 = K^2 - q
+
+
 def exp_sum_dc(spec: DoubleCosetSpec, a: int, mode: str = "closed_form") -> int:
     """The character sum of lambda(a * trace) over the double coset."""
-    ctx = spec.ctx
-    if not 0 < a < ctx.q:
-        raise ValueError(f"a must be a nonzero element of GF({ctx.q})")
-    if mode == "enumerated":
-        dist = trace_distribution(spec, "enumerated")
-        return sum(cnt * lambda_char(ctx, mul(ctx, a, beta)) for beta, cnt in dist.items())
-    if mode != "closed_form":
-        raise ValueError(f"mode must be 'enumerated' or 'closed_form', got {mode!r}")
-    a_cnt, _, _ = dc_cardinality(spec)
-    k = kloosterman_spectrum(ctx, 1)[a]
-    s, c = spec.sign_value, spec.k2_shift
-    if c is None:
-        return s * a_cnt * k
-    return -s * a_cnt * (k * k - ctx.q + c)  # K_2 = K^2 - q
+    if not 0 < a < spec.ctx.q:
+        raise ValueError(f"a must be a nonzero element of GF({spec.ctx.q})")
+    return (exp_sums_dc(spec) if mode == "closed_form" else exp_sums_dc(spec, mode))[a]
 
 
 # ---------------------------------------------------------------------------

@@ -188,9 +188,9 @@ def test_weights_verdict_equals_the_literal_popcount(capsys, spec):
 
 
 def test_weights_verdict_catches_one_wrong_closed_weight(capsys, monkeypatch):
-    real = cli.codeword_weight_closed
-    monkeypatch.setattr(cli, "codeword_weight_closed",
-                        lambda spec, a: real(spec, a) + (a == 0x5))
+    real = cli.closed_weights
+    monkeypatch.setattr(cli, "closed_weights",
+                        lambda spec: tuple(w + (a == 0x5) for a, w in enumerate(real(spec))))
     code, doc, _ = run(capsys, "weights", "--r", "4", "--family", "1", "--sign", "minus", "--n", "1")
     assert doc["result"]["popcount_verified"] is False
     assert code == 1
@@ -208,8 +208,13 @@ def test_weights_over_the_enumeration_budget_at_r14_is_null(capsys):
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (4, 1)])
 def test_character_sum_check_catches_one_wrong_closed_sum(monkeypatch, r, n):
     cli._check_exp_sums(make_field(r), n)
-    real = cli.exp_sum_dc
-    monkeypatch.setattr(cli, "exp_sum_dc", lambda spec, a, mode: real(spec, a, mode) + (a == 0x3))
+    real = cli.exp_sums_dc
+
+    def one_wrong_closed_sum(spec, mode="closed_form"):
+        sums = real(spec, mode)
+        return sums if mode != "closed_form" else tuple(s + (a == 0x3) for a, s in enumerate(sums))
+
+    monkeypatch.setattr(cli, "exp_sums_dc", one_wrong_closed_sum)
     with pytest.raises(AssertionError, match="character sum mismatch at family 1, a = 0x3"):
         cli._check_exp_sums(make_field(r), n)
 

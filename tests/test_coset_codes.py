@@ -8,6 +8,7 @@ from cosetmoments.coset_codes import (
     DEGENERATE_KERNEL_SPECS,
     MACWILLIAMS_N_LIMIT,
     PREFIX_J_LIMIT,
+    closed_weights,
     codeword_weight_closed,
     degenerate_kernel,
     delsarte_check,
@@ -47,6 +48,17 @@ def test_closed_weight_equals_popcount(spec):
     for a in units(spec.ctx):
         assert codeword_weight_closed(spec, a) == sum(dual_codeword(spec, a))
 
+
+
+@pytest.mark.parametrize("spec", small_specs(), ids=_sid)
+def test_closed_weights_cover_every_word_from_one_vector(spec):
+    """Entry a is the popcount of c(a), entry 0 the zero word's; the per-a
+    reader indexes the cached vector."""
+    weights = closed_weights(spec)
+    assert weights == tuple(sum(dual_codeword(spec, a)) for a in range(spec.ctx.q))
+    before = closed_weights.cache_info().misses
+    assert [codeword_weight_closed(spec, a) for a in units(spec.ctx)] == list(weights[1:])
+    assert closed_weights.cache_info().misses == before
 
 def test_zero_argument_gives_zero_word():
     spec = DoubleCosetSpec(1, "-", 1, CTX4)

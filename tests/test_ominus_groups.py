@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 
 from cosetmoments import cli, ominus_groups
-from cosetmoments.finite_field import lambda_char, make_field, mul, trace, units
+from cosetmoments.finite_field import character_sums, lambda_char, make_field, mul, trace, units
 from cosetmoments.kloosterman import BudgetError, kloosterman_sum
 from cosetmoments.ominus_groups import (
     PRODUCT_BUDGET,
@@ -26,6 +26,7 @@ from cosetmoments.ominus_groups import (
     enumerate_q_minus,
     enumerate_so2,
     exp_sum_dc,
+    exp_sums_dc,
     first_specs,
     gauss_binomial,
     gl_order,
@@ -660,6 +661,42 @@ def test_exp_sum_validation():
     with pytest.raises(ValueError):
         trace_distribution(spec, "fast")
 
+
+
+def _closed_specs(r):
+    ctx = make_field(r)
+    return first_specs(ctx) + valid_specs(ctx, 4) + valid_specs(ctx, 5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [spec for r in (3, 8, 12) for spec in _closed_specs(r)]
+    + [DoubleCosetSpec(1, "-", 1, make_field(16)), DoubleCosetSpec(2, "+", 2, make_field(16))],
+    ids=lambda s: f"f{s.family}{s.sign}n{s.n}r{s.ctx.r}",
+)
+def test_closed_sums_are_the_transform_of_the_closed_trace_classes(spec):
+    """The paper's two closed statements agree at every a: the K-form of S(a)
+    and the character sums of the per-beta closed trace classes."""
+    classes = trace_distribution(spec, "closed_form").values()
+    assert exp_sums_dc(spec) == tuple(character_sums(spec.ctx, classes))
+    assert exp_sums_dc(spec)[0] == dc_cardinality(spec)[2]
+
+
+def test_enumerated_sums_follow_their_definition():
+    spec = DoubleCosetSpec(1, "+", 2, CTX4)
+    counted = trace_distribution(spec, "enumerated")
+    assert exp_sums_dc(spec, "enumerated") == tuple(
+        sum(cnt * lambda_char(CTX4, mul(CTX4, a, beta)) for beta, cnt in counted.items())
+        for a in range(CTX4.q)
+    )
+
+
+def test_per_a_sums_read_one_cached_vector():
+    spec = DoubleCosetSpec(3, "-", 3, make_field(6))
+    before = exp_sums_dc.cache_info().misses
+    values = [exp_sum_dc(spec, a) for a in units(spec.ctx)]
+    assert tuple(values) == exp_sums_dc(spec)[1:]
+    assert exp_sums_dc.cache_info().misses - before <= 1
 
 # --- the symmetric-matrix character sum -----------------------------------
 
