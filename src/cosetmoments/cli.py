@@ -12,11 +12,13 @@ import argparse
 import json
 import random
 import sys
+from math import comb
 
 from . import __version__
 from .coset_codes import (
     DUALITY_N_LIMIT,
     MACWILLIAMS_N_LIMIT,
+    PREFIX_J_LIMIT,
     closed_weights,
     degenerate_kernel,
     delsarte_check,
@@ -63,10 +65,10 @@ from .ominus_groups import (
     DoubleCosetSpec,
     b_r_sum,
     b_r_sum_closed,
-    bruhat_cell,
+    bruhat_cell_codes,
     bruhat_cell_order,
     dc_cardinality,
-    double_coset_elements,
+    double_coset_codes,
     enumerate_q_minus,
     enumerate_so2,
     exp_sums_dc,
@@ -171,7 +173,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
     }
     code = 0
     try:
-        cell = double_coset_elements(spec)
+        cell = double_coset_codes(spec)
         enum_dist = trace_distribution(spec, "enumerated")
         result["enumerated"] = {
             "size": _dec(len(cell)),
@@ -187,11 +189,24 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
     return _doc("enumerate", params, result), code
 
 
+def _refuse_unprintable_prefix(length: int, j_max: int) -> None:
+    """C_j <= binom(N, j), which grows with j up to N/2: refuse a prefix whose
+    bound has more decimal digits than int-to-string conversion allows (a j_max
+    outside the prefix range meets the prefix's own error)."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    bound = comb(length, min(j_max, length // 2)) if 0 <= j_max <= PREFIX_J_LIMIT else 0
+    if digits and bound >= 10 ** digits:
+        raise BudgetError(f"the weight prefix to j_max = {j_max} may hold counts of more than "
+                          f"{digits} decimal digits, which cannot be printed; lower --jmax")
+
+
 def _cmd_weights(args: argparse.Namespace) -> tuple[dict, int]:
     ctx = _field_from_args(args)
     spec = _spec_from_args(args, ctx)
     params = _field_echo(ctx) | _spec_echo(spec)
     total = dc_cardinality(spec)[2]
+    if args.jmax is not None:
+        _refuse_unprintable_prefix(total, args.jmax)
     closed = closed_weights(spec)
     weights = {to_hex(a): _dec(closed[a]) for a in range(1, ctx.q)}
     result: dict = {"length": _dec(total), "weights": weights}
@@ -406,7 +421,7 @@ def _check_parabolic_cells(ctx: FieldCtx, n: int) -> None:
         if a_ord * index != p_minus_order(q, n):
             raise AssertionError(f"stabilizer order times index must be |P^-| at r = {rr}")
         for twisted in (False, True):
-            cell = bruhat_cell(ctx, n, rr, twisted)
+            cell = bruhat_cell_codes(ctx, n, rr, twisted)
             if not len(cell) == bruhat_cell_order(q, n, rr) == len(qm) * index:
                 raise AssertionError(f"cell size mismatch at r = {rr}, twisted = {twisted}")
             union.update(cell)

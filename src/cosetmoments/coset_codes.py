@@ -19,10 +19,10 @@ from .finite_field import FieldCtx, _walsh_hadamard, mul, trace
 from .kloosterman import BudgetError
 from .ominus_groups import (
     DoubleCosetSpec,
+    cell_traces,
     dc_cardinality,
-    double_coset_elements,
+    double_coset_codes,
     exp_sums_dc,
-    mat_trace,
     trace_distribution,
 )
 
@@ -40,7 +40,7 @@ def degenerate_kernel(spec: DoubleCosetSpec) -> bool:
 
 @lru_cache(maxsize=None)
 def _trace_vector(spec: DoubleCosetSpec) -> tuple[int, ...]:
-    return tuple(mat_trace(w) for w in double_coset_elements(spec))
+    return cell_traces(spec.ctx, spec.n, double_coset_codes(spec))
 
 
 def dual_codeword(spec: DoubleCosetSpec, a: int) -> tuple[int, ...]:

@@ -13,19 +13,23 @@ lexicographic on entry encodings) so all derived orderings are
 reproducible.  Cells and scans work on row codes, a row of GF(q)^(2n) as one
 integer with entry 0 in the top r bits, so codes order as rows do; the
 right-action table of m lists code(v m) at code(v) for every row vector v.
+Q^-'s tables are built once per enumerated group; each cell is kept as its
+row-code tuples, which the trace classes and size checks read directly.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import chain, product
+from itertools import chain, product, repeat
 from math import prod
 
 from .finite_field import FieldCtx, character_sums, inv, lambda_char, mul
 from .kloosterman import BudgetError, kloosterman_spectrum
 
 Matrix = tuple[tuple[int, ...], ...]
+Codes = tuple[int, ...]  # a matrix as the row codes of its rows
 
 Q_ENUM_BUDGET = 10 ** 4       # largest |Q^-| that may be enumerated
 PRODUCT_BUDGET = 10 ** 7      # largest |Q^-|^2 for two-sided products
@@ -88,13 +92,6 @@ def _right_action(ctx: FieldCtx, m: Matrix) -> list[int]:
             image = _row_code(ctx, map(times.__getitem__, row))
             table += [code ^ image for code in table]
     return table
-
-
-def mat_trace(m: Matrix) -> int:
-    acc = 0
-    for i, row in enumerate(m):
-        acc ^= row[i]
-    return acc
 
 
 def mat_inv(ctx: FieldCtx, m: Matrix) -> Matrix:
@@ -369,35 +366,46 @@ def weyl_elements(ctx: FieldCtx, n: int) -> tuple[tuple[Matrix, ...], Matrix]:
 # double cosets
 
 
+def _entry_shifts(ctx: FieldCtx, n: int) -> range:
+    """The shift of entry i of a row code, for i = 0..2n-1."""
+    return range(ctx.r * (2 * n - 1), -1, -ctx.r)
+
+
 @lru_cache(maxsize=None)
-def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Matrix, ...]:
-    """The double coset Q^- sigma_r Q^- (rho-twisted when requested) as the
-    disjoint union of its right cosets x sigma_r Q^-, x in Q^-: a coset is built
-    only if x sigma_r is in none built yet and must add |Q^-| new elements, so
-    each element is computed once and a Q^- that is not a group fails loudly.
-    On row codes, with images[code(v)] = (code(v y) for y in Q^-), a coset w Q^-
-    is one zip of the images of the rows of w; rho adds the last row code of
-    each leader to the next-to-last; one sort of code tuples, one decode."""
+def _q_minus_tables(ctx: FieldCtx, group: tuple[Matrix, ...]) -> tuple[tuple[int, ...], ...]:
+    """images[code(v)] = (code(v y) for y in group): the right-action tables of
+    an enumerated Q^-, read by row.  Keyed on the group itself, so another
+    enumeration of Q^- (a fake one in a test) never reads these tables."""
+    return tuple(zip(*(_right_action(ctx, y) for y in group)))
+
+
+@lru_cache(maxsize=None)
+def bruhat_cell_codes(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Codes, ...]:
+    """The double coset Q^- sigma_r Q^- (rho-twisted when requested), each
+    element the tuple of its row codes, sorted: codes order as rows do, so this
+    is the canonical matrix order.  The cell is the disjoint union of its right
+    cosets x sigma_r Q^-, x in Q^-: a coset is built only if x sigma_r is in none
+    built yet and must add |Q^-| new elements, so each element is computed once
+    and a Q^- that is not a group fails loudly.  With the group's tables a coset
+    w Q^- is one zip of the images of the rows of w; rho adds the last row code
+    of each leader to the next-to-last."""
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..{n - 1}, got {r}")
     if r and not products_fit(ctx.q, n):  # refuse before enumerating Q^-
         size = q_minus_order(ctx.q, n)
         raise BudgetError(f"|Q^-|^2 = {size ** 2} exceeds the product budget {PRODUCT_BUDGET}")
     qm = enumerate_q_minus(ctx, n)
-    if not (r or twisted):
-        return qm  # sigma_0 is the identity and Q^- is a group
-    mask, shifts = ctx.q - 1, range(ctx.r * (2 * n - 1), -1, -ctx.r)
 
-    def rho(w: tuple[int, ...]) -> tuple[int, ...]:  # rho w on row codes
+    def rho(w: Codes) -> Codes:  # rho w on row codes
         return (*w[:-2], w[-2] ^ w[-1], w[-1]) if twisted else w
 
-    if not r:
+    if not r:  # sigma_0 is the identity and Q^- is a group
         cell = [rho(tuple(_row_code(ctx, row) for row in y)) for y in qm]
     else:
-        images = list(zip(*(_right_action(ctx, y) for y in qm)))
+        images = _q_minus_tables(ctx, qm)
         sigma = _right_action(ctx, weyl_elements(ctx, n)[0][r])
         cell = set()
-        for x in zip(*(images[1 << s] for s in shifts)):  # the identity's coset, Q^-
+        for x in zip(*(images[1 << s] for s in _entry_shifts(ctx, n))):  # the identity's coset
             left = rho(tuple(sigma[c] for c in x))
             if left in cell:
                 continue
@@ -405,9 +413,34 @@ def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[M
             cell.update(zip(*(images[c] for c in left)))
             if len(cell) - before != len(qm):
                 raise AssertionError("right cosets of Q^- must be disjoint")
-    codes = sorted(cell)
+    return tuple(sorted(cell))
+
+
+@lru_cache(maxsize=None)
+def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Matrix, ...]:
+    """The double coset Q^- sigma_r Q^- (rho-twisted when requested) as sorted
+    matrices: `bruhat_cell_codes` decoded, in the same order."""
+    codes = bruhat_cell_codes(ctx, n, r, twisted)
+    mask, shifts = ctx.q - 1, _entry_shifts(ctx, n)
     rows = {c: tuple(c >> s & mask for s in shifts) for c in set(chain.from_iterable(codes))}
     return tuple(tuple(map(rows.__getitem__, w)) for w in codes)
+
+
+def cell_traces(ctx: FieldCtx, n: int, codes: tuple[Codes, ...]) -> tuple[int, ...]:
+    """The matrix trace of every code-form element, in order: entry i of row i
+    sits at shift s_i of row code i, and the trace XORs those entries.  Each
+    column of row codes is packed as 64-bit lanes of one integer, so a shift,
+    an XOR and one mask per lane serve the whole cell."""
+    from array import array  # imported here: commands that read no cell skip loading it
+
+    def packed(lanes) -> int:
+        return int.from_bytes(array("Q", lanes).tobytes(), sys.byteorder)
+
+    acc = 0
+    for column, s in zip(zip(*codes), _entry_shifts(ctx, n)):
+        acc ^= packed(column) >> s
+    acc &= packed(repeat(ctx.q - 1, len(codes)))
+    return tuple(array("Q", acc.to_bytes(8 * len(codes), sys.byteorder)))
 
 
 # family -> (n - r of its Weyl element sigma_r, rho twist, exponent e of the
@@ -470,6 +503,10 @@ def first_specs(ctx: FieldCtx) -> list[DoubleCosetSpec]:
 
 def double_coset_elements(spec: DoubleCosetSpec) -> tuple[Matrix, ...]:
     return bruhat_cell(spec.ctx, spec.n, spec.sigma_index, spec.rho_twisted)
+
+
+def double_coset_codes(spec: DoubleCosetSpec) -> tuple[Codes, ...]:
+    return bruhat_cell_codes(spec.ctx, spec.n, spec.sigma_index, spec.rho_twisted)
 
 
 def _oddprod(q: int, half: int) -> int:
@@ -547,7 +584,7 @@ def _trace_counts(spec: DoubleCosetSpec, mode: str) -> tuple[int, ...]:
     ctx = spec.ctx
     q = ctx.q
     if mode == "enumerated":
-        counted = Counter(mat_trace(w) for w in double_coset_elements(spec))
+        counted = Counter(cell_traces(ctx, spec.n, double_coset_codes(spec)))
         return tuple(counted.get(beta, 0) for beta in range(q))
     if mode != "closed_form":
         raise ValueError(f"mode must be 'enumerated' or 'closed_form', got {mode!r}")

@@ -156,6 +156,28 @@ def test_weights_budget_degrades_to_null(capsys):
     assert doc["result"]["weights"]["0x1"]  # closed weights still present
 
 
+def test_weights_refuses_an_unprintable_prefix_up_front(capsys, monkeypatch, request):
+    # N = 16711680, and binom(N, j) first reaches 4300 digits at j = 917
+    argv = ("weights", "--r", "4", "--family", "1", "--sign", "plus", "--n", "2", "--jmax")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)  # CPython's default
+    request.addfinalizer(lambda: sys.set_int_max_str_digits(limit))
+    code, doc, _ = run(capsys, *argv, "916")
+    assert code == 0 and len(doc["result"]["weight_prefix"]) == 917
+    assert max(map(len, doc["result"]["weight_prefix"])) <= 4300
+    code, _, err = run(capsys, *argv, "1001")  # outside the range: the prefix's own error
+    assert code == 2 and "j_max must lie in 0..1000" in err
+
+    def refuse(spec, j_max):
+        raise AssertionError("the prefix must not be computed past the digit limit")
+
+    monkeypatch.setattr(cli, "weight_distribution_prefix", refuse)
+    for j_max in ("917", "1000"):
+        code, doc, err = run(capsys, *argv, j_max)
+        assert code == 2 and doc is None
+        assert f"j_max = {j_max} may hold counts of more than 4300 decimal digits" in err
+
+
 def _weights_specs():
     """Every valid spec at (n <= 3, r = 1), (n <= 2, r = 2) and (n <= 2, r = 2,
     a_param 0x3), and at n = 1 for r <= 8."""

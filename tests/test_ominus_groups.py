@@ -3,23 +3,27 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from functools import lru_cache
 from itertools import product
 
 import pytest
 
-from cosetmoments import cli, ominus_groups
+from cosetmoments import cli, coset_codes, ominus_groups
 from cosetmoments.finite_field import character_sums, lambda_char, make_field, mul, trace, units
 from cosetmoments.kloosterman import BudgetError, kloosterman_sum
 from cosetmoments.ominus_groups import (
     PRODUCT_BUDGET,
     DoubleCosetSpec,
+    _q_minus_tables,
     _right_action,
     _row_code,
     b_r_sum,
     b_r_sum_closed,
     bruhat_cell,
+    bruhat_cell_codes,
     bruhat_cell_order,
+    cell_traces,
     dc_cardinality,
     double_coset_elements,
     enumerate_gl,
@@ -35,7 +39,6 @@ from cosetmoments.ominus_groups import (
     isometry_relations,
     mat_inv,
     mat_mul,
-    mat_trace,
     mat_vec,
     o_minus_order,
     p_minus_order,
@@ -53,6 +56,15 @@ CTX4 = make_field(2)
 
 
 # --- matrix helpers -------------------------------------------------------
+
+
+def mat_trace(m) -> int:
+    """The matrix trace; the library reads traces from row codes, and this
+    literal sum of diagonal entries is their oracle."""
+    acc = 0
+    for i, row in enumerate(m):
+        acc ^= row[i]
+    return acc
 
 
 def test_matrix_basics():
@@ -383,7 +395,34 @@ def test_bruhat_cell_matches_all_products_oracle(key):
     assert trace(ctx, ctx.a_param) == 1
     for r in range(n):
         for twisted in (False, True):
-            assert bruhat_cell(ctx, n, r, twisted) == all_products_cell(ctx, n, r, twisted)
+            oracle = all_products_cell(ctx, n, r, twisted)
+            assert bruhat_cell(ctx, n, r, twisted) == oracle
+            encoded = tuple(tuple(_row_code(ctx, row) for row in w) for w in oracle)
+            assert bruhat_cell_codes(ctx, n, r, twisted) == encoded
+
+
+@pytest.mark.parametrize("key", sorted(CELL_FIELDS))
+def test_code_form_traces_match_the_matrix_trace(key):
+    field_r, n, a_param = CELL_FIELDS[key]
+    ctx = make_field(field_r, a_param=a_param)
+    for r in range(n):
+        for twisted in (False, True):
+            literal = tuple(map(mat_trace, bruhat_cell(ctx, n, r, twisted)))
+            assert cell_traces(ctx, n, bruhat_cell_codes(ctx, n, r, twisted)) == literal
+    for spec in valid_specs(ctx, n):
+        literal = tuple(map(mat_trace, double_coset_elements(spec)))
+        assert coset_codes._trace_vector(spec) == literal  # in canonical order
+        counted = Counter(literal)
+        assert trace_distribution(spec, "enumerated") == {b: counted[b] for b in range(ctx.q)}
+
+
+def test_code_form_traces_at_every_q_of_the_n1_cells():
+    # n = 1 cells exist up to q = 8192; their row codes fill 2r bits of a lane
+    for field_r in range(1, 14):
+        ctx = make_field(field_r)
+        for twisted in (False, True):
+            literal = tuple(map(mat_trace, bruhat_cell(ctx, 1, 0, twisted)))
+            assert cell_traces(ctx, 1, bruhat_cell_codes(ctx, 1, 0, twisted)) == literal
 
 
 @pytest.mark.parametrize("key", sorted(CELL_FIELDS))
@@ -458,21 +497,40 @@ def test_parabolic_indices_anchors():
     assert parabolic_indices(CTX4, 2, 1) == (30, 16)
 
 
-@pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2)))
-def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, n):
-    ctx = make_field(field_r)
+def _fake_q_minus(ctx, n: int):
+    """Q^- with its last element swapped for sigma_1: the same size, not a group."""
     group = enumerate_q_minus(ctx, n)
     sigma = weyl_elements(ctx, n)[0][1]
     fake = tuple(sorted(group[:-1] + (sigma,)))
     assert sigma not in group and len(set(fake)) == len(group)
+    return fake
+
+
+@pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2)))
+def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, n):
+    ctx = make_field(field_r)
+    fake = _fake_q_minus(ctx, n)
+    bruhat_cell_codes(ctx, n, 1)  # the true group's tables are cached
     monkeypatch.setattr(ominus_groups, "enumerate_q_minus", lambda c, k: fake)
     monkeypatch.setattr(cli, "enumerate_q_minus", lambda c, k: fake)
-    bruhat_cell.cache_clear()
+    bruhat_cell_codes.cache_clear()
     try:
         with pytest.raises(AssertionError, match="right cosets of Q\\^- must be disjoint"):
             cli._check_parabolic_cells(ctx, n)
     finally:
-        bruhat_cell.cache_clear()
+        bruhat_cell_codes.cache_clear()
+
+
+@pytest.mark.parametrize("field_r,n", ((1, 2), (2, 2)))
+def test_two_enumerated_groups_never_share_tables(field_r, n):
+    ctx = make_field(field_r)
+    group, fake = enumerate_q_minus(ctx, n), _fake_q_minus(ctx, n)
+    tables = _q_minus_tables(ctx, group)
+    assert _q_minus_tables(ctx, group) is tables  # built once per group
+    fake_tables = _q_minus_tables(ctx, fake)
+    assert fake_tables != tables
+    for found, elements in ((tables, group), (fake_tables, fake)):
+        assert found == tuple(zip(*(_right_action(ctx, y) for y in elements)))
 
 
 # --- double-coset specs ---------------------------------------------------

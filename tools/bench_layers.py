@@ -167,23 +167,37 @@ def child_field(r: str) -> dict:
     return row
 
 
+def _cell_caches(og) -> list:
+    """The cell's caches on either side: the decoded cell, and where present
+    the code-form cell and Q^-'s right-action tables."""
+    names = ("bruhat_cell", "bruhat_cell_codes", "_q_minus_tables")
+    return [getattr(og, name) for name in names if hasattr(og, name)]
+
+
 def child_cell(field_r: str, n: str, r: str) -> dict:
-    """One untwisted Bruhat cell with Q^- already enumerated, and the work that
-    side's walk does: on a checkout with right-action tables, the tables built
-    (each q^(2n) row codes, one XOR each) and the cosets expanded (one zip of
-    2n image tuples of |Q^-| codes; each adds |Q^-| elements, so |cell| / |Q^-|
-    of them); otherwise the matrix products (`_packed_mul` at q = 2, `mat_mul`
-    at other q)."""
+    """One untwisted Bruhat cell with Q^- already enumerated and every cell
+    cache (the tables and code-form cells included) cleared before each timed
+    call, so each call builds its own tables; and the work that side's walk
+    does: on a checkout with right-action tables, the tables built (each q^(2n)
+    row codes, one XOR each) and the cosets expanded (one zip of 2n image
+    tuples of |Q^-| codes; each adds |Q^-| elements, so |cell| / |Q^-| of them);
+    otherwise the matrix products (`_packed_mul` at q = 2, `mat_mul` at other q)."""
     from cosetmoments import ominus_groups as og
     from cosetmoments.finite_field import make_field
 
     ctx = make_field(int(field_r))
     n_int, r_int = int(n), int(r)
     qm = og.enumerate_q_minus(ctx, n_int)
-    seconds = _median_s(lambda: og.bruhat_cell(ctx, n_int, r_int), reset=og.bruhat_cell.cache_clear)
+    caches = _cell_caches(og)
+
+    def reset():
+        for cache in caches:
+            cache.cache_clear()
+
+    seconds = _median_s(lambda: og.bruhat_cell(ctx, n_int, r_int), reset=reset)
     tables = hasattr(og, "_right_action")
     calls = _count_calls(og, "_right_action" if tables else "_packed_mul" if ctx.q == 2 else "mat_mul")
-    og.bruhat_cell.cache_clear()
+    reset()
     cell = og.bruhat_cell(ctx, n_int, r_int)
     work = ({"right_action_tables": calls[0], "table_codes": calls[0] * ctx.q ** (2 * n_int),
              "cosets_expanded": len(cell) // len(qm)} if tables else {"products": calls[0]})
@@ -194,19 +208,26 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
 def child_checks(max_r: str, prefixes: str) -> dict:
     """Seconds of each verify-all check whose name starts with one of the
     comma-separated prefixes (all checks when empty), run in plan order in one
-    process as `--workers 1` runs them, and their sum."""
+    process as `--workers 1` runs them, and their sum; where the package builds
+    right-action tables, also the tables each check built (`<check>.tables`,
+    checks that built none left out)."""
+    from cosetmoments import ominus_groups as og
     from cosetmoments.cli import _build_checks
 
     wanted = tuple(p for p in prefixes.split(",") if p)
-    row = {}
+    calls = _count_calls(og, "_right_action") if hasattr(og, "_right_action") else [0]
+    row, tables = {}, {}
     for name, fn, args, skip in _build_checks(int(max_r), {}):
         if skip or (wanted and not name.startswith(wanted)):
             continue
+        calls[0] = 0
         start = time.perf_counter()
         fn(*args)
         row[name] = time.perf_counter() - start
+        if calls[0]:
+            tables[f"{name}.tables"] = calls[0]
     row["sum_s"] = sum(row.values())
-    return row
+    return {**row, **tables}
 
 
 def child_kernel(r: str, family: str, sign: str, n: str) -> dict:
@@ -441,7 +462,8 @@ LAYERS = {
               for f, n in ((1, 2), (1, 3), (2, 2)) for r in range(1, n)),
         "per side, labelled and not compared: before, matrix products (_packed_mul at q = 2, "
         "mat_mul otherwise); after, right-action tables built (table_codes: q^(2n) row codes "
-        "each, one XOR per code) and cosets expanded (one zip of |Q^-| codes per row each)",
+        "each, one XOR per code) and cosets expanded (one zip of |Q^-| codes per row each); "
+        "every cell cache, the tables' included, is cleared before each timed call",
         agree=("digest", "cell_size"),
     ),
     "spectrum": Layer(
@@ -474,7 +496,8 @@ LAYERS = {
         "verify-all --max-r 8 checks that enumerate Q^- and its Bruhat cells or scan every "
         "vector for the form, serially",
         (("verify-all-r8", "child_checks", ("8", ",".join(CELL_CHECKS))),),
-        "seconds per check; the plan is fixed by the check names",
+        "seconds per check; the plan is fixed by the check names; <check>.tables: right-action "
+        "tables (q^(2n) row codes each) the check built, in plan order after the checks before it",
     ),
     "symmetric": Layer(
         "the direct symmetric-matrix sum: verify-all --max-r 8 symmetric-matrix-sum checks, "
