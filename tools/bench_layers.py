@@ -167,13 +167,6 @@ def child_field(r: str) -> dict:
     return row
 
 
-def _cell_caches(og) -> list:
-    """The cell's caches on either side: the decoded cell, and where present
-    the code-form cell and Q^-'s right-action tables."""
-    names = ("bruhat_cell", "bruhat_cell_codes", "_q_minus_tables")
-    return [getattr(og, name) for name in names if hasattr(og, name)]
-
-
 def child_cell(field_r: str, n: str, r: str) -> dict:
     """One untwisted Bruhat cell with Q^- already enumerated and every cell
     cache (the tables and code-form cells included) cleared before each timed
@@ -188,7 +181,8 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
     ctx = make_field(int(field_r))
     n_int, r_int = int(n), int(r)
     qm = og.enumerate_q_minus(ctx, n_int)
-    caches = _cell_caches(og)
+    names = ("bruhat_cell", "bruhat_cell_codes", "_q_minus_tables")  # an older side has only the first
+    caches = [getattr(og, name) for name in names if hasattr(og, name)]
 
     def reset():
         for cache in caches:
