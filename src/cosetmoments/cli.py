@@ -12,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+from itertools import chain
 from math import comb
 
 from . import __version__
@@ -65,10 +66,9 @@ from .ominus_groups import (
     DoubleCosetSpec,
     b_r_sum,
     b_r_sum_closed,
-    bruhat_cell_codes,
+    bruhat_cell_cosets,
     bruhat_cell_order,
     dc_cardinality,
-    double_coset_codes,
     enumerate_q_minus,
     enumerate_so2,
     exp_sums_dc,
@@ -173,7 +173,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
     }
     code = 0
     try:
-        cell = double_coset_codes(spec)
+        cell = bruhat_cell_cosets(ctx, spec.n, spec.sigma_index, spec.rho_twisted)
         enum_dist = trace_distribution(spec, "enumerated")
         result["enumerated"] = {
             "size": _dec(len(cell)),
@@ -421,7 +421,7 @@ def _check_parabolic_cells(ctx: FieldCtx, n: int) -> None:
         if a_ord * index != p_minus_order(q, n):
             raise AssertionError(f"stabilizer order times index must be |P^-| at r = {rr}")
         for twisted in (False, True):
-            cell = bruhat_cell_codes(ctx, n, rr, twisted)
+            cell = bruhat_cell_cosets(ctx, n, rr, twisted)
             if not len(cell) == bruhat_cell_order(q, n, rr) == len(qm) * index:
                 raise AssertionError(f"cell size mismatch at r = {rr}, twisted = {twisted}")
             union.update(cell)
@@ -570,6 +570,12 @@ def _run_check(entry: CheckEntry) -> tuple[str, str, str]:
     return name, "pass", ""
 
 
+def _run_task(entries: list[CheckEntry]) -> list[tuple[str, str, str]]:
+    """Checks that share their arguments, so the caches those fill serve them all;
+    `_run_check` is looked up at each call, so a wrapper set on the module sees each."""
+    return [_run_check(entry) for entry in entries]
+
+
 def verify_all(
     max_r: int, workers: int = 1, modulus_overrides: dict[int, int] | None = None
 ) -> list[tuple[str, str, str]]:
@@ -584,9 +590,14 @@ def verify_all(
     if workers == 1:
         return [_run_check(entry) for entry in plan]
     from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
-    # the pool forks all its workers at the first submit: fork no more than there are checks
-    with ProcessPoolExecutor(max_workers=min(workers, len(plan))) as pool:
-        return list(pool.map(_run_check, plan))
+    tasks: dict[tuple, list[int]] = {}  # plan indices by argument tuple, in plan order
+    for index, entry in enumerate(plan):
+        tasks.setdefault(entry[2], []).append(index)
+    # the pool forks all its workers at the first submit: fork no more than there are tasks
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        done = pool.map(_run_task, [[plan[i] for i in task] for task in tasks.values()])
+        results = dict(zip(chain.from_iterable(tasks.values()), chain.from_iterable(done)))
+    return [results[index] for index in range(len(plan))]
 
 
 def _cmd_verify_all(args: argparse.Namespace) -> tuple[dict, int]:
@@ -595,7 +606,10 @@ def _cmd_verify_all(args: argparse.Namespace) -> tuple[dict, int]:
         r_text, _, hex_text = item.partition(":")
         if not hex_text:
             raise ValueError("--modulus-override takes R:HEX, e.g. 3:0xF")
-        overrides[int(r_text)] = parse_hex(hex_text)
+        r = int(r_text)
+        if r in overrides:
+            raise ValueError(f"--modulus-override names r = {r} more than once")
+        overrides[r] = parse_hex(hex_text)
     results = verify_all(args.max_r, args.workers, overrides)
     checks = [{"name": n, "status": s, "detail": d} for n, s, d in results]
     counts = {

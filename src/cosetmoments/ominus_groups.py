@@ -14,7 +14,8 @@ reproducible.  Cells and scans work on row codes, a row of GF(q)^(2n) as one
 integer with entry 0 in the top r bits, so codes order as rows do; the
 right-action table of m lists code(v m) at code(v) for every row vector v.
 Q^-'s tables are built once per enumerated group; each cell is kept as its
-row-code tuples, which the trace classes and size checks read directly.
+row-code tuples in coset order, which the trace classes and size checks
+count directly, and is sorted only where the canonical order is read.
 """
 
 from __future__ import annotations
@@ -380,15 +381,15 @@ def _q_minus_tables(ctx: FieldCtx, group: tuple[Matrix, ...]) -> tuple[tuple[int
 
 
 @lru_cache(maxsize=None)
-def bruhat_cell_codes(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Codes, ...]:
+def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Codes, ...]:
     """The double coset Q^- sigma_r Q^- (rho-twisted when requested), each
-    element the tuple of its row codes, sorted: codes order as rows do, so this
-    is the canonical matrix order.  The cell is the disjoint union of its right
-    cosets x sigma_r Q^-, x in Q^-: a coset is built only if x sigma_r is in none
-    built yet and must add |Q^-| new elements, so each element is computed once
-    and a Q^- that is not a group fails loudly.  With the group's tables a coset
-    w Q^- is one zip of the images of the rows of w; rho adds the last row code
-    of each leader to the next-to-last."""
+    element the tuple of its row codes, in coset order, unsorted: the disjoint
+    union of its right cosets w Q^-, leaders w = x sigma_r for x in Q^-'s order,
+    each coset listed as w y for y in Q^-'s order.  A coset is built only if w
+    is in none built yet and must add |Q^-| new elements, so each element is
+    computed once and a Q^- that is not a group fails loudly.  With the group's
+    tables a coset is one zip of the images of the rows of w; rho adds the last
+    row code of each leader to the next-to-last."""
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..{n - 1}, got {r}")
     if r and not products_fit(ctx.q, n):  # refuse before enumerating Q^-
@@ -400,20 +401,27 @@ def bruhat_cell_codes(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> t
         return (*w[:-2], w[-2] ^ w[-1], w[-1]) if twisted else w
 
     if not r:  # sigma_0 is the identity and Q^- is a group
-        cell = [rho(tuple(_row_code(ctx, row) for row in y)) for y in qm]
-    else:
-        images = _q_minus_tables(ctx, qm)
-        sigma = _right_action(ctx, weyl_elements(ctx, n)[0][r])
-        cell = set()
-        for x in zip(*(images[1 << s] for s in _entry_shifts(ctx, n))):  # the identity's coset
-            left = rho(tuple(sigma[c] for c in x))
-            if left in cell:
-                continue
-            before = len(cell)
-            cell.update(zip(*(images[c] for c in left)))
-            if len(cell) - before != len(qm):
-                raise AssertionError("right cosets of Q^- must be disjoint")
-    return tuple(sorted(cell))
+        return tuple(rho(tuple(_row_code(ctx, row) for row in y)) for y in qm)
+    images = _q_minus_tables(ctx, qm)
+    sigma = _right_action(ctx, weyl_elements(ctx, n)[0][r])
+    cell, seen = [], set()  # seen is only the membership test
+    for x in zip(*(images[1 << s] for s in _entry_shifts(ctx, n))):  # the identity's coset
+        left = rho(tuple(sigma[c] for c in x))
+        if left in seen:
+            continue
+        coset = list(zip(*(images[c] for c in left)))
+        seen.update(coset)
+        cell += coset
+        if len(seen) != len(cell):
+            raise AssertionError("right cosets of Q^- must be disjoint")
+    return tuple(cell)
+
+
+@lru_cache(maxsize=None)
+def bruhat_cell_codes(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Codes, ...]:
+    """`bruhat_cell_cosets` sorted: codes order as rows do, so this is the
+    canonical matrix order."""
+    return tuple(sorted(bruhat_cell_cosets(ctx, n, r, twisted)))
 
 
 @lru_cache(maxsize=None)
@@ -584,7 +592,8 @@ def _trace_counts(spec: DoubleCosetSpec, mode: str) -> tuple[int, ...]:
     ctx = spec.ctx
     q = ctx.q
     if mode == "enumerated":
-        counted = Counter(cell_traces(ctx, spec.n, double_coset_codes(spec)))
+        cell = bruhat_cell_cosets(ctx, spec.n, spec.sigma_index, spec.rho_twisted)
+        counted = Counter(cell_traces(ctx, spec.n, cell))
         return tuple(counted.get(beta, 0) for beta in range(q))
     if mode != "closed_form":
         raise ValueError(f"mode must be 'enumerated' or 'closed_form', got {mode!r}")

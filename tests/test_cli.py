@@ -364,10 +364,49 @@ def test_verify_all_caps_workers_at_the_plan_length(monkeypatch):
 
     # verify_all imports the pool class from concurrent.futures only when it forks one
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    plan_length = len(cli._build_checks(1, {}))
+    task_count = len({fargs for _, _, fargs, _ in cli._build_checks(1, {})})
     assert verify_all(1, workers=5000) == verify_all(1, workers=1)
     assert verify_all(1, workers=2) == verify_all(1, workers=1)
-    assert pool_sizes == [plan_length, 2]
+    assert pool_sizes == [task_count, 2]
+
+
+@pytest.mark.parametrize("max_r", (1, 2))
+def test_verify_all_pool_tasks_group_checks_by_their_arguments(monkeypatch, capsys, max_r):
+    tasks = []
+
+    class ReversePool:
+        """Runs the tasks last to first and hands their results back in order."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, items):
+            items = list(items)
+            tasks.extend(items)
+            return reversed([func(task) for task in reversed(items)])
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ReversePool)
+    main(["verify-all", "--max-r", str(max_r), "--workers", "1"])
+    serial = capsys.readouterr().out
+    main(["verify-all", "--max-r", str(max_r), "--workers", "2"])
+    assert capsys.readouterr().out == serial
+    plan = cli._build_checks(max_r, {})
+    # every task holds the plan entries of one argument tuple, in plan order
+    assert sorted(entry[0] for task in tasks for entry in task) == sorted(e[0] for e in plan)
+    assert len(tasks) == len({fargs for _, _, fargs, _ in plan})
+    for task in tasks:
+        assert [e for e in plan if e[2] == task[0][2]] == task
+    # one task for a degree's field-level checks, one for the cell checks of an (r, n)
+    by_name = {entry[0]: task for task in tasks for entry in task}
+    assert [e[0] for e in by_name["parabolic-cells-n1-r1"]] == [
+        "parabolic-cells-n1-r1", "character-sums-n1-r1", "trace-distributions-n1-r1"]
+    assert by_name["moment-oracle-r1"] is by_name["weil-bound-r1"] is by_name["so2-isometries-r1"]
 
 
 def test_verify_all_small(capsys):
@@ -426,6 +465,20 @@ def test_verify_all_output_is_worker_independent(capsys):
     main(["verify-all", "--max-r", "2", "--workers", "2"])
     parallel = capsys.readouterr().out
     assert serial == parallel
+
+
+def test_verify_all_refuses_a_repeated_override(capsys):
+    code, doc, err = run(
+        capsys, "verify-all", "--max-r", "2",
+        "--modulus-override", "2:0x7", "--modulus-override", "2:0x5",
+    )
+    assert code == 2 and doc is None
+    assert "r = 2" in err
+    code, doc, _ = run(
+        capsys, "verify-all", "--max-r", "2",
+        "--modulus-override", "1:0x3", "--modulus-override", "2:0x7",
+    )
+    assert code == 0 and doc["params"]["modulus_overrides"] == {"1": "0x3", "2": "0x7"}
 
 
 def test_verify_all_bad_override_syntax(capsys):

@@ -22,6 +22,7 @@ from cosetmoments.ominus_groups import (
     b_r_sum_closed,
     bruhat_cell,
     bruhat_cell_codes,
+    bruhat_cell_cosets,
     bruhat_cell_order,
     cell_traces,
     dc_cardinality,
@@ -402,6 +403,33 @@ def test_bruhat_cell_matches_all_products_oracle(key):
 
 
 @pytest.mark.parametrize("key", sorted(CELL_FIELDS))
+def test_coset_order_cell_is_its_right_cosets_in_q_minus_order(key):
+    # sorted, it is the canonical cell; block k of |Q^-| elements is w_k Q^- in
+    # Q^-'s order, its leaders w_k = (rho) x sigma_r in the order of x in Q^-
+    field_r, n, a_param = CELL_FIELDS[key]
+    ctx = make_field(field_r, a_param=a_param)
+    qm = enumerate_q_minus(ctx, n)
+    identity = qm.index(identity_matrix(2 * n))
+    tables = [_right_action(ctx, y) for y in qm]
+    sigmas, rho = weyl_elements(ctx, n)
+    for r in range(n):
+        for twisted in (False, True):
+            cell = bruhat_cell_cosets(ctx, n, r, twisted)
+            assert tuple(sorted(cell)) == bruhat_cell_codes(ctx, n, r, twisted)
+            leaders = []
+            for x in qm:
+                w = mat_mul(ctx, x, sigmas[r])
+                w = mat_mul(ctx, rho, w) if twisted else w
+                leaders.append(tuple(_row_code(ctx, row) for row in w))
+            picked = []
+            for start in range(0, len(cell), len(qm)):
+                block = cell[start:start + len(qm)]
+                picked.append(leaders.index(block[identity]))
+                assert block == tuple(tuple(t[c] for c in block[identity]) for t in tables)
+            assert picked == sorted(set(picked)) and len(picked) * len(qm) == len(cell)
+
+
+@pytest.mark.parametrize("key", sorted(CELL_FIELDS))
 def test_code_form_traces_match_the_matrix_trace(key):
     field_r, n, a_param = CELL_FIELDS[key]
     ctx = make_field(field_r, a_param=a_param)
@@ -513,11 +541,13 @@ def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, 
     bruhat_cell_codes(ctx, n, 1)  # the true group's tables are cached
     monkeypatch.setattr(ominus_groups, "enumerate_q_minus", lambda c, k: fake)
     monkeypatch.setattr(cli, "enumerate_q_minus", lambda c, k: fake)
+    bruhat_cell_cosets.cache_clear()
     bruhat_cell_codes.cache_clear()
     try:
         with pytest.raises(AssertionError, match="right cosets of Q\\^- must be disjoint"):
             cli._check_parabolic_cells(ctx, n)
     finally:
+        bruhat_cell_cosets.cache_clear()
         bruhat_cell_codes.cache_clear()
 
 

@@ -174,28 +174,32 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
     does: on a checkout with right-action tables, the tables built (each q^(2n)
     row codes, one XOR each) and the cosets expanded (one zip of 2n image
     tuples of |Q^-| codes; each adds |Q^-| elements, so |cell| / |Q^-| of them);
-    otherwise the matrix products (`_packed_mul` at q = 2, `mat_mul` at other q)."""
+    otherwise the matrix products (`_packed_mul` at q = 2, `mat_mul` at other q).
+    Where the package keeps the cell in coset order (`bruhat_cell_cosets`), that
+    unsorted walk is timed too, under the same resets (`cosets_s`)."""
     from cosetmoments import ominus_groups as og
     from cosetmoments.finite_field import make_field
 
     ctx = make_field(int(field_r))
     n_int, r_int = int(n), int(r)
     qm = og.enumerate_q_minus(ctx, n_int)
-    names = ("bruhat_cell", "bruhat_cell_codes", "_q_minus_tables")  # an older side has only the first
-    caches = [getattr(og, name) for name in names if hasattr(og, name)]
+    names = ("bruhat_cell", "bruhat_cell_codes", "bruhat_cell_cosets", "_q_minus_tables")
+    caches = [getattr(og, name) for name in names if hasattr(og, name)]  # an older side has fewer
 
     def reset():
         for cache in caches:
             cache.cache_clear()
 
     seconds = _median_s(lambda: og.bruhat_cell(ctx, n_int, r_int), reset=reset)
+    cosets = ({"cosets_s": _median_s(lambda: og.bruhat_cell_cosets(ctx, n_int, r_int), reset=reset)}
+              if hasattr(og, "bruhat_cell_cosets") else {})
     tables = hasattr(og, "_right_action")
     calls = _count_calls(og, "_right_action" if tables else "_packed_mul" if ctx.q == 2 else "mat_mul")
     reset()
     cell = og.bruhat_cell(ctx, n_int, r_int)
     work = ({"right_action_tables": calls[0], "table_codes": calls[0] * ctx.q ** (2 * n_int),
              "cosets_expanded": len(cell) // len(qm)} if tables else {"products": calls[0]})
-    return {"s": seconds, **work, "cell_size": len(cell), "q_minus_order": len(qm),
+    return {"s": seconds, **cosets, **work, "cell_size": len(cell), "q_minus_order": len(qm),
             "digest": _digest(cell)}
 
 
@@ -457,7 +461,8 @@ LAYERS = {
         "per side, labelled and not compared: before, matrix products (_packed_mul at q = 2, "
         "mat_mul otherwise); after, right-action tables built (table_codes: q^(2n) row codes "
         "each, one XOR per code) and cosets expanded (one zip of |Q^-| codes per row each); "
-        "every cell cache, the tables' included, is cleared before each timed call",
+        "every cell cache, the tables' included, is cleared before each timed call; cosets_s "
+        "(where the package has bruhat_cell_cosets) times the unsorted coset-order walk alone",
         agree=("digest", "cell_size"),
     ),
     "spectrum": Layer(
