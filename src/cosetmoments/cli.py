@@ -173,13 +173,13 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
     }
     code = 0
     try:
-        cell = bruhat_cell_cosets(ctx, spec.n, spec.sigma_index, spec.rho_twisted)
         enum_dist = trace_distribution(spec, "enumerated")
+        size = sum(enum_dist.values())
         result["enumerated"] = {
-            "size": _dec(len(cell)),
+            "size": _dec(size),
             "trace_distribution": {to_hex(k): _dec(v) for k, v in enum_dist.items()},
         }
-        ok = len(cell) == total and enum_dist == closed_dist
+        ok = size == total and enum_dist == closed_dist
         result["verified"] = ok
         if not ok:
             code = 1
@@ -189,13 +189,14 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
     return _doc("enumerate", params, result), code
 
 
-def _refuse_unprintable_prefix(length: int, j_max: int) -> None:
-    """C_j <= binom(N, j), which grows with j up to N/2: refuse a prefix whose
-    bound has more decimal digits than int-to-string conversion allows (a j_max
-    outside the prefix range meets the prefix's own error)."""
+def _refuse_prefix(length: int, j_max: int) -> None:
+    """Refuse, before any work, a j_max outside the prefix range, and a prefix
+    whose bound C_j <= binom(N, j) (which grows with j up to N/2) has more
+    decimal digits than int-to-string conversion allows."""
+    if not 0 <= j_max <= PREFIX_J_LIMIT:
+        raise ValueError(f"j_max must lie in 0..{PREFIX_J_LIMIT}")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    bound = comb(length, min(j_max, length // 2)) if 0 <= j_max <= PREFIX_J_LIMIT else 0
-    if digits and bound >= 10 ** digits:
+    if digits and comb(length, min(j_max, length // 2)) >= 10 ** digits:
         raise BudgetError(f"the weight prefix to j_max = {j_max} may hold counts of more than "
                           f"{digits} decimal digits, which cannot be printed; lower --jmax")
 
@@ -206,7 +207,7 @@ def _cmd_weights(args: argparse.Namespace) -> tuple[dict, int]:
     params = _field_echo(ctx) | _spec_echo(spec)
     total = dc_cardinality(spec)[2]
     if args.jmax is not None:
-        _refuse_unprintable_prefix(total, args.jmax)
+        _refuse_prefix(total, args.jmax)
     closed = closed_weights(spec)
     weights = {to_hex(a): _dec(closed[a]) for a in range(1, ctx.q)}
     result: dict = {"length": _dec(total), "weights": weights}

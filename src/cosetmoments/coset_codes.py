@@ -1,7 +1,9 @@
 """Binary linear codes built on the double-coset families.
 
-A coset with elements g_1 < ... < g_N (canonical ordering) induces the
-length-N words c(a) = (tr(a Tr g_1), ..., tr(a Tr g_N)) for a in GF(q).
+A coset with elements g_1, ..., g_N (in the coset order of its Bruhat cell)
+induces the length-N words c(a) = (tr(a Tr g_1), ..., tr(a Tr g_N)) for a in
+GF(q).  Any other order permutes the coordinates, which leaves every weight,
+kernel, rank and distribution here unchanged.
 These words form the dual of the code of interest; everything here works
 with that q-element dual: closed-form Hamming weights, the exact weight
 distribution of the big primal code, and the duality and kernel checks.
@@ -19,9 +21,8 @@ from .finite_field import FieldCtx, _walsh_hadamard, mul, trace
 from .kloosterman import BudgetError
 from .ominus_groups import (
     DoubleCosetSpec,
-    cell_traces,
     dc_cardinality,
-    double_coset_codes,
+    double_coset_traces,
     exp_sums_dc,
     trace_distribution,
 )
@@ -38,17 +39,12 @@ def degenerate_kernel(spec: DoubleCosetSpec) -> bool:
     return (spec.family, spec.sign, spec.n, spec.ctx.q) in DEGENERATE_KERNEL_SPECS
 
 
-@lru_cache(maxsize=None)
-def _trace_vector(spec: DoubleCosetSpec) -> tuple[int, ...]:
-    return cell_traces(spec.ctx, spec.n, double_coset_codes(spec))
-
-
 def dual_codeword(spec: DoubleCosetSpec, a: int) -> tuple[int, ...]:
-    """c(a): the bit sequence tr(a Tr g_j) over the canonical ordering."""
+    """c(a): the bit sequence tr(a Tr g_j) over the coset order."""
     ctx = spec.ctx
     if not 0 <= a < ctx.q:
         raise ValueError(f"a must be a field element below {ctx.q}")
-    return tuple(trace(ctx, mul(ctx, a, t)) for t in _trace_vector(spec))
+    return tuple(trace(ctx, mul(ctx, a, t)) for t in double_coset_traces(spec))
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +168,7 @@ def delsarte_check(spec: DoubleCosetSpec) -> bool:
     """The binary dual of the code cut out by the field-valued parity
     condition is exactly {c(a)}: rowspace comparison plus kernel audit."""
     ctx = spec.ctx
-    vec = _trace_vector(spec)
+    vec = double_coset_traces(spec)
     n = len(vec)
     if n > DUALITY_N_LIMIT:
         raise BudgetError(f"duality check needs length <= {DUALITY_N_LIMIT}")

@@ -46,7 +46,7 @@ def kloosterman_sum(ctx: FieldCtx, m: int, a: int) -> int:
         raise ValueError(f"dimension m must be positive, got {m}")
     _check_unit(ctx, a)
     if not direct_sum_fits(ctx.q, m):
-        raise BudgetError(f"direct K_{m} sum needs {(ctx.q - 1) ** m} terms (budget {ENUM_BUDGET})")
+        raise BudgetError(f"direct K_{m} sum needs (q - 1)^{m} terms, over the budget {ENUM_BUDGET}")
     if m > 2:
         return _kloosterman_generic(ctx, m, a)
     lam = lambda_table(ctx)

@@ -13,9 +13,8 @@ lexicographic on entry encodings) so all derived orderings are
 reproducible.  Cells and scans work on row codes, a row of GF(q)^(2n) as one
 integer with entry 0 in the top r bits, so codes order as rows do; the
 right-action table of m lists code(v m) at code(v) for every row vector v.
-Q^-'s tables are built once per enumerated group; each cell is kept as its
-row-code tuples in coset order, which the trace classes and size checks
-count directly, and is sorted only where the canonical order is read.
+Q^-'s tables are built once per enumerated group; each cell is kept once, as
+its row-code tuples in coset order, and sorted only where matrices are read.
 """
 
 from __future__ import annotations
@@ -306,9 +305,8 @@ def enumerate_q_minus(ctx: FieldCtx, n: int) -> tuple[Matrix, ...]:
     """Constructive enumeration of Q^-(2n,q) from its parametrization:
     diag(A, tA^-1, i) times a unipotent factor over (A, i, h, B) with
     tB + th delta h alternating.  For n = 1 it degenerates to SO^-(2,q)."""
-    size = q_minus_order(ctx.q, n)
     if not q_minus_fits(ctx.q, n):
-        raise BudgetError(f"|Q^-| = {size} exceeds the enumeration budget {Q_ENUM_BUDGET}")
+        raise BudgetError(f"|Q^-| exceeds the enumeration budget {Q_ENUM_BUDGET}")
     if n == 1:
         return enumerate_so2(ctx)
     q = ctx.q
@@ -342,7 +340,7 @@ def enumerate_q_minus(ctx: FieldCtx, n: int) -> tuple[Matrix, ...]:
                     for idx in range(2):
                         rows.append((0,) * k + ih[idx] + so2[idx])
                     out.add(tuple(rows))
-    if len(out) != size:
+    if len(out) != q_minus_order(q, n):
         raise AssertionError("parametrization of Q^- must be bijective")
     return tuple(sorted(out))
 
@@ -393,8 +391,7 @@ def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> 
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..{n - 1}, got {r}")
     if r and not products_fit(ctx.q, n):  # refuse before enumerating Q^-
-        size = q_minus_order(ctx.q, n)
-        raise BudgetError(f"|Q^-|^2 = {size ** 2} exceeds the product budget {PRODUCT_BUDGET}")
+        raise BudgetError(f"|Q^-|^2 exceeds the product budget {PRODUCT_BUDGET}")
     qm = enumerate_q_minus(ctx, n)
 
     def rho(w: Codes) -> Codes:  # rho w on row codes
@@ -418,17 +415,11 @@ def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> 
 
 
 @lru_cache(maxsize=None)
-def bruhat_cell_codes(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Codes, ...]:
-    """`bruhat_cell_cosets` sorted: codes order as rows do, so this is the
-    canonical matrix order."""
-    return tuple(sorted(bruhat_cell_cosets(ctx, n, r, twisted)))
-
-
-@lru_cache(maxsize=None)
 def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Matrix, ...]:
     """The double coset Q^- sigma_r Q^- (rho-twisted when requested) as sorted
-    matrices: `bruhat_cell_codes` decoded, in the same order."""
-    codes = bruhat_cell_codes(ctx, n, r, twisted)
+    matrices: `bruhat_cell_cosets` sorted and decoded.  Codes order as rows do,
+    so sorting the codes is the canonical matrix order."""
+    codes = sorted(bruhat_cell_cosets(ctx, n, r, twisted))
     mask, shifts = ctx.q - 1, _entry_shifts(ctx, n)
     rows = {c: tuple(c >> s & mask for s in shifts) for c in set(chain.from_iterable(codes))}
     return tuple(tuple(map(rows.__getitem__, w)) for w in codes)
@@ -513,8 +504,12 @@ def double_coset_elements(spec: DoubleCosetSpec) -> tuple[Matrix, ...]:
     return bruhat_cell(spec.ctx, spec.n, spec.sigma_index, spec.rho_twisted)
 
 
-def double_coset_codes(spec: DoubleCosetSpec) -> tuple[Codes, ...]:
-    return bruhat_cell_codes(spec.ctx, spec.n, spec.sigma_index, spec.rho_twisted)
+@lru_cache(maxsize=None)
+def double_coset_traces(spec: DoubleCosetSpec) -> tuple[int, ...]:
+    """The matrix trace of every element of the double coset, in the coset
+    order of `bruhat_cell_cosets`."""
+    cell = bruhat_cell_cosets(spec.ctx, spec.n, spec.sigma_index, spec.rho_twisted)
+    return cell_traces(spec.ctx, spec.n, cell)
 
 
 def _oddprod(q: int, half: int) -> int:
@@ -589,24 +584,17 @@ def dc_cardinality(spec: DoubleCosetSpec) -> tuple[int, int, int]:
 
 @lru_cache(maxsize=None)
 def _trace_counts(spec: DoubleCosetSpec, mode: str) -> tuple[int, ...]:
-    ctx = spec.ctx
-    q = ctx.q
+    """Elements per trace class beta.  The closed classes are the transform of
+    the closed sums divided by q: the transform applied twice multiplies by q."""
+    q = spec.ctx.q
     if mode == "enumerated":
-        cell = bruhat_cell_cosets(ctx, spec.n, spec.sigma_index, spec.rho_twisted)
-        counted = Counter(cell_traces(ctx, spec.n, cell))
+        counted = Counter(double_coset_traces(spec))
         return tuple(counted.get(beta, 0) for beta in range(q))
     if mode != "closed_form":
         raise ValueError(f"mode must be 'enumerated' or 'closed_form', got {mode!r}")
-    a_cnt, b_cnt, _ = dc_cardinality(spec)
-    s, c = spec.sign_value, spec.k2_shift
-    k1 = kloosterman_spectrum(ctx, 1) if c is not None else ()
     out = []
-    for beta in range(q):
-        if c is None:
-            eps = 1 + q * lambda_char(ctx, inv(ctx, beta)) if beta else 1
-        else:  # the beta = 0 class reads K as c
-            eps = c + 1 - q * (k1[inv(ctx, beta)] if beta else c)
-        count, rem = divmod(a_cnt * (b_cnt + s * eps), q)
+    for twice in character_sums(spec.ctx, exp_sums_dc(spec)):
+        count, rem = divmod(twice, q)
         if rem or count < 0:
             raise AssertionError("trace-class count must be a nonnegative integer")
         out.append(count)
@@ -621,8 +609,8 @@ def trace_distribution(spec: DoubleCosetSpec, mode: str = "closed_form") -> dict
 @lru_cache(maxsize=None)
 def exp_sums_dc(spec: DoubleCosetSpec, mode: str = "closed_form") -> tuple[int, ...]:
     """S(a), the character sum of lambda(a * trace) over the double coset, at
-    every a; entry 0 is the coset size N.  The enumerated sums are the
-    transform of the counted trace classes."""
+    every a; entry 0 is the coset size N.  The closed sums are the one K-form
+    statement; the enumerated sums are the transform of the counted classes."""
     if mode != "closed_form":
         return tuple(character_sums(spec.ctx, _trace_counts(spec, mode)))
     a_cnt, _, total = dc_cardinality(spec)

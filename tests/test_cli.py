@@ -1,11 +1,16 @@
 """The JSON command-line surface: shapes, encodings, exit codes, determinism."""
 
 import json
+import pkgutil
+import re
 import subprocess
 import sys
+from importlib import import_module
+from pathlib import Path
 
 import pytest
 
+import cosetmoments
 from cosetmoments import __version__, cli, coset_codes, kloosterman, ominus_groups
 from cosetmoments.cli import main, verify_all
 from cosetmoments.finite_field import MAX_R, make_field
@@ -156,16 +161,13 @@ def test_weights_budget_degrades_to_null(capsys):
     assert doc["result"]["weights"]["0x1"]  # closed weights still present
 
 
-def test_weights_refuses_an_unprintable_prefix_up_front(capsys, monkeypatch, request):
+def test_weights_refuses_an_unprintable_prefix_up_front(capsys, monkeypatch, default_digit_limit):
     # N = 16711680, and binom(N, j) first reaches 4300 digits at j = 917
     argv = ("weights", "--r", "4", "--family", "1", "--sign", "plus", "--n", "2", "--jmax")
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)  # CPython's default
-    request.addfinalizer(lambda: sys.set_int_max_str_digits(limit))
     code, doc, _ = run(capsys, *argv, "916")
     assert code == 0 and len(doc["result"]["weight_prefix"]) == 917
     assert max(map(len, doc["result"]["weight_prefix"])) <= 4300
-    code, _, err = run(capsys, *argv, "1001")  # outside the range: the prefix's own error
+    code, _, err = run(capsys, *argv, "1001")  # outside the range
     assert code == 2 and "j_max must lie in 0..1000" in err
 
     def refuse(spec, j_max):
@@ -176,6 +178,35 @@ def test_weights_refuses_an_unprintable_prefix_up_front(capsys, monkeypatch, req
         code, doc, err = run(capsys, *argv, j_max)
         assert code == 2 and doc is None
         assert f"j_max = {j_max} may hold counts of more than 4300 decimal digits" in err
+
+
+def test_weights_refuses_a_jmax_out_of_range_before_any_sum(capsys, monkeypatch):
+    def refuse(spec, mode="closed_form"):
+        raise AssertionError("no character sum may be computed for a j_max out of range")
+
+    monkeypatch.setattr(cli, "exp_sums_dc", refuse)
+    monkeypatch.setattr(coset_codes, "exp_sums_dc", refuse)
+    argv = ("weights", "--r", "1", "--family", "2", "--sign", "minus", "--n", "3", "--jmax")
+    for j_max in ("-1", "1001", "5000"):
+        code, doc, err = run(capsys, *argv, j_max)
+        assert code == 2 and doc is None and "j_max must lie in 0..1000" in err
+
+
+@pytest.mark.parametrize("command", ("enumerate", "weights"))
+def test_budget_refusals_past_the_digit_limit_degrade_to_null(capsys, default_digit_limit, command):
+    # at n = 71, |Q^-|^2 has more decimal digits than int-to-string conversion allows
+    code, doc, err = run(capsys, command, "--r", "1", "--family", "1", "--sign", "minus", "--n", "71")
+    assert code == 0, err
+    verdict = "verified" if command == "enumerate" else "popcount_verified"
+    assert doc["result"][verdict] is None
+    assert doc["result"].get("enumerated") is None
+
+
+def test_kloos_refusal_past_the_digit_limit_states_its_budget(capsys, default_digit_limit):
+    # (q - 1)^2000 = 255^2000 has more decimal digits than int-to-string conversion allows
+    code, doc, err = run(capsys, "kloos", "--r", "8", "--m", "2000", "--a", "0x1")
+    assert code == 2 and doc is None
+    assert "direct K_2000 sum needs (q - 1)^2000 terms, over the budget" in err
 
 
 def _weights_specs():
@@ -532,6 +563,19 @@ def test_carlitz_check_leaves_out_the_direct_sum_over_its_budget(monkeypatch):
 def test_cli_names_no_budget_of_its_own():
     # each budget is compared once, in its owning module's *_fits predicate
     assert [name for name in vars(cli) if name.endswith("_BUDGET")] == []
+
+
+def test_readme_lists_every_memoised_result_by_name():
+    # README's "Memoised results" list names each lru_cache site of the package, and no other
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("Memoised results", 1)[1].split("\n\n", 2)[1]
+    listed = re.findall(r"^- `(\w+)`:", section, re.MULTILINE)
+    modules = [import_module(f"cosetmoments.{info.name}") for info in pkgutil.iter_modules(
+        cosetmoments.__path__)]
+    cached = [name for mod in modules for name, obj in vars(mod).items()
+              if hasattr(obj, "cache_info") and obj.__module__ == mod.__name__]
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(cached)
 
 
 @pytest.mark.parametrize(

@@ -57,6 +57,13 @@ def test_budget_error_before_work():
         kloosterman_sum(ctx, 5, 1)
 
 
+def test_budget_error_never_prints_the_term_count(default_digit_limit):
+    # 255^2000 has more decimal digits than int-to-string conversion allows
+    assert 255 ** 2000 >= 10 ** 4300
+    with pytest.raises(BudgetError, match="over the budget"):
+        kloosterman_sum(make_field(8), 2000, 1)
+
+
 @pytest.mark.parametrize("r", range(1, 5))
 def test_two_dimensional_sum_satisfies_carlitz(r):
     """The genuine double sum agrees with K^2 - q for every argument."""

@@ -10,8 +10,8 @@ from itertools import product
 import pytest
 
 from cosetmoments import cli, coset_codes, ominus_groups
-from cosetmoments.finite_field import character_sums, lambda_char, make_field, mul, trace, units
-from cosetmoments.kloosterman import BudgetError, kloosterman_sum
+from cosetmoments.finite_field import character_sums, inv, lambda_char, make_field, mul, trace, units
+from cosetmoments.kloosterman import BudgetError, kloosterman_spectrum, kloosterman_sum
 from cosetmoments.ominus_groups import (
     PRODUCT_BUDGET,
     DoubleCosetSpec,
@@ -21,12 +21,12 @@ from cosetmoments.ominus_groups import (
     b_r_sum,
     b_r_sum_closed,
     bruhat_cell,
-    bruhat_cell_codes,
     bruhat_cell_cosets,
     bruhat_cell_order,
     cell_traces,
     dc_cardinality,
     double_coset_elements,
+    double_coset_traces,
     enumerate_gl,
     enumerate_q_minus,
     enumerate_so2,
@@ -295,6 +295,15 @@ def test_q_minus_enumeration_budget():
         enumerate_q_minus(CTX4, 3)
 
 
+def test_cell_refusals_never_print_their_unbounded_orders(default_digit_limit):
+    # at n = 71, |Q^-|^2 has more decimal digits than int-to-string conversion allows
+    assert q_minus_order(2, 71) ** 2 >= 10 ** 4300
+    with pytest.raises(BudgetError, match="product budget"):
+        bruhat_cell_cosets(CTX2, 71, 70)
+    with pytest.raises(BudgetError, match="enumeration budget"):
+        enumerate_q_minus(CTX2, 71)
+
+
 def test_weyl_elements_are_isometric_involutions():
     for n, ctx in ((2, CTX2), (2, CTX4), (3, CTX2)):
         sigmas, rho = weyl_elements(ctx, n)
@@ -399,13 +408,29 @@ def test_bruhat_cell_matches_all_products_oracle(key):
             oracle = all_products_cell(ctx, n, r, twisted)
             assert bruhat_cell(ctx, n, r, twisted) == oracle
             encoded = tuple(tuple(_row_code(ctx, row) for row in w) for w in oracle)
-            assert bruhat_cell_codes(ctx, n, r, twisted) == encoded
+            assert tuple(sorted(bruhat_cell_cosets(ctx, n, r, twisted))) == encoded
+
+
+def _decoded(ctx, n, codes):
+    """Row codes back to matrices: entry i of a row sits r (2n - 1 - i) bits up."""
+    shifts = [ctx.r * (2 * n - 1 - i) for i in range(2 * n)]
+    return tuple(tuple(tuple(c >> s & ctx.q - 1 for s in shifts) for c in w) for w in codes)
+
+
+@pytest.mark.parametrize("key", sorted(CELL_FIELDS))
+def test_bruhat_cell_is_the_sorted_decode_of_the_coset_order_cell(key):
+    field_r, n, a_param = CELL_FIELDS[key]
+    ctx = make_field(field_r, a_param=a_param)
+    for r in range(n):
+        for twisted in (False, True):
+            cosets = bruhat_cell_cosets(ctx, n, r, twisted)
+            assert bruhat_cell(ctx, n, r, twisted) == _decoded(ctx, n, sorted(cosets))
 
 
 @pytest.mark.parametrize("key", sorted(CELL_FIELDS))
 def test_coset_order_cell_is_its_right_cosets_in_q_minus_order(key):
-    # sorted, it is the canonical cell; block k of |Q^-| elements is w_k Q^- in
-    # Q^-'s order, its leaders w_k = (rho) x sigma_r in the order of x in Q^-
+    # block k of |Q^-| elements is w_k Q^- in Q^-'s order, its leaders
+    # w_k = (rho) x sigma_r in the order of x in Q^-
     field_r, n, a_param = CELL_FIELDS[key]
     ctx = make_field(field_r, a_param=a_param)
     qm = enumerate_q_minus(ctx, n)
@@ -415,7 +440,6 @@ def test_coset_order_cell_is_its_right_cosets_in_q_minus_order(key):
     for r in range(n):
         for twisted in (False, True):
             cell = bruhat_cell_cosets(ctx, n, r, twisted)
-            assert tuple(sorted(cell)) == bruhat_cell_codes(ctx, n, r, twisted)
             leaders = []
             for x in qm:
                 w = mat_mul(ctx, x, sigmas[r])
@@ -435,13 +459,26 @@ def test_code_form_traces_match_the_matrix_trace(key):
     ctx = make_field(field_r, a_param=a_param)
     for r in range(n):
         for twisted in (False, True):
-            literal = tuple(map(mat_trace, bruhat_cell(ctx, n, r, twisted)))
-            assert cell_traces(ctx, n, bruhat_cell_codes(ctx, n, r, twisted)) == literal
+            cosets = bruhat_cell_cosets(ctx, n, r, twisted)
+            literal = tuple(map(mat_trace, _decoded(ctx, n, cosets)))
+            assert cell_traces(ctx, n, cosets) == literal
     for spec in valid_specs(ctx, n):
-        literal = tuple(map(mat_trace, double_coset_elements(spec)))
-        assert coset_codes._trace_vector(spec) == literal  # in canonical order
-        counted = Counter(literal)
+        counted = Counter(map(mat_trace, double_coset_elements(spec)))
         assert trace_distribution(spec, "enumerated") == {b: counted[b] for b in range(ctx.q)}
+
+
+@pytest.mark.parametrize("key", sorted(CELL_FIELDS))
+def test_code_coordinates_follow_the_coset_order(key):
+    # coordinate j of c(a) is tr(a Tr g_j), g_j the j-th element of the coset-order cell
+    field_r, n, a_param = CELL_FIELDS[key]
+    ctx = make_field(field_r, a_param=a_param)
+    for spec in valid_specs(ctx, n):
+        cosets = bruhat_cell_cosets(ctx, n, spec.sigma_index, spec.rho_twisted)
+        traces = tuple(map(mat_trace, _decoded(ctx, n, cosets)))
+        assert double_coset_traces(spec) == traces
+        for a in range(ctx.q):
+            word = tuple(trace(ctx, mul(ctx, a, t)) for t in traces)
+            assert coset_codes.dual_codeword(spec, a) == word
 
 
 def test_code_form_traces_at_every_q_of_the_n1_cells():
@@ -449,8 +486,9 @@ def test_code_form_traces_at_every_q_of_the_n1_cells():
     for field_r in range(1, 14):
         ctx = make_field(field_r)
         for twisted in (False, True):
-            literal = tuple(map(mat_trace, bruhat_cell(ctx, 1, 0, twisted)))
-            assert cell_traces(ctx, 1, bruhat_cell_codes(ctx, 1, 0, twisted)) == literal
+            cosets = bruhat_cell_cosets(ctx, 1, 0, twisted)
+            literal = tuple(map(mat_trace, _decoded(ctx, 1, cosets)))
+            assert cell_traces(ctx, 1, cosets) == literal
 
 
 @pytest.mark.parametrize("key", sorted(CELL_FIELDS))
@@ -538,17 +576,15 @@ def _fake_q_minus(ctx, n: int):
 def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, n):
     ctx = make_field(field_r)
     fake = _fake_q_minus(ctx, n)
-    bruhat_cell_codes(ctx, n, 1)  # the true group's tables are cached
+    bruhat_cell_cosets(ctx, n, 1)  # the true group's tables are cached
     monkeypatch.setattr(ominus_groups, "enumerate_q_minus", lambda c, k: fake)
     monkeypatch.setattr(cli, "enumerate_q_minus", lambda c, k: fake)
     bruhat_cell_cosets.cache_clear()
-    bruhat_cell_codes.cache_clear()
     try:
         with pytest.raises(AssertionError, match="right cosets of Q\\^- must be disjoint"):
             cli._check_parabolic_cells(ctx, n)
     finally:
         bruhat_cell_cosets.cache_clear()
-        bruhat_cell_codes.cache_clear()
 
 
 @pytest.mark.parametrize("field_r,n", ((1, 2), (2, 2)))
@@ -709,8 +745,6 @@ def test_trace_distribution_sums_to_coset_size():
 
 def test_minus_n1_distribution_formula():
     """1 at beta = 0, else 2 exactly when tr(1/beta) = 1."""
-    from cosetmoments.finite_field import inv
-
     for r in (1, 2, 3):
         ctx = make_field(r)
         dist = trace_distribution(DoubleCosetSpec(1, "-", 1, ctx))
@@ -751,6 +785,27 @@ def test_exp_sum_validation():
 
 
 
+def _closed_classes_per_beta(spec):
+    """The closed trace classes one beta at a time, each from the K-form's
+    value at 1/beta: the oracle of the transform that `_trace_counts` takes."""
+    ctx = spec.ctx
+    q = ctx.q
+    a_cnt, b_cnt, _ = dc_cardinality(spec)
+    s, c = spec.sign_value, spec.k2_shift
+    k1 = kloosterman_spectrum(ctx, 1) if c is not None else ()
+    out = []
+    for beta in range(q):
+        if c is None:
+            eps = 1 + q * lambda_char(ctx, inv(ctx, beta)) if beta else 1
+        else:  # the beta = 0 class reads K as c
+            eps = c + 1 - q * (k1[inv(ctx, beta)] if beta else c)
+        count, rem = divmod(a_cnt * (b_cnt + s * eps), q)
+        if rem or count < 0:
+            raise AssertionError("trace-class count must be a nonnegative integer")
+        out.append(count)
+    return tuple(out)
+
+
 def _closed_specs(r):
     ctx = make_field(r)
     return first_specs(ctx) + valid_specs(ctx, 4) + valid_specs(ctx, 5)
@@ -765,7 +820,8 @@ def _closed_specs(r):
 def test_closed_sums_are_the_transform_of_the_closed_trace_classes(spec):
     """The paper's two closed statements agree at every a: the K-form of S(a)
     and the character sums of the per-beta closed trace classes."""
-    classes = trace_distribution(spec, "closed_form").values()
+    classes = _closed_classes_per_beta(spec)
+    assert trace_distribution(spec, "closed_form") == dict(enumerate(classes))
     assert exp_sums_dc(spec) == tuple(character_sums(spec.ctx, classes))
     assert exp_sums_dc(spec)[0] == dc_cardinality(spec)[2]
 
