@@ -192,11 +192,15 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
 def _refuse_prefix(length: int, j_max: int) -> None:
     """Refuse, before any work, a j_max outside the prefix range, and a prefix
     whose bound C_j <= binom(N, j) (which grows with j up to N/2) has more
-    decimal digits than int-to-string conversion allows."""
+    decimal digits than int-to-string conversion allows.  binom(N, j) >= (N/j)^j
+    > 2^low, with low read from bit lengths, refuses a large N at once; the
+    exact binomial is computed only when that bound does not decide, so it is small."""
     if not 0 <= j_max <= PREFIX_J_LIMIT:
         raise ValueError(f"j_max must lie in 0..{PREFIX_J_LIMIT}")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if digits and comb(length, min(j_max, length // 2)) >= 10 ** digits:
+    j = min(j_max, length // 2)
+    low = j * (length.bit_length() - 1 - j.bit_length())
+    if digits and (3 * low >= 10 * digits or comb(length, j) >= 10 ** digits):  # 2^10 > 10^3
         raise BudgetError(f"the weight prefix to j_max = {j_max} may hold counts of more than "
                           f"{digits} decimal digits, which cannot be printed; lower --jmax")
 

@@ -168,23 +168,14 @@ def delsarte_check(spec: DoubleCosetSpec) -> bool:
     """The binary dual of the code cut out by the field-valued parity
     condition is exactly {c(a)}: rowspace comparison plus kernel audit."""
     ctx = spec.ctx
-    vec = double_coset_traces(spec)
-    n = len(vec)
-    if n > DUALITY_N_LIMIT:
+    if dc_cardinality(spec)[2] > DUALITY_N_LIMIT:  # refused before the cell is built
         raise BudgetError(f"duality check needs length <= {DUALITY_N_LIMIT}")
+    vec = double_coset_traces(spec)
+    span = {0}  # the XOR closure of the r bit-plane rows is their span
+    for k in range(ctx.r):
+        row = sum(((t >> k) & 1) << j for j, t in enumerate(vec))
+        span |= {x ^ row for x in span}
     words = set(_packed_dual_words(spec))
-    rows = [sum(((t >> k) & 1) << j for j, t in enumerate(vec)) for k in range(ctx.r)]
-    basis: list[int] = []
-    for row in rows:
-        cur = row
-        for b in basis:
-            cur = min(cur, cur ^ b)
-        if cur:
-            basis.append(cur)
-            basis.sort(reverse=True)
-    span = {0}
-    for b in basis:
-        span |= {x ^ b for x in span}
     kernel = tuple(a for a in range(ctx.q) if not any(dual_codeword(spec, a)))
     expected = (0, 1) if degenerate_kernel(spec) else (0,)
     return span == words and kernel == expected and kernel == dual_code_kernel(spec)

@@ -12,7 +12,8 @@ XOR throughout.  Enumerations return canonically sorted tuples (row-major
 lexicographic on entry encodings) so all derived orderings are
 reproducible.  Cells and scans work on row codes, a row of GF(q)^(2n) as one
 integer with entry 0 in the top r bits, so codes order as rows do; the
-right-action table of m lists code(v m) at code(v) for every row vector v.
+right-action table of m lists code(v m) at code(v) for every row vector v; it
+is the one matrix product here, and Q^- itself is D U read from U's table.
 Q^-'s tables are built once per enumerated group; each cell is kept once, as
 its row-code tuples in coset order, and sorted only where matrices are read.
 """
@@ -50,30 +51,6 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m)) if m else ()
 
 
-def mat_mul(ctx: FieldCtx, x: Matrix, y: Matrix) -> Matrix:
-    yt = tuple(zip(*y))
-    out = []
-    for row in x:
-        orow = []
-        for col in yt:
-            acc = 0
-            for a, b in zip(row, col):
-                acc ^= mul(ctx, a, b)
-            orow.append(acc)
-        out.append(tuple(orow))
-    return tuple(out)
-
-
-def mat_vec(ctx: FieldCtx, m: Matrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    out = []
-    for row in m:
-        acc = 0
-        for a, b in zip(row, v):
-            acc ^= mul(ctx, a, b)
-        out.append(acc)
-    return tuple(out)
-
-
 def _row_code(ctx: FieldCtx, row) -> int:
     code = 0
     for entry in row:
@@ -81,11 +58,29 @@ def _row_code(ctx: FieldCtx, row) -> int:
     return code
 
 
+def _entry_shifts(ctx: FieldCtx, n: int) -> range:
+    """The shift of entry i of a row code, for i = 0..2n-1."""
+    return range(ctx.r * (2 * n - 1), -1, -ctx.r)
+
+
+def _decode(ctx: FieldCtx, n: int, codes) -> tuple[Matrix, ...]:
+    """Row-code tuples back to matrices, in the given order."""
+    mask, shifts = ctx.q - 1, _entry_shifts(ctx, n)
+    rows = {c: tuple(c >> s & mask for s in shifts) for c in set(chain.from_iterable(codes))}
+    return tuple(tuple(map(rows.__getitem__, w)) for w in codes)
+
+
+@lru_cache(maxsize=None)
+def _powers(ctx: FieldCtx) -> tuple[tuple[int, ...], ...]:
+    """powers[k][e] = z^k e for every bit k and element e."""
+    return tuple(tuple(mul(ctx, 1 << k, e) for e in range(ctx.q)) for k in range(ctx.r))
+
+
 def _right_action(ctx: FieldCtx, m: Matrix) -> list[int]:
-    """table[code(v)] = code(v m) for every row vector v.  v -> v m is additive,
-    so the table doubles once per bit of v: bit k of entry i stands for the row
-    z^k e_i, whose image is z^k times row i of m."""
-    powers = [[mul(ctx, 1 << k, e) for e in range(ctx.q)] for k in range(ctx.r)]
+    """table[code(v)] = code(v m) for every row vector v, the one matrix product
+    here.  v -> v m is additive, so the table doubles once per bit of v: bit k
+    of entry i stands for the row z^k e_i, whose image is z^k times row i of m."""
+    powers = _powers(ctx)
     table = [0]
     for row in reversed(m):  # the last entry holds the lowest bits
         for times in powers:
@@ -297,52 +292,48 @@ def enumerate_gl(ctx: FieldCtx, k: int) -> tuple[Matrix, ...]:
     return tuple(sorted(out))
 
 
-_ETA: Matrix = ((0, 1), (1, 0))
-
-
 @lru_cache(maxsize=None)
 def enumerate_q_minus(ctx: FieldCtx, n: int) -> tuple[Matrix, ...]:
-    """Constructive enumeration of Q^-(2n,q) from its parametrization:
-    diag(A, tA^-1, i) times a unipotent factor over (A, i, h, B) with
-    tB + th delta h alternating.  For n = 1 it degenerates to SO^-(2,q)."""
+    """Constructive enumeration of Q^-(2n,q) from its parametrization: D U with
+    D = diag(A, tA^-1, i) and U = [[1, B, th eta], [0, 1, 0], [0, h, 1]] over
+    (A, i, h, B) with tB + th delta h alternating.  Row j of D U is U's
+    right-action table read at the row code of row j of D; one table is built
+    per U.  For n = 1 it degenerates to SO^-(2,q)."""
     if not q_minus_fits(ctx.q, n):
         raise BudgetError(f"|Q^-| exceeds the enumeration budget {Q_ENUM_BUDGET}")
     if n == 1:
         return enumerate_so2(ctx)
-    q = ctx.q
+    q, a = ctx.q, ctx.a_param
     k = n - 1
-    delta: Matrix = ((1, 1), (0, ctx.a_param))
-    upper_slots = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    out = set()
+    pad = (0,) * k
+    diagonals = []  # the row codes of every D
     for blk_a in enumerate_gl(ctx, k):
         ta_inv = transpose(mat_inv(ctx, blk_a))
+        rows = [row + pad + (0, 0) for row in blk_a] + [pad + row + (0, 0) for row in ta_inv]
         for so2 in enumerate_so2(ctx):
-            for hvals in product(range(q), repeat=2 * k):
-                h = (hvals[:k], hvals[k:])
-                th = transpose(h)
-                sym = mat_mul(ctx, th, mat_mul(ctx, delta, h))
-                # so2 preserves the polar form, whose Gram matrix is eta: so2^T eta so2 = eta
-                blk_e = mat_mul(ctx, blk_a, mat_mul(ctx, th, _ETA))
-                ih = mat_mul(ctx, so2, h)
-                for upper in product(range(q), repeat=len(upper_slots)):
-                    b = [[0] * k for _ in range(k)]
-                    for idx in range(k):
-                        b[idx][idx] = sym[idx][idx]
-                    for (u, v), val in zip(upper_slots, upper):
-                        b[u][v] = val
-                        b[v][u] = val ^ sym[u][v] ^ sym[v][u]
-                    ab = mat_mul(ctx, blk_a, tuple(tuple(row) for row in b))
-                    rows = []
-                    for idx in range(k):
-                        rows.append(blk_a[idx] + ab[idx] + blk_e[idx])
-                    for idx in range(k):
-                        rows.append((0,) * k + ta_inv[idx] + (0, 0))
-                    for idx in range(2):
-                        rows.append((0,) * k + ih[idx] + so2[idx])
-                    out.add(tuple(rows))
+            diagonals.append([_row_code(ctx, row) for row in rows + [pad + pad + row for row in so2]])
+    eye = identity_matrix(k)
+    upper_slots = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    out = set()
+    for hvals in product(range(q), repeat=2 * k):
+        x, y = hvals[:k], hvals[k:]  # the rows of h
+        # th delta h, delta = [[1, 1], [0, a]]
+        sym = [[mul(ctx, x[u], x[v] ^ y[v]) ^ mul(ctx, a, mul(ctx, y[u], y[v])) for v in range(k)]
+               for u in range(k)]
+        for upper in product(range(q), repeat=len(upper_slots)):
+            b = [[0] * k for _ in range(k)]
+            for idx in range(k):
+                b[idx][idx] = sym[idx][idx]
+            for (u, v), val in zip(upper_slots, upper):
+                b[u][v] = val
+                b[v][u] = val ^ sym[u][v] ^ sym[v][u]
+            unipotent = [eye[u] + tuple(b[u]) + (y[u], x[u]) for u in range(k)]  # row u of th eta: (y_u, x_u)
+            unipotent += [pad + eye[u] + (0, 0) for u in range(k)] + [pad + x + (1, 0), pad + y + (0, 1)]
+            table = _right_action(ctx, unipotent)
+            out.update(tuple(map(table.__getitem__, d)) for d in diagonals)
     if len(out) != q_minus_order(q, n):
         raise AssertionError("parametrization of Q^- must be bijective")
-    return tuple(sorted(out))
+    return _decode(ctx, n, sorted(out))
 
 
 def weyl_elements(ctx: FieldCtx, n: int) -> tuple[tuple[Matrix, ...], Matrix]:
@@ -363,11 +354,6 @@ def weyl_elements(ctx: FieldCtx, n: int) -> tuple[tuple[Matrix, ...], Matrix]:
 
 # ---------------------------------------------------------------------------
 # double cosets
-
-
-def _entry_shifts(ctx: FieldCtx, n: int) -> range:
-    """The shift of entry i of a row code, for i = 0..2n-1."""
-    return range(ctx.r * (2 * n - 1), -1, -ctx.r)
 
 
 @lru_cache(maxsize=None)
@@ -419,10 +405,7 @@ def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[M
     """The double coset Q^- sigma_r Q^- (rho-twisted when requested) as sorted
     matrices: `bruhat_cell_cosets` sorted and decoded.  Codes order as rows do,
     so sorting the codes is the canonical matrix order."""
-    codes = sorted(bruhat_cell_cosets(ctx, n, r, twisted))
-    mask, shifts = ctx.q - 1, _entry_shifts(ctx, n)
-    rows = {c: tuple(c >> s & mask for s in shifts) for c in set(chain.from_iterable(codes))}
-    return tuple(tuple(map(rows.__getitem__, w)) for w in codes)
+    return _decode(ctx, n, sorted(bruhat_cell_cosets(ctx, n, r, twisted)))
 
 
 def cell_traces(ctx: FieldCtx, n: int, codes: tuple[Codes, ...]) -> tuple[int, ...]:
@@ -651,8 +634,9 @@ def sym_sum_fits(q: int, r: int) -> bool:
 def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:
     """Direct double sum of lambda(twist * Tr(delta th B h)) over nonsingular
     symmetric B and all r x 2 matrices h = (u | v), one term per (B, u, v):
-    Tr(delta th B h) = u^T B u + v^T B u + a v^T B v, read from per-B tables
-    of B v and v^T B v over every v in GF(q)^r."""
+    Tr(delta th B h) = u^T B u + v^T B u + a v^T B v.  B's table lists B u (B is
+    symmetric); the table of the column B u lists v^T B u over every v, and
+    u^T B u and v^T B v are entries of those tables."""
     if r not in (1, 2, 3):
         raise ValueError(f"r must be 1, 2, or 3, got {r}")
     if not 0 < twist < ctx.q:
@@ -661,16 +645,16 @@ def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:
     if not sym_sum_fits(q, r):
         raise BudgetError("symmetric-matrix sum exceeds its term budget")
     sign = [lambda_char(ctx, mul(ctx, twist, x)) for x in range(q)]
-    vecs = tuple(product(range(q), repeat=r))
+    vecs = tuple(product(range(q), repeat=r))  # vecs[code] is the vector of that code
     total = 0
     for sym in _symmetric_matrices(ctx, r):
         if not _is_nonsingular(ctx, sym):
             continue
-        images = [mat_vec(ctx, sym, v) for v in vecs]  # B v
-        forms = [mat_vec(ctx, (v,), bv)[0] for v, bv in zip(vecs, images)]  # v^T B v
-        tails = [mul(ctx, ctx.a_param, f) for f in forms]
-        for bu, fu in zip(images, forms):  # mat_vec(vecs, B u) lists v^T B u over every v
-            total += sum(sign[fu ^ x ^ t] for x, t in zip(mat_vec(ctx, vecs, bu), tails))
+        pairings = [_right_action(ctx, transpose((vecs[bu],))) for bu in _right_action(ctx, sym)]
+        tails = [mul(ctx, ctx.a_param, row[v]) for v, row in enumerate(pairings)]  # a v^T B v
+        for u, row in enumerate(pairings):  # row[v] = v^T B u
+            fu = row[u]
+            total += sum(sign[fu ^ x ^ t] for x, t in zip(row, tails))
     return total
 
 

@@ -5,6 +5,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import time
 from importlib import import_module
 from pathlib import Path
 
@@ -178,6 +179,21 @@ def test_weights_refuses_an_unprintable_prefix_up_front(capsys, monkeypatch, def
         code, doc, err = run(capsys, *argv, j_max)
         assert code == 2 and doc is None
         assert f"j_max = {j_max} may hold counts of more than 4300 decimal digits" in err
+
+
+@pytest.mark.parametrize("n", ("71", "151", "301"))
+def test_weights_refusal_at_a_huge_length_is_quick(capsys, monkeypatch, default_digit_limit, n):
+    # at n = 151, N has 45 450 digits: binom(N, 1000) is refused from bit lengths, never computed
+    def refuse(length, j):
+        raise AssertionError("the bit-length bound must decide at this length")
+
+    monkeypatch.setattr(cli, "comb", refuse)
+    start = time.perf_counter()
+    code, doc, err = run(capsys, "weights", "--r", "1", "--family", "1", "--sign", "minus",
+                         "--n", n, "--jmax", "1000")
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and doc is None
+    assert "j_max = 1000 may hold counts of more than 4300 decimal digits" in err
 
 
 def test_weights_refuses_a_jmax_out_of_range_before_any_sum(capsys, monkeypatch):

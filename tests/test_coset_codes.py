@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cosetmoments import coset_codes
 from cosetmoments.coset_codes import (
     DEGENERATE_KERNEL_SPECS,
+    DUALITY_N_LIMIT,
     MACWILLIAMS_N_LIMIT,
     PREFIX_J_LIMIT,
     closed_weights,
@@ -20,6 +22,7 @@ from cosetmoments.coset_codes import (
     weight_distribution_prefix,
 )
 from cosetmoments.finite_field import is_irreducible, make_field, mul, trace, units
+from cosetmoments.kloosterman import BudgetError
 from cosetmoments.ominus_groups import (
     DoubleCosetSpec,
     dc_cardinality,
@@ -188,6 +191,20 @@ def test_delsarte_degenerate_case():
     spec = DoubleCosetSpec(3, "+", 2, CTX2)
     assert delsarte_check(spec)
     assert dual_code_rank(spec) == 0
+
+
+@pytest.mark.parametrize("key", ((1, "-", 3, 1), (1, "-", 1, 12), (1, "+", 2, 2)))
+def test_delsarte_refuses_before_building_the_cell(monkeypatch, key):
+    fam, sign, n, field_r = key
+    spec = DoubleCosetSpec(fam, sign, n, make_field(field_r))
+    assert dc_cardinality(spec)[2] > DUALITY_N_LIMIT
+
+    def refuse(spec):
+        raise AssertionError("a refused spec must not read its trace vector")
+
+    monkeypatch.setattr(coset_codes, "double_coset_traces", refuse)
+    with pytest.raises(BudgetError, match=f"length <= {DUALITY_N_LIMIT}"):
+        delsarte_check(spec)
 
 
 def test_macwilliams_gates():

@@ -15,6 +15,7 @@ from cosetmoments.kloosterman import BudgetError, kloosterman_spectrum, klooster
 from cosetmoments.ominus_groups import (
     PRODUCT_BUDGET,
     DoubleCosetSpec,
+    _powers,
     _q_minus_tables,
     _right_action,
     _row_code,
@@ -39,8 +40,6 @@ from cosetmoments.ominus_groups import (
     is_isometry_exhaustive,
     isometry_relations,
     mat_inv,
-    mat_mul,
-    mat_vec,
     o_minus_order,
     p_minus_order,
     parabolic_indices,
@@ -66,6 +65,33 @@ def mat_trace(m) -> int:
     for i, row in enumerate(m):
         acc ^= row[i]
     return acc
+
+
+def mat_mul(ctx, x, y):
+    """The entrywise matrix product; the library multiplies through right-action
+    tables, and this loop is their oracle."""
+    yt = tuple(zip(*y))
+    out = []
+    for row in x:
+        orow = []
+        for col in yt:
+            acc = 0
+            for a, b in zip(row, col):
+                acc ^= mul(ctx, a, b)
+            orow.append(acc)
+        out.append(tuple(orow))
+    return tuple(out)
+
+
+def mat_vec(ctx, m, v):
+    """The entrywise product of a matrix and a column vector, as `mat_mul`."""
+    out = []
+    for row in m:
+        acc = 0
+        for a, b in zip(row, v):
+            acc ^= mul(ctx, a, b)
+        out.append(acc)
+    return tuple(out)
 
 
 def test_matrix_basics():
@@ -288,6 +314,82 @@ def test_q_minus_enumeration(n, r):
     for x in sample:
         for y in sample:
             assert mat_mul(ctx, x, y) in members
+
+
+_ETA = ((0, 1), (1, 0))
+
+
+def _q_minus_by_parametrization(ctx, n):
+    """The loop that enumerate_q_minus ran before it read U's right-action
+    table: every block of D U multiplied entrywise; kept as its oracle."""
+    q = ctx.q
+    k = n - 1
+    delta = ((1, 1), (0, ctx.a_param))
+    upper_slots = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    out = set()
+    for blk_a in enumerate_gl(ctx, k):
+        ta_inv = transpose(mat_inv(ctx, blk_a))
+        for so2 in enumerate_so2(ctx):
+            for hvals in product(range(q), repeat=2 * k):
+                h = (hvals[:k], hvals[k:])
+                th = transpose(h)
+                sym = mat_mul(ctx, th, mat_mul(ctx, delta, h))
+                # so2 preserves the polar form, whose Gram matrix is eta: so2^T eta so2 = eta
+                blk_e = mat_mul(ctx, blk_a, mat_mul(ctx, th, _ETA))
+                ih = mat_mul(ctx, so2, h)
+                for upper in product(range(q), repeat=len(upper_slots)):
+                    b = [[0] * k for _ in range(k)]
+                    for idx in range(k):
+                        b[idx][idx] = sym[idx][idx]
+                    for (u, v), val in zip(upper_slots, upper):
+                        b[u][v] = val
+                        b[v][u] = val ^ sym[u][v] ^ sym[v][u]
+                    ab = mat_mul(ctx, blk_a, tuple(tuple(row) for row in b))
+                    rows = []
+                    for idx in range(k):
+                        rows.append(blk_a[idx] + ab[idx] + blk_e[idx])
+                    for idx in range(k):
+                        rows.append((0,) * k + ta_inv[idx] + (0, 0))
+                    for idx in range(2):
+                        rows.append((0,) * k + ih[idx] + so2[idx])
+                    out.add(tuple(rows))
+    if len(out) != q_minus_order(q, n):
+        raise AssertionError("parametrization of Q^- must be bijective")
+    return tuple(sorted(out))
+
+
+@pytest.mark.parametrize("field_r,n,a_param", ((1, 2, None), (1, 3, None), (2, 2, None),
+                                               (2, 2, 0x3), (3, 2, None)))
+def test_q_minus_matches_the_entrywise_parametrization(field_r, n, a_param):
+    ctx = make_field(field_r, a_param=a_param)
+    assert enumerate_q_minus(ctx, n) == _q_minus_by_parametrization(ctx, n)
+
+
+def test_q_minus_builds_one_unipotent_table_per_h_and_b(monkeypatch):
+    # D U over (h, B): q^(2k) h and q^(k(k-1)/2) free entries of B, one table each
+    ctx = make_field(1)
+    enumerate_q_minus.cache_clear()
+    built = []
+    monkeypatch.setattr(ominus_groups, "_right_action",
+                        lambda c, m: built.append(len(m)) or _right_action(c, m))
+    try:
+        assert len(enumerate_q_minus(ctx, 3)) == q_minus_order(2, 3)
+    finally:
+        enumerate_q_minus.cache_clear()
+    assert built == [6] * (2 ** 4 * 2)
+
+
+def test_right_action_reads_one_cached_power_table(monkeypatch):
+    ctx = make_field(5)
+    assert _powers(ctx) == tuple(tuple(mul(ctx, 1 << k, e) for e in range(ctx.q)) for k in range(5))
+    m = ((3, 7), (0, 30))
+    expected = [_row_code(ctx, mat_mul(ctx, (v,), m)[0]) for v in product(range(ctx.q), repeat=2)]
+
+    def refuse(ctx, x, y):
+        raise AssertionError("a table must read the cached powers, not multiply")
+
+    monkeypatch.setattr(ominus_groups, "mul", refuse)
+    assert _right_action(ctx, m) == expected
 
 
 def test_q_minus_enumeration_budget():

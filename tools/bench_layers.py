@@ -203,6 +203,34 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
             "digest": _digest(cell)}
 
 
+def child_q_minus(field_r: str, n: str) -> dict:
+    """A cold `enumerate_q_minus`: its cache and those of GL, SO(2,q) and the
+    power table (where the package has one) cleared before each timed call;
+    and its work: on a checkout that reads Q^- from right-action tables, the
+    unipotent tables built (each q^(2n) row codes), otherwise the `mat_mul`
+    calls."""
+    from cosetmoments import ominus_groups as og
+    from cosetmoments.finite_field import make_field
+
+    ctx = make_field(int(field_r))
+    n_int = int(n)
+    names = ("enumerate_q_minus", "enumerate_gl", "enumerate_so2", "_powers")
+    caches = [getattr(og, name) for name in names if hasattr(og, name)]  # an older side has fewer
+
+    def reset():
+        for cache in caches:
+            cache.cache_clear()
+
+    seconds = _median_s(lambda: og.enumerate_q_minus(ctx, n_int), reset=reset)
+    tables = not hasattr(og, "mat_mul")
+    calls = _count_calls(og, "_right_action" if tables else "mat_mul")
+    reset()
+    group = og.enumerate_q_minus(ctx, n_int)
+    work = ({"unipotent_tables": calls[0], "table_codes": calls[0] * ctx.q ** (2 * n_int)}
+            if tables else {"products": calls[0]})
+    return {"s": seconds, **work, "q_minus_order": len(group), "digest": _digest(group)}
+
+
 def child_checks(max_r: str, prefixes: str) -> dict:
     """Seconds of each verify-all check whose name starts with one of the
     comma-separated prefixes (all checks when empty), run in plan order in one
@@ -413,7 +441,7 @@ def child_values() -> dict:
 
 
 CHILDREN = {f.__name__: f for f in (
-    child_prefix, child_field, child_cell, child_checks, child_kernel, child_spectrum,
+    child_prefix, child_field, child_cell, child_q_minus, child_checks, child_kernel, child_spectrum,
     child_command, child_startup, child_values)}
 
 
@@ -465,6 +493,16 @@ LAYERS = {
         "(where the package has bruhat_cell_cosets) times the unsorted coset-order walk alone",
         agree=("digest", "cell_size"),
     ),
+    "q-minus": Layer(
+        "a cold enumeration of Q^-(2n,q), the Q^-, GL, SO(2,q) and power-table caches "
+        "cleared before each timed call",
+        tuple((f"q{1 << f}-n{n}", "child_q_minus", (str(f), str(n)))
+              for f, n in ((1, 2), (1, 3), (2, 2), (3, 2))),
+        "per side, labelled and not compared: before, mat_mul calls (entrywise matrix "
+        "products); after, unipotent right-action tables built (table_codes: q^(2n) row codes "
+        "each, one XOR per code); the digest and the group order must agree",
+        agree=("digest", "q_minus_order"),
+    ),
     "spectrum": Layer(
         "all-a Kloosterman values: Kronecker-substituted convolutions vs direct sums",
         tuple((f"r{r}", "child_spectrum", (str(r),)) for r in (8, 10, 12, 14, 16)),
@@ -496,7 +534,8 @@ LAYERS = {
         "vector for the form, serially",
         (("verify-all-r8", "child_checks", ("8", ",".join(CELL_CHECKS))),),
         "seconds per check; the plan is fixed by the check names; <check>.tables: right-action "
-        "tables (q^(2n) row codes each) the check built, in plan order after the checks before it",
+        "tables the check built, in plan order after the checks before it: Q^-'s element and "
+        "unipotent tables and the sigma tables (q^(2n) row codes each), and the scan tables",
     ),
     "symmetric": Layer(
         "the direct symmetric-matrix sum: verify-all --max-r 8 symmetric-matrix-sum checks, "
@@ -504,7 +543,9 @@ LAYERS = {
         (("verify-all-r8", "child_checks", ("8", "symmetric-matrix-sum")),
          ("verify-all --max-r 8", "child_command", ("verify-all", "--max-r", "8"))),
         "seconds per check; terms per check: #nonsingular B x q^(2 dim) for dim 1 and 2, "
-        "once more where a_param != 1; the digest must agree between the sides",
+        "once more where a_param != 1; <check>.tables: right-action tables the sum built, "
+        "per B one of B and one per column B u (q^dim codes each); the digest must agree "
+        "between the sides",
         agree=("digest", "exit"),
     ),
     "startup": Layer(
