@@ -539,7 +539,7 @@ def _build_checks(max_r: int, overrides: dict[int, int]) -> list[CheckEntry]:
             entries.append((f"symmetric-matrix-sum-r{r}", _check_symmetric_sum, (sym_dims,)))
         entries.append((f"so2-isometries-r{r}", _check_so2, ()))
         for n in (1, 2, 3):
-            if q_minus_fits(q, n) and (n == 1 or products_fit(q, n)):
+            if q_minus_fits(q, n) and products_fit(q, n):
                 entries += [
                     (f"parabolic-cells-n{n}-r{r}", _check_parabolic_cells, (n,)),
                     (f"character-sums-n{n}-r{r}", _check_exp_sums, (n,)),

@@ -13,9 +13,10 @@ lexicographic on entry encodings) so all derived orderings are
 reproducible.  Cells and scans work on row codes, a row of GF(q)^(2n) as one
 integer with entry 0 in the top r bits, so codes order as rows do; the
 right-action table of m lists code(v m) at code(v) for every row vector v; it
-is the one matrix product here, and Q^- itself is D U read from U's table.
-Q^-'s tables are built once per enumerated group; each cell is kept once, as
-its row-code tuples in coset order, and sorted only where matrices are read.
+is the one matrix product here, and Q^- itself is D U read from U's table.  A
+cell element is one integer, its 2n row codes concatenated (row 0 highest, so
+codes order as matrices do); each cell is kept once, in coset order, built from
+the images of Q^-'s basis rows, and sorted only where matrices are read.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from .finite_field import FieldCtx, character_sums, inv, lambda_char, mul
 from .kloosterman import BudgetError, kloosterman_spectrum
 
 Matrix = tuple[tuple[int, ...], ...]
-Codes = tuple[int, ...]  # a matrix as the row codes of its rows
 
 Q_ENUM_BUDGET = 10 ** 4       # largest |Q^-| that may be enumerated
-PRODUCT_BUDGET = 10 ** 7      # largest |Q^-|^2 for two-sided products
+PRODUCT_BUDGET = 10 ** 6      # largest |O^-(2n,q)|, the products the cells of one n build
 SCAN_BUDGET = 10 ** 6         # largest q^(2n) for the exhaustive form check
 GL_ENUM_BUDGET = 10 ** 6      # largest q^(k^2) candidate pool for GL(k,q)
 SYM_SUM_BUDGET = 10 ** 7      # largest term count for the symmetric-matrix sum
@@ -58,16 +58,29 @@ def _row_code(ctx: FieldCtx, row) -> int:
     return code
 
 
-def _entry_shifts(ctx: FieldCtx, n: int) -> range:
-    """The shift of entry i of a row code, for i = 0..2n-1."""
-    return range(ctx.r * (2 * n - 1), -1, -ctx.r)
+def _shifts(width: int, count: int) -> range:
+    """The shifts of count fields of width bits each, the first field highest."""
+    return range(width * (count - 1), -1, -width)
 
 
 def _decode(ctx: FieldCtx, n: int, codes) -> tuple[Matrix, ...]:
-    """Row-code tuples back to matrices, in the given order."""
-    mask, shifts = ctx.q - 1, _entry_shifts(ctx, n)
-    rows = {c: tuple(c >> s & mask for s in shifts) for c in set(chain.from_iterable(codes))}
-    return tuple(tuple(map(rows.__getitem__, w)) for w in codes)
+    """Element codes back to matrices, in the given order; each distinct row is split once."""
+    width, count = 2 * n * ctx.r, len(codes)
+    packed, mask = _pack(codes), _pack(repeat((1 << width) - 1, count))
+    columns = [_unpack(packed >> s & mask, count) for s in _shifts(width, 2 * n)]  # row i of each
+    rows = {c: tuple(c >> s & ctx.q - 1 for s in _shifts(ctx.r, 2 * n)) for c in set(chain(*columns))}
+    return tuple(tuple(map(rows.__getitem__, w)) for w in zip(*columns))
+
+
+def _pack(values) -> int:
+    """Values below 2^64 as the 64-bit lanes of one integer, one shift, XOR or mask for all."""
+    from array import array  # imported here: commands that read no cell skip loading it
+    return int.from_bytes(array("Q", values).tobytes(), sys.byteorder)
+
+
+def _unpack(packed: int, count: int) -> tuple[int, ...]:
+    from array import array
+    return tuple(array("Q", packed.to_bytes(8 * count, sys.byteorder)))
 
 
 @lru_cache(maxsize=None)
@@ -186,8 +199,7 @@ def gauss_binomial(n: int, r: int, q: int) -> int:
     """Gaussian binomial coefficient; 0 outside 0 <= r <= n."""
     if r < 0 or r > n:
         return 0
-    num = 1
-    den = 1
+    num = den = 1
     for j in range(r):
         num *= q ** (n - j) - 1
         den *= q ** (r - j) - 1
@@ -195,10 +207,6 @@ def gauss_binomial(n: int, r: int, q: int) -> int:
     if rem:
         raise AssertionError("Gaussian binomial must be an integer")
     return val
-
-
-def so2_order(q: int) -> int:
-    return q + 1
 
 
 def q_minus_order(q: int, n: int) -> int:
@@ -210,11 +218,6 @@ def q_minus_fits(q: int, n: int) -> bool:
     return q_minus_order(q, n) <= Q_ENUM_BUDGET
 
 
-def products_fit(q: int, n: int) -> bool:
-    """Whether |Q^-|^2, the two-sided products of a cell with r > 0, fits PRODUCT_BUDGET."""
-    return q_minus_order(q, n) ** 2 <= PRODUCT_BUDGET
-
-
 def p_minus_order(q: int, n: int) -> int:
     return 2 * q_minus_order(q, n)
 
@@ -224,6 +227,11 @@ def o_minus_order(q: int, n: int) -> int:
     for j in range(1, n):
         out *= q ** (2 * j) - 1
     return out
+
+
+def products_fit(q: int, n: int) -> bool:
+    """Whether |O^-(2n,q)|, the products w y that the cells at n build, fits PRODUCT_BUDGET."""
+    return o_minus_order(q, n) <= PRODUCT_BUDGET
 
 
 def bruhat_cell_order(q: int, n: int, r: int) -> int:
@@ -270,7 +278,7 @@ def enumerate_so2(ctx: FieldCtx) -> tuple[Matrix, ...]:
         pairs += [(mul(ctx, d2, t), d2) for t in roots.get(a ^ inv(ctx, mul(ctx, d2, d2)), ())]
     if any(theta_minus(ctx, 1, pair) != 1 for pair in pairs):
         raise AssertionError("a solved pair must have norm one")
-    if len(pairs) != so2_order(q):
+    if len(pairs) != q + 1:
         raise AssertionError("norm-one solution count must be q + 1")
     out = [((d1, mul(ctx, a, d2)), (d2, d1 ^ d2)) for d1, d2 in pairs]
     return tuple(sorted(out))
@@ -312,7 +320,7 @@ def enumerate_q_minus(ctx: FieldCtx, n: int) -> tuple[Matrix, ...]:
         rows = [row + pad + (0, 0) for row in blk_a] + [pad + row + (0, 0) for row in ta_inv]
         for so2 in enumerate_so2(ctx):
             diagonals.append([_row_code(ctx, row) for row in rows + [pad + pad + row for row in so2]])
-    eye = identity_matrix(k)
+    eye, shifts = identity_matrix(k), _shifts(2 * n * ctx.r, 2 * n)
     upper_slots = [(u, v) for u in range(k) for v in range(u + 1, k)]
     out = set()
     for hvals in product(range(q), repeat=2 * k):
@@ -330,7 +338,7 @@ def enumerate_q_minus(ctx: FieldCtx, n: int) -> tuple[Matrix, ...]:
             unipotent = [eye[u] + tuple(b[u]) + (y[u], x[u]) for u in range(k)]  # row u of th eta: (y_u, x_u)
             unipotent += [pad + eye[u] + (0, 0) for u in range(k)] + [pad + x + (1, 0), pad + y + (0, 1)]
             table = _right_action(ctx, unipotent)
-            out.update(tuple(map(table.__getitem__, d)) for d in diagonals)
+            out.update(sum(table[c] << s for c, s in zip(d, shifts)) for d in diagonals)
     if len(out) != q_minus_order(q, n):
         raise AssertionError("parametrization of Q^- must be bijective")
     return _decode(ctx, n, sorted(out))
@@ -345,9 +353,7 @@ def weyl_elements(ctx: FieldCtx, n: int) -> tuple[tuple[Matrix, ...], Matrix]:
         perm = list(range(2 * n))
         for j in range(r):
             perm[j], perm[k + j] = perm[k + j], perm[j]
-        sigmas.append(
-            tuple(tuple(1 if c == perm[rw] else 0 for c in range(2 * n)) for rw in range(2 * n))
-        )
+        sigmas.append(tuple(tuple(int(c == perm[rw]) for c in range(2 * n)) for rw in range(2 * n)))
     rows = identity_matrix(2 * n)  # rho: the last row adds into the next-to-last
     return tuple(sigmas), (*rows[:-2], rows[-2][:-1] + (1,), rows[-1])
 
@@ -357,42 +363,45 @@ def weyl_elements(ctx: FieldCtx, n: int) -> tuple[tuple[Matrix, ...], Matrix]:
 
 
 @lru_cache(maxsize=None)
-def _q_minus_tables(ctx: FieldCtx, group: tuple[Matrix, ...]) -> tuple[tuple[int, ...], ...]:
-    """images[code(v)] = (code(v y) for y in group): the right-action tables of
-    an enumerated Q^-, read by row.  Keyed on the group itself, so another
-    enumeration of Q^- (a fake one in a test) never reads these tables."""
-    return tuple(zip(*(_right_action(ctx, y) for y in group)))
-
-
-@lru_cache(maxsize=None)
-def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Codes, ...]:
-    """The double coset Q^- sigma_r Q^- (rho-twisted when requested), each
-    element the tuple of its row codes, in coset order, unsorted: the disjoint
-    union of its right cosets w Q^-, leaders w = x sigma_r for x in Q^-'s order,
-    each coset listed as w y for y in Q^-'s order.  A coset is built only if w
-    is in none built yet and must add |Q^-| new elements, so each element is
-    computed once and a Q^- that is not a group fails loudly.  With the group's
-    tables a coset is one zip of the images of the rows of w; rho adds the last
-    row code of each leader to the next-to-last."""
+def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[int, ...]:
+    """The double coset Q^- sigma_r Q^- as element codes in coset order, unsorted:
+    the disjoint union of its right cosets w Q^-, leaders w = x sigma_r for x in
+    Q^-'s order, each listed as w y for y in Q^-'s order.  A coset is built only
+    if w is in none built yet and must add |Q^-| new elements, so a Q^- that is
+    not a group fails loudly.  Right action is linear in the row: w Q^- is the
+    XOR, over the set bits of w, of their basis rows' images, each one column
+    over Q^- in 64-bit lanes, moved up to its row of w.  The rho-twisted cell is
+    rho times each element, in order: the last row code added to the one before."""
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..{n - 1}, got {r}")
     if r and not products_fit(ctx.q, n):  # refuse before enumerating Q^-
-        raise BudgetError(f"|Q^-|^2 exceeds the product budget {PRODUCT_BUDGET}")
-    qm = enumerate_q_minus(ctx, n)
-
-    def rho(w: Codes) -> Codes:  # rho w on row codes
-        return (*w[:-2], w[-2] ^ w[-1], w[-1]) if twisted else w
-
+        raise BudgetError(f"|O^-(2n,q)| exceeds the product budget {PRODUCT_BUDGET}")
+    width = 2 * n * ctx.r  # bits of a row code
+    mask, shifts = (1 << width) - 1, _shifts(width, 2 * n)
+    if twisted:
+        return tuple(w ^ (w & mask) << width for w in bruhat_cell_cosets(ctx, n, r, False))
     if not r:  # sigma_0 is the identity and Q^- is a group
-        return tuple(rho(tuple(_row_code(ctx, row) for row in y)) for y in qm)
-    images = _q_minus_tables(ctx, qm)
+        qm = enumerate_q_minus(ctx, n)
+        if 2 * n * width > 64:  # the budgets admit no such n and q
+            raise AssertionError("a cell element must fit one 64-bit lane")
+        return tuple(_row_code(ctx, chain.from_iterable(y)) for y in qm)
+    group = bruhat_cell_cosets(ctx, n, 0, False)  # Q^- in code form, the identity's coset
+    eye = identity_matrix(2 * n)  # z^k eye acts on a row code as z^k on each entry
+    scaled = [_right_action(ctx, tuple(tuple(e << k for e in row) for row in eye)) for k in range(ctx.r)]
+    # basis row b of row j: z^k e_j, bit k of entry j; its image under y is z^k (row j of y)
+    images = [_pack([times[y >> s & mask] for y in group]) for s in reversed(shifts) for times in scaled]
+    columns = [image << s for s in reversed(shifts) for image in images]  # by bit of w
     sigma = _right_action(ctx, weyl_elements(ctx, n)[0][r])
     cell, seen = [], set()  # seen is only the membership test
-    for x in zip(*(images[1 << s] for s in _entry_shifts(ctx, n))):  # the identity's coset
-        left = rho(tuple(sigma[c] for c in x))
+    for x in group:
+        left = sum(sigma[x >> s & mask] << s for s in shifts)
         if left in seen:
             continue
-        coset = list(zip(*(images[c] for c in left)))
+        packed = 0
+        for bit, column in enumerate(columns):
+            if left >> bit & 1:
+                packed ^= column
+        coset = _unpack(packed, len(group))
         seen.update(coset)
         cell += coset
         if len(seen) != len(cell):
@@ -402,27 +411,18 @@ def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> 
 
 @lru_cache(maxsize=None)
 def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Matrix, ...]:
-    """The double coset Q^- sigma_r Q^- (rho-twisted when requested) as sorted
-    matrices: `bruhat_cell_cosets` sorted and decoded.  Codes order as rows do,
-    so sorting the codes is the canonical matrix order."""
+    """`bruhat_cell_cosets` as sorted matrices; codes sort as matrices do, so this is canonical."""
     return _decode(ctx, n, sorted(bruhat_cell_cosets(ctx, n, r, twisted)))
 
 
-def cell_traces(ctx: FieldCtx, n: int, codes: tuple[Codes, ...]) -> tuple[int, ...]:
-    """The matrix trace of every code-form element, in order: entry i of row i
-    sits at shift s_i of row code i, and the trace XORs those entries.  Each
-    column of row codes is packed as 64-bit lanes of one integer, so a shift,
-    an XOR and one mask per lane serve the whole cell."""
-    from array import array  # imported here: commands that read no cell skip loading it
-
-    def packed(lanes) -> int:
-        return int.from_bytes(array("Q", lanes).tobytes(), sys.byteorder)
-
-    acc = 0
-    for column, s in zip(zip(*codes), _entry_shifts(ctx, n)):
-        acc ^= packed(column) >> s
-    acc &= packed(repeat(ctx.q - 1, len(codes)))
-    return tuple(array("Q", acc.to_bytes(8 * len(codes), sys.byteorder)))
+def cell_traces(ctx: FieldCtx, n: int, codes: tuple[int, ...]) -> tuple[int, ...]:
+    """The matrix trace of every element code, in order: entry (i, i) sits
+    (2n - 1 - i)(2n + 1) r bits up, and the trace XORs those entries.  The codes
+    are packed once, so 2n shifts, XORs and one mask serve the whole cell."""
+    packed, acc = _pack(codes), 0
+    for s in _shifts((2 * n + 1) * ctx.r, 2 * n):
+        acc ^= packed >> s
+    return _unpack(acc & _pack(repeat(ctx.q - 1, len(codes))), len(codes))
 
 
 # family -> (n - r of its Weyl element sigma_r, rho twist, exponent e of the

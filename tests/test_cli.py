@@ -127,6 +127,17 @@ def test_enumerate_document(capsys):
     assert res["verified"] is True
 
 
+def test_enumerate_and_weights_read_the_q8_n2_cells(capsys):
+    # q = 8 is the least field where the family-3 plus recursion at n = 2 is solved
+    code, doc, _ = run(
+        capsys, "enumerate", "--r", "3", "--family", "1", "--sign", "plus", "--n", "2"
+    )
+    assert code == 0 and doc["result"]["verified"] is True
+    assert doc["result"]["enumerated"]["size"] == doc["result"]["size"] == "258048"
+    code, doc, _ = run(capsys, "weights", "--r", "3", "--family", "1", "--sign", "plus", "--n", "2")
+    assert code == 0 and doc["result"]["popcount_verified"] is True
+
+
 def test_enumerate_budget_degrades_to_null(capsys):
     code, doc, _ = run(
         capsys, "enumerate", "--r", "2", "--family", "1", "--sign", "minus", "--n", "3"
@@ -558,11 +569,11 @@ def test_verify_all_gates_plan_exactly_what_fits_the_budgets(monkeypatch):
         dims = tuple(d for d in (1, 2) if _fits(ominus_groups.b_r_sum, ctx, d))
         assert plan.get(f"symmetric-matrix-sum-r{r}", (ctx, ()))[1] == dims
         for n in (1, 2, 3):
-            fits = _fits(lambda: [ominus_groups.bruhat_cell(ctx, n, k) for k in range(n)])
+            fits = _fits(lambda: [ominus_groups.bruhat_cell_cosets(ctx, n, k) for k in range(n)])
             for kind in ("parabolic-cells", "character-sums", "trace-distributions"):
                 assert (f"{kind}-n{n}-r{r}" in plan) == fits
         # above q = 2 every coset the code check enumerates is an n = 1 cell
-        fits = _fits(ominus_groups.bruhat_cell, ctx, 1, 0)
+        fits = _fits(ominus_groups.bruhat_cell_cosets, ctx, 1, 0)
         assert (f"code-weights-and-duality-r{r}" in plan) == fits
 
 

@@ -5,7 +5,7 @@ import pickle
 import random
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -13,10 +13,8 @@ from cosetmoments import cli, coset_codes, ominus_groups
 from cosetmoments.finite_field import character_sums, inv, lambda_char, make_field, mul, trace, units
 from cosetmoments.kloosterman import BudgetError, kloosterman_spectrum, kloosterman_sum
 from cosetmoments.ominus_groups import (
-    PRODUCT_BUDGET,
     DoubleCosetSpec,
     _powers,
-    _q_minus_tables,
     _right_action,
     _row_code,
     b_r_sum,
@@ -43,6 +41,7 @@ from cosetmoments.ominus_groups import (
     o_minus_order,
     p_minus_order,
     parabolic_indices,
+    q_minus_fits,
     q_minus_order,
     theta_minus,
     trace_distribution,
@@ -398,10 +397,10 @@ def test_q_minus_enumeration_budget():
 
 
 def test_cell_refusals_never_print_their_unbounded_orders(default_digit_limit):
-    # at n = 71, |Q^-|^2 has more decimal digits than int-to-string conversion allows
-    assert q_minus_order(2, 71) ** 2 >= 10 ** 4300
+    # at n = 85, |O^-(2n,q)| has more decimal digits than int-to-string conversion allows
+    assert o_minus_order(2, 85) >= 10 ** 4300
     with pytest.raises(BudgetError, match="product budget"):
-        bruhat_cell_cosets(CTX2, 71, 70)
+        bruhat_cell_cosets(CTX2, 85, 84)
     with pytest.raises(BudgetError, match="enumeration budget"):
         enumerate_q_minus(CTX2, 71)
 
@@ -463,6 +462,9 @@ def _unpack_rows(packed: tuple[int, ...], size: int):
     return tuple(tuple((row >> j) & 1 for j in range(size)) for row in packed)
 
 
+ORACLE_PRODUCTS = 10 ** 7  # largest |Q^-|^2 the oracle multiplies out
+
+
 @lru_cache(maxsize=None)
 def all_products_cell(ctx, n: int, r: int, twisted: bool = False):
     if not 0 <= r <= n - 1:
@@ -473,8 +475,8 @@ def all_products_cell(ctx, n: int, r: int, twisted: bool = False):
     qm = enumerate_q_minus(ctx, n)
     if r == 0:
         return qm  # sigma_0 is the identity and Q^- is a group
-    if len(qm) ** 2 > PRODUCT_BUDGET:
-        raise BudgetError(f"|Q^-|^2 = {len(qm) ** 2} exceeds the product budget {PRODUCT_BUDGET}")
+    if len(qm) ** 2 > ORACLE_PRODUCTS:
+        raise BudgetError(f"|Q^-|^2 = {len(qm) ** 2} exceeds the oracle's {ORACLE_PRODUCTS}")
     sigma = weyl_elements(ctx, n)[0][r]
     seen: set = set()
     if ctx.q == 2:
@@ -509,14 +511,32 @@ def test_bruhat_cell_matches_all_products_oracle(key):
         for twisted in (False, True):
             oracle = all_products_cell(ctx, n, r, twisted)
             assert bruhat_cell(ctx, n, r, twisted) == oracle
-            encoded = tuple(tuple(_row_code(ctx, row) for row in w) for w in oracle)
+            encoded = tuple(_code(ctx, w) for w in oracle)
             assert tuple(sorted(bruhat_cell_cosets(ctx, n, r, twisted))) == encoded
 
 
+def _code(ctx, m):
+    """A matrix as one element code: its entries row-major, r bits each, first highest."""
+    return _row_code(ctx, chain.from_iterable(m))
+
+
 def _decoded(ctx, n, codes):
-    """Row codes back to matrices: entry i of a row sits r (2n - 1 - i) bits up."""
-    shifts = [ctx.r * (2 * n - 1 - i) for i in range(2 * n)]
-    return tuple(tuple(tuple(c >> s & ctx.q - 1 for s in shifts) for c in w) for w in codes)
+    """Element codes back to matrices: entry (i, j) sits r (4n^2 - 1 - 2n i - j) bits up."""
+    size = 2 * n
+    shifts = [[ctx.r * (size * size - 1 - size * i - j) for j in range(size)] for i in range(size)]
+    return tuple(tuple(tuple(c >> s & ctx.q - 1 for s in row) for row in shifts) for c in codes)
+
+
+def _rows(ctx, n, code):
+    """An element code's 2n row codes, row 0 first."""
+    width = 2 * n * ctx.r
+    return tuple(code >> width * (2 * n - 1 - i) & (1 << width) - 1 for i in range(2 * n))
+
+
+def _joined(ctx, n, rows):
+    """2n row codes, row 0 first, as one element code."""
+    width = 2 * n * ctx.r
+    return sum(c << width * (2 * n - 1 - i) for i, c in enumerate(rows))
 
 
 @pytest.mark.parametrize("key", sorted(CELL_FIELDS))
@@ -546,12 +566,13 @@ def test_coset_order_cell_is_its_right_cosets_in_q_minus_order(key):
             for x in qm:
                 w = mat_mul(ctx, x, sigmas[r])
                 w = mat_mul(ctx, rho, w) if twisted else w
-                leaders.append(tuple(_row_code(ctx, row) for row in w))
+                leaders.append(_code(ctx, w))
             picked = []
             for start in range(0, len(cell), len(qm)):
                 block = cell[start:start + len(qm)]
                 picked.append(leaders.index(block[identity]))
-                assert block == tuple(tuple(t[c] for c in block[identity]) for t in tables)
+                rows = _rows(ctx, n, block[identity])
+                assert block == tuple(_joined(ctx, n, (t[c] for c in rows)) for t in tables)
             assert picked == sorted(set(picked)) and len(picked) * len(qm) == len(cell)
 
 
@@ -678,7 +699,7 @@ def _fake_q_minus(ctx, n: int):
 def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, n):
     ctx = make_field(field_r)
     fake = _fake_q_minus(ctx, n)
-    bruhat_cell_cosets(ctx, n, 1)  # the true group's tables are cached
+    bruhat_cell_cosets(ctx, n, 1)  # the true group's cells are cached
     monkeypatch.setattr(ominus_groups, "enumerate_q_minus", lambda c, k: fake)
     monkeypatch.setattr(cli, "enumerate_q_minus", lambda c, k: fake)
     bruhat_cell_cosets.cache_clear()
@@ -689,16 +710,77 @@ def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, 
         bruhat_cell_cosets.cache_clear()
 
 
-@pytest.mark.parametrize("field_r,n", ((1, 2), (2, 2)))
-def test_two_enumerated_groups_never_share_tables(field_r, n):
+@pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2), (3, 2)))
+def test_cell_walk_builds_no_table_per_element_of_q_minus(monkeypatch, field_r, n):
+    # with Q^- cached, a cell builds r scaled-basis tables and the sigma table, not |Q^-|
     ctx = make_field(field_r)
-    group, fake = enumerate_q_minus(ctx, n), _fake_q_minus(ctx, n)
-    tables = _q_minus_tables(ctx, group)
-    assert _q_minus_tables(ctx, group) is tables  # built once per group
-    fake_tables = _q_minus_tables(ctx, fake)
-    assert fake_tables != tables
-    for found, elements in ((tables, group), (fake_tables, fake)):
-        assert found == tuple(zip(*(_right_action(ctx, y) for y in elements)))
+    bruhat_cell_cosets(ctx, n, 0)
+    built = []
+    monkeypatch.setattr(ominus_groups, "_right_action",
+                        lambda c, m: built.append(m) or _right_action(c, m))
+    bruhat_cell_cosets.cache_clear()
+    try:
+        bruhat_cell_cosets(ctx, n, 0)
+        assert built == []
+        bruhat_cell_cosets(ctx, n, n - 1, True)
+    finally:
+        bruhat_cell_cosets.cache_clear()
+    assert len(built) == field_r + 1 and built[-1] == weyl_elements(ctx, n)[0][n - 1]
+
+
+def test_every_admitted_cell_element_fits_one_lane():
+    # an element has 4 n^2 r bits; the widest the enumeration budget admits is n = 1, r = 13
+    widths = [4 * n * n * r for r in range(1, 17) for n in range(1, 9) if q_minus_fits(1 << r, n)]
+    assert max(widths) == 52
+
+
+def test_cell_refuses_an_element_wider_than_one_lane(monkeypatch):
+    # Q^-(6,4) is over the enumeration budget; were it admitted, its 144-bit elements could not be packed
+    monkeypatch.setattr(ominus_groups, "enumerate_q_minus", lambda ctx, n: ())
+    with pytest.raises(AssertionError, match="64-bit lane"):
+        bruhat_cell_cosets(CTX4, 3, 0)
+
+
+CTX8 = make_field(3)
+
+
+def test_q8_n2_cells_partition_the_group():
+    union: set = set()
+    total = 0
+    for r in range(2):
+        for twisted in (False, True):
+            cell = bruhat_cell_cosets(CTX8, 2, r, twisted)
+            assert len(cell) == bruhat_cell_order(8, 2, r)
+            union.update(cell)
+            total += len(cell)
+    assert total == o_minus_order(8, 2) == 524160
+    assert len(union) == total
+
+
+def test_q8_n2_coset_elements_are_products_of_their_leader():
+    # block k of |Q^-| elements is w_k Q^- in Q^-'s order, w_k = (rho) x sigma_1 for x in Q^-
+    qm = enumerate_q_minus(CTX8, 2)
+    members, identity = set(qm), qm.index(identity_matrix(4))
+    sigma = weyl_elements(CTX8, 2)[0][1]
+    rng = random.Random("cells:8:2")
+    for twisted in (False, True):
+        cell = bruhat_cell_cosets(CTX8, 2, 1, twisted)
+        for start in rng.sample(range(0, len(cell), len(qm)), 6):
+            leader = _decoded(CTX8, 2, (cell[start + identity],))[0]
+            untwisted = _rho_left_mul(leader) if twisted else leader
+            assert mat_mul(CTX8, untwisted, sigma) in members
+            for j in rng.sample(range(len(qm)), 8):
+                assert cell[start + j] == _code(CTX8, mat_mul(CTX8, leader, qm[j]))
+
+
+@pytest.mark.parametrize("a_param", (None, 0x7))
+def test_q8_n2_enumerated_classes_equal_the_closed_ones(a_param):
+    ctx = make_field(3, a_param=a_param)
+    assert trace(ctx, ctx.a_param) == 1
+    specs = valid_specs(ctx, 2)
+    assert [(spec.family, spec.sign) for spec in specs] == [(1, "+"), (2, "+"), (3, "+")]
+    for spec in specs:
+        assert trace_distribution(spec, "enumerated") == trace_distribution(spec)
 
 
 # --- double-coset specs ---------------------------------------------------
@@ -709,8 +791,8 @@ def test_bruhat_cell_refuses_before_enumerating(monkeypatch):
         raise AssertionError("Q^- must not be enumerated past the product budget")
 
     monkeypatch.setattr(ominus_groups, "enumerate_q_minus", refuse)
-    with pytest.raises(BudgetError):
-        bruhat_cell(make_field(3), 2, 1)
+    with pytest.raises(BudgetError):  # |O^-(4,16)| > PRODUCT_BUDGET
+        bruhat_cell(make_field(4), 2, 1)
 
 
 def test_spec_validation():

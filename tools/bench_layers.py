@@ -169,38 +169,42 @@ def child_field(r: str) -> dict:
 
 def child_cell(field_r: str, n: str, r: str) -> dict:
     """One untwisted Bruhat cell with Q^- already enumerated and every cell
-    cache (the tables and code-form cells included) cleared before each timed
-    call, so each call builds its own tables; and the work that side's walk
-    does: on a checkout with right-action tables, the tables built (each q^(2n)
-    row codes, one XOR each) and the cosets expanded (one zip of 2n image
-    tuples of |Q^-| codes; each adds |Q^-| elements, so |cell| / |Q^-| of them);
-    otherwise the matrix products (`_packed_mul` at q = 2, `mat_mul` at other q).
-    Where the package keeps the cell in coset order (`bruhat_cell_cosets`), that
-    unsorted walk is timed too, under the same resets (`cosets_s`)."""
+    cache cleared before each timed call (on a side that keeps per-element
+    right-action tables of Q^-, those too), so each call builds its own tables;
+    `cosets_s` times the unsorted coset-order walk alone, under the same resets.
+    The work that side's walk does: the right-action tables built (q^(2n) row
+    codes each: one per element of Q^- and sigma's on a per-element side, the r
+    scaled-basis tables and sigma's otherwise), the basis columns of |Q^-| lanes
+    (2n r, where the side has no per-element tables) and the cosets expanded
+    (|cell| / |Q^-|).  A side whose product budget refuses the case has it
+    lifted, so both sides build the same cell and their digests are compared."""
     from cosetmoments import ominus_groups as og
     from cosetmoments.finite_field import make_field
 
     ctx = make_field(int(field_r))
     n_int, r_int = int(n), int(r)
+    if not og.products_fit(ctx.q, n_int):
+        og.PRODUCT_BUDGET = math.inf
     qm = og.enumerate_q_minus(ctx, n_int)
-    names = ("bruhat_cell", "bruhat_cell_codes", "bruhat_cell_cosets", "_q_minus_tables")
-    caches = [getattr(og, name) for name in names if hasattr(og, name)]  # an older side has fewer
+    per_element = hasattr(og, "_q_minus_tables")
+    names = ("bruhat_cell", "bruhat_cell_cosets", "_q_minus_tables")
+    caches = [getattr(og, name) for name in names if hasattr(og, name)]
 
     def reset():
         for cache in caches:
             cache.cache_clear()
 
     seconds = _median_s(lambda: og.bruhat_cell(ctx, n_int, r_int), reset=reset)
-    cosets = ({"cosets_s": _median_s(lambda: og.bruhat_cell_cosets(ctx, n_int, r_int), reset=reset)}
-              if hasattr(og, "bruhat_cell_cosets") else {})
-    tables = hasattr(og, "_right_action")
-    calls = _count_calls(og, "_right_action" if tables else "_packed_mul" if ctx.q == 2 else "mat_mul")
+    cosets_s = _median_s(lambda: og.bruhat_cell_cosets(ctx, n_int, r_int), reset=reset)
+    calls = _count_calls(og, "_right_action")
     reset()
     cell = og.bruhat_cell(ctx, n_int, r_int)
-    work = ({"right_action_tables": calls[0], "table_codes": calls[0] * ctx.q ** (2 * n_int),
-             "cosets_expanded": len(cell) // len(qm)} if tables else {"products": calls[0]})
-    return {"s": seconds, **cosets, **work, "cell_size": len(cell), "q_minus_order": len(qm),
-            "digest": _digest(cell)}
+    work = {"right_action_tables": calls[0], "table_codes": calls[0] * ctx.q ** (2 * n_int),
+            "cosets_expanded": len(cell) // len(qm)}
+    if not per_element:
+        work["basis_columns"] = 2 * n_int * ctx.r
+    return {"s": seconds, "cosets_s": cosets_s, **work, "cell_size": len(cell),
+            "q_minus_order": len(qm), "digest": _digest(cell)}
 
 
 def child_q_minus(field_r: str, n: str) -> dict:
@@ -483,14 +487,16 @@ LAYERS = {
         agree=("modulus",),
     ),
     "cells": Layer(
-        "Bruhat cells Q^- sigma_r Q^- with Q^- enumerated (BENCH_5)",
+        "Bruhat cells Q^- sigma_r Q^- with Q^- enumerated (BENCH_5); a side whose product "
+        "budget refuses a case has it lifted",
         tuple((f"q{1 << f}-n{n}-r{r}", "child_cell", (str(f), str(n), str(r)))
-              for f, n in ((1, 2), (1, 3), (2, 2)) for r in range(1, n)),
-        "per side, labelled and not compared: before, matrix products (_packed_mul at q = 2, "
-        "mat_mul otherwise); after, right-action tables built (table_codes: q^(2n) row codes "
-        "each, one XOR per code) and cosets expanded (one zip of |Q^-| codes per row each); "
-        "every cell cache, the tables' included, is cleared before each timed call; cosets_s "
-        "(where the package has bruhat_cell_cosets) times the unsorted coset-order walk alone",
+              for f, n in ((1, 2), (1, 3), (2, 2), (3, 2)) for r in range(1, n)),
+        "per side, labelled and not compared: right-action tables built (table_codes: q^(2n) "
+        "row codes each, one XOR per code), on a per-element side one per element of Q^- and "
+        "sigma's, otherwise the r scaled-basis tables and sigma's; basis_columns: columns of "
+        "|Q^-| 64-bit lanes, one per basis row (2n r); cosets expanded (|cell| / |Q^-|); every "
+        "cell cache is cleared before each timed call; cosets_s times the unsorted coset-order "
+        "walk alone; the digest and the cell size must agree",
         agree=("digest", "cell_size"),
     ),
     "q-minus": Layer(
@@ -534,8 +540,9 @@ LAYERS = {
         "vector for the form, serially",
         (("verify-all-r8", "child_checks", ("8", ",".join(CELL_CHECKS))),),
         "seconds per check; the plan is fixed by the check names; <check>.tables: right-action "
-        "tables the check built, in plan order after the checks before it: Q^-'s element and "
-        "unipotent tables and the sigma tables (q^(2n) row codes each), and the scan tables",
+        "tables the check built, in plan order after the checks before it (q^(2n) row codes "
+        "each): Q^-'s unipotent tables, the sigma tables, the scan tables, and Q^-'s element "
+        "tables on a per-element side or the r scaled-basis tables per cell otherwise",
     ),
     "symmetric": Layer(
         "the direct symmetric-matrix sum: verify-all --max-r 8 symmetric-matrix-sum checks, "
