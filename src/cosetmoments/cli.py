@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
+import os
 import random
 import sys
-from itertools import chain
 from math import comb
 
 from . import __version__
@@ -278,9 +279,8 @@ def _cmd_moments(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# the verify-all registry; check functions are top level so a process pool
-# can pickle them, and the plan builds each degree's field once: its context
-# reaches a pool worker through FieldCtx.__reduce__
+# the verify-all registry; the plan builds each degree's field once and passes
+# it to every check of that degree, and forked workers inherit the whole plan
 
 
 def _check_stirling() -> None:
@@ -575,10 +575,19 @@ def _run_check(entry: CheckEntry) -> tuple[str, str, str]:
     return name, "pass", ""
 
 
-def _run_task(entries: list[CheckEntry]) -> list[tuple[str, str, str]]:
-    """Checks that share their arguments, so the caches those fill serve them all;
-    `_run_check` is looked up at each call, so a wrapper set on the module sees each."""
-    return [_run_check(entry) for entry in entries]
+def _serve_tasks(plan: list[CheckEntry], tasks: list[list[int]], queue: int, out: int) -> None:
+    """A forked worker: runs the tasks numbered in `queue` until EOF, writes {plan index:
+    result} to `out` in one marshal blob, and leaves by os._exit alone (no flush, no atexit)."""
+    try:
+        done = {}
+        while record := os.read(queue, 4):  # one pipe read never splits a 4-byte record
+            for index in tasks[int.from_bytes(record, "little")]:
+                done[index] = _run_check(plan[index])  # a wrapper set on the module sees each
+        with open(out, "wb") as pipe:
+            pipe.write(marshal.dumps(done))
+        os._exit(0)
+    finally:
+        os._exit(1)  # reached only when the work above raised
 
 
 def verify_all(
@@ -592,16 +601,37 @@ def verify_all(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     plan = _build_checks(max_r, modulus_overrides or {})
-    if workers == 1:
+    if workers == 1 or not hasattr(os, "fork"):  # serial where the platform cannot fork
         return [_run_check(entry) for entry in plan]
-    from concurrent.futures import ProcessPoolExecutor  # imported here: it loads multiprocessing
-    tasks: dict[tuple, list[int]] = {}  # plan indices by argument tuple, in plan order
+    by_args: dict[tuple, list[int]] = {}  # plan indices by argument tuple, in plan order
     for index, entry in enumerate(plan):
-        tasks.setdefault(entry[2], []).append(index)
-    # the pool forks all its workers at the first submit: fork no more than there are tasks
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        done = pool.map(_run_task, [[plan[i] for i in task] for task in tasks.values()])
-        results = dict(zip(chain.from_iterable(tasks.values()), chain.from_iterable(done)))
+        by_args.setdefault(entry[2], []).append(index)
+    tasks = list(by_args.values())
+    queue, feed = os.pipe()
+    with open(feed, "wb") as pipe:  # every task number before the first fork; they fit the buffer
+        pipe.write(b"".join(task.to_bytes(4, "little") for task in range(len(tasks))))
+    pids, pipes = [], []
+    try:  # forked workers run every check; the parent reads their pipes and reaps them
+        for _ in range(min(workers, len(tasks))):
+            read_end, write_end = os.pipe()
+            pipes.append(open(read_end, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    _serve_tasks(plan, tasks, queue, write_end)
+            finally:
+                os.close(write_end)  # so the pipe ends when its worker does
+            pids.append(pid)
+        blobs = [pipe.read() for pipe in pipes]
+    finally:
+        os.close(queue)
+        for pipe in pipes:
+            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    if any(codes):
+        raise RuntimeError(f"a verify-all worker exited with status {next(filter(None, codes))}")
+    results = {index: result for blob in blobs for index, result in marshal.loads(blob).items()}
+    if len(results) != len(plan):
+        raise RuntimeError("the verify-all workers left a check unreported")
     return [results[index] for index in range(len(plan))]
 
 

@@ -1,8 +1,10 @@
 """The JSON command-line surface: shapes, encodings, exit codes, determinism."""
 
 import json
+import os
 import pkgutil
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -405,66 +407,117 @@ def test_recursion_check_runs_the_hand_written_jobs(monkeypatch, r):
 
 
 def test_verify_all_caps_workers_at_the_plan_length(monkeypatch):
-    pool_sizes = []
+    forks = []
+    real_fork = os.fork
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            pool_sizes.append(max_workers)
+    def counted_fork():
+        forks.append(1)  # in the parent's list: the child's copy is its own
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items):
-            return map(func, items)
-
-    # verify_all imports the pool class from concurrent.futures only when it forks one
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "fork", counted_fork)
     task_count = len({fargs for _, _, fargs, _ in cli._build_checks(1, {})})
-    assert verify_all(1, workers=5000) == verify_all(1, workers=1)
-    assert verify_all(1, workers=2) == verify_all(1, workers=1)
-    assert pool_sizes == [task_count, 2]
+    serial = verify_all(1, workers=1)
+    assert forks == []
+    assert verify_all(1, workers=5000) == serial
+    assert len(forks) == task_count
+    assert verify_all(1, workers=2) == serial
+    assert len(forks) == task_count + 2
 
 
 @pytest.mark.parametrize("max_r", (1, 2))
-def test_verify_all_pool_tasks_group_checks_by_their_arguments(monkeypatch, capsys, max_r):
-    tasks = []
+def test_verify_all_pool_tasks_group_checks_by_their_arguments(monkeypatch, capsys, tmp_path, max_r):
+    # the workers write what they ran to one append-only file: "tasks <json>" once
+    # per worker, then "<pid> <check name>" per check, in the order they ran them
+    log = os.open(tmp_path / "ran", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real_check, real_serve = cli._run_check, cli._serve_tasks
 
-    class ReversePool:
-        """Runs the tasks last to first and hands their results back in order."""
+    def logged_check(entry):
+        os.write(log, f"{os.getpid()} {entry[0]}\n".encode())
+        return real_check(entry)
 
-        def __init__(self, max_workers):
-            pass
+    def logged_serve(plan, tasks, queue, out):
+        os.write(log, f"tasks {json.dumps(tasks)}\n".encode())
+        real_serve(plan, tasks, queue, out)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, func, items):
-            items = list(items)
-            tasks.extend(items)
-            return reversed([func(task) for task in reversed(items)])
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", ReversePool)
-    main(["verify-all", "--max-r", str(max_r), "--workers", "1"])
-    serial = capsys.readouterr().out
-    main(["verify-all", "--max-r", str(max_r), "--workers", "2"])
-    assert capsys.readouterr().out == serial
+    monkeypatch.setattr(cli, "_run_check", logged_check)
+    monkeypatch.setattr(cli, "_serve_tasks", logged_serve)
+    try:
+        main(["verify-all", "--max-r", str(max_r), "--workers", "1"])
+        serial = capsys.readouterr().out
+        main(["verify-all", "--max-r", str(max_r), "--workers", "2"])
+        assert capsys.readouterr().out == serial
+    finally:
+        os.close(log)
     plan = cli._build_checks(max_r, {})
+    handed_out, runs = set(), {}
+    for line in (tmp_path / "ran").read_text().splitlines():
+        head, rest = line.split(" ", 1)
+        if head == "tasks":
+            handed_out.add(rest)
+        else:
+            runs.setdefault(int(head), []).append(rest)
+    # the serial run ran every check here; with workers the parent ran none
+    assert runs.pop(os.getpid()) == [entry[0] for entry in plan]
+    assert 1 <= len(runs) <= 2 and len(handed_out) == 1
+    assert sorted(name for names in runs.values() for name in names) == sorted(e[0] for e in plan)
+    tasks = [[plan[index] for index in task] for task in json.loads(handed_out.pop())]
     # every task holds the plan entries of one argument tuple, in plan order
-    assert sorted(entry[0] for task in tasks for entry in task) == sorted(e[0] for e in plan)
     assert len(tasks) == len({fargs for _, _, fargs, _ in plan})
     for task in tasks:
         assert [e for e in plan if e[2] == task[0][2]] == task
+        # and one worker ran them back to back
+        names = [entry[0] for entry in task]
+        assert sum(ran[i:i + len(names)] == names for ran in runs.values() for i in range(len(ran))) == 1
     # one task for a degree's field-level checks, one for the cell checks of an (r, n)
     by_name = {entry[0]: task for task in tasks for entry in task}
     assert [e[0] for e in by_name["parabolic-cells-n1-r1"]] == [
         "parabolic-cells-n1-r1", "character-sums-n1-r1", "trace-distributions-n1-r1"]
     assert by_name["moment-oracle-r1"] is by_name["weil-bound-r1"] is by_name["so2-isometries-r1"]
+
+
+@pytest.mark.parametrize("death, status", [
+    ("os.kill(os.getpid(), signal.SIGKILL)", -signal.SIGKILL), ("os._exit(3)", 3)])
+def test_verify_all_raises_when_a_worker_dies(death, status):
+    probe = (
+        "import os, signal\n"
+        "import cosetmoments.cli as cli\n"
+        f"cli._check_stirling = lambda: {death}\n"
+        "try:\n"
+        "    print('returned', len(cli.verify_all(1, workers=2)))\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+        "try:\n"
+        "    print('left', os.waitpid(-1, os.WNOHANG))\n"
+        "except ChildProcessError:\n"
+        "    print('no child left')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.splitlines() == [
+        f"a verify-all worker exited with status {status}", "no child left"]
+
+
+def test_verify_all_workers_leave_the_parents_stdout_buffer_alone():
+    # stdout is a block-buffered pipe here, so the line waits in the buffer while the workers fork
+    probe = (
+        "import sys\n"
+        "import cosetmoments.cli as cli\n"
+        "assert not (sys.stdout.line_buffering or sys.stdout.write_through)\n"
+        "print('held in the buffer')\n"
+        "assert cli.verify_all(1, 2) == cli.verify_all(1, 1)\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True, env=env
+    )
+    assert proc.stdout == "held in the buffer\n"
+
+
+def test_verify_all_runs_serially_where_fork_is_missing(monkeypatch):
+    serial = verify_all(2, workers=1)
+    monkeypatch.delattr(os, "fork")
+    assert verify_all(2, workers=2) == serial
 
 
 def test_verify_all_small(capsys):
@@ -658,12 +711,13 @@ def test_out_flag_write_failure_is_a_usage_error(tmp_path, capsys):
 
 
 def test_cold_start_loads_neither_the_process_pool_nor_dataclasses():
-    forbidden = ("concurrent.futures.process", "multiprocessing", "dataclasses", "inspect")
+    forbidden = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
     probe = (
         "import sys, contextlib, io\n"
         "import cosetmoments.cli as cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(['kloos', '--r', '3', '--a', '0x2']) == 0\n"
+        "    assert cli.main(['verify-all', '--max-r', '1', '--workers', '2']) == 0\n"
         f"print(sorted(m for m in {forbidden!r} if m in sys.modules))\n"
     )
     proc = subprocess.run(
