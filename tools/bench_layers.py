@@ -563,6 +563,7 @@ LAYERS = {
             ("kloos", "--r", "12", "--a", "0x3"),
             ("moments", "--r", "8", "--family", "2", "--sign", "plus", "--n", "2", "--hmax", "7", "--verify"),
             ("verify-all", "--max-r", "1", "--workers", "2"),
+            ("verify-all", "--max-r", "2", "--workers", "2"),
         )),
         "modules_imported: modules `import cosetmoments.cli` adds to a fresh interpreter, "
         "named in modules; pool_loaded: whether the run loaded concurrent.futures.process "
