@@ -67,6 +67,7 @@ from .ominus_groups import (
     DoubleCosetSpec,
     b_r_sum,
     b_r_sum_closed,
+    b_r_sum_reduced,
     bruhat_cell_cosets,
     bruhat_cell_order,
     dc_cardinality,
@@ -83,12 +84,14 @@ from .ominus_groups import (
     q_minus_fits,
     q_minus_order,
     scan_fits,
-    sym_sum_fits,
     trace_distribution,
     valid_specs,
 )
 
 MAX_VERIFY_R = 8
+# the symmetric-matrix sum's dims by q, (reduced against closed, direct against reduced);
+# every other q compares dim 1 with the closed form
+SYM_SUM_DIMS = {2: ((1, 2, 3), (1, 2)), 4: ((1, 2), (1,)), 8: ((1, 2), ())}
 SIGNS = {"plus": "+", "minus": "-"}
 
 
@@ -382,13 +385,14 @@ def _check_range_spectrum(ctx: FieldCtx) -> None:
         raise AssertionError("attained values must fill the predicted residue range")
 
 
-def _check_symmetric_sum(ctx: FieldCtx, dims: tuple[int, ...]) -> None:
-    for rdim in dims:
-        closed = b_r_sum_closed(ctx, rdim)
-        if b_r_sum(ctx, rdim) != closed:
-            raise AssertionError(f"symmetric-matrix sum mismatch at r = {rdim}")
-        if ctx.a_param != 1 and b_r_sum(ctx, rdim, ctx.a_param) != closed:
-            raise AssertionError(f"twisted symmetric-matrix sum mismatch at r = {rdim}")
+def _check_symmetric_sum(ctx: FieldCtx, dims: tuple[int, ...], direct: tuple[int, ...]) -> None:
+    for dim in dims:
+        reduced = b_r_sum_reduced(ctx, dim)  # no reduced term depends on the twist
+        if reduced != b_r_sum_closed(ctx, dim):
+            raise AssertionError(f"symmetric-matrix sum mismatch at dim = {dim}")
+        for twist in sorted({1, ctx.a_param}) if dim in direct else ():
+            if b_r_sum(ctx, dim, twist) != reduced:
+                raise AssertionError(f"direct and reduced sums differ at dim = {dim}, twist {to_hex(twist)}")
 
 
 def _check_so2(ctx: FieldCtx) -> None:
@@ -534,9 +538,8 @@ def _build_checks(max_r: int, overrides: dict[int, int]) -> list[CheckEntry]:
         ]
         if r >= 2:
             entries.append((f"range-spectrum-r{r}", _check_range_spectrum, ()))
-        sym_dims = tuple(d for d in (1, 2) if sym_sum_fits(q, d))
-        if sym_dims:
-            entries.append((f"symmetric-matrix-sum-r{r}", _check_symmetric_sum, (sym_dims,)))
+        entries.append((f"symmetric-matrix-sum-r{r}", _check_symmetric_sum,
+                        SYM_SUM_DIMS.get(q, ((1,), ()))))
         entries.append((f"so2-isometries-r{r}", _check_so2, ()))
         for n in (1, 2, 3):
             if q_minus_fits(q, n) and products_fit(q, n):
@@ -645,7 +648,10 @@ def _cmd_verify_all(args: argparse.Namespace) -> tuple[dict, int]:
         if r in overrides:
             raise ValueError(f"--modulus-override names r = {r} more than once")
         overrides[r] = parse_hex(hex_text)
-    results = verify_all(args.max_r, args.workers, overrides)
+    try:
+        results = verify_all(args.max_r, args.workers, overrides)
+    except RuntimeError as exc:  # a worker died: the run failed, no check found a mismatch
+        raise ValueError(str(exc)) from exc
     checks = [{"name": n, "status": s, "detail": d} for n, s, d in results]
     counts = {
         status: _dec(sum(1 for _, s, _ in results if s == status))

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, namedtuple
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain, product, repeat
 from math import prod
+from operator import xor
 
 from .finite_field import FieldCtx, character_sums, inv, lambda_char, mul
 from .kloosterman import BudgetError, kloosterman_spectrum
@@ -37,6 +38,7 @@ PRODUCT_BUDGET = 10 ** 6      # largest |O^-(2n,q)|, the products the cells of o
 SCAN_BUDGET = 10 ** 6         # largest q^(2n) for the exhaustive form check
 GL_ENUM_BUDGET = 10 ** 6      # largest q^(k^2) candidate pool for GL(k,q)
 SYM_SUM_BUDGET = 10 ** 7      # largest term count for the symmetric-matrix sum
+SYM_REDUCED_BUDGET = 10 ** 6  # largest count of matrices B, one inverse each, for the reduced sum
 
 
 # ---------------------------------------------------------------------------
@@ -629,6 +631,32 @@ def sym_sum_fits(q: int, r: int) -> bool:
     """Whether the direct symmetric-matrix sum at dimension r, one term per
     (B, h), fits SYM_SUM_BUDGET."""
     return q ** (r * (r + 1) // 2 + 2 * r) <= SYM_SUM_BUDGET
+
+
+def sym_sum_reduced_fits(q: int, dim: int) -> bool:
+    """Whether the reduced symmetric-matrix sum, one term per B, fits SYM_REDUCED_BUDGET."""
+    return q ** (dim * (dim + 1) // 2) <= SYM_REDUCED_BUDGET
+
+
+def b_r_sum_reduced(ctx: FieldCtx, dim: int, twist: int = 1) -> int:
+    """The symmetric-matrix sum with its sum over v in closed form, one term per B.
+    v^T B v = sum_s B_ss v_s^2 and lambda(c y^2) = lambda(sqrt(c) y), so the v-sum is
+    q^dim where t B u = w, w_s = sqrt(t a B_ss), and 0 elsewhere.  For nonsingular B,
+    u_0 = B^-1 w / t, and t u_0^T B u_0 = w^T B^-1 w / t = a sum_s B_ss (B^-1)_ss: the
+    root cancels and no term depends on the twist, which is checked only to be a unit."""
+    if dim < 1 or not 0 < twist < ctx.q:
+        raise ValueError("dim must be positive and twist a nonzero field element")
+    if not sym_sum_reduced_fits(ctx.q, dim):
+        raise BudgetError("reduced symmetric-matrix sum exceeds its term budget")
+    total = 0
+    for sym in _symmetric_matrices(ctx, dim):
+        try:
+            sym_inv = mat_inv(ctx, sym)
+        except ValueError:
+            continue
+        diagonal = reduce(xor, [mul(ctx, sym[s][s], sym_inv[s][s]) for s in range(dim)])
+        total += lambda_char(ctx, mul(ctx, ctx.a_param, diagonal))
+    return ctx.q ** dim * total
 
 
 def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:

@@ -498,6 +498,19 @@ def test_verify_all_raises_when_a_worker_dies(death, status):
         f"a verify-all worker exited with status {status}", "no child left"]
 
 
+def test_verify_all_exits_2_when_a_worker_dies():
+    # exit 1 means a check failed; a dead worker is an error of the run, as bad input is
+    probe = (
+        "import os, sys\n"
+        "import cosetmoments.cli as cli\n"
+        "cli._check_stirling = lambda: os._exit(3)\n"
+        "sys.exit(cli.main(['verify-all', '--max-r', '1', '--workers', '2']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "a verify-all worker exited with status 3\n"
+
+
 def test_verify_all_workers_leave_the_parents_stdout_buffer_alone():
     # stdout is a block-buffered pipe here, so the line waits in the buffer while the workers fork
     probe = (
@@ -614,13 +627,17 @@ def _fits(call, *args) -> bool:
 
 
 def test_verify_all_gates_plan_exactly_what_fits_the_budgets(monkeypatch):
-    # the direct sum checks its budget before the first term; skip the terms
+    # both symmetric-matrix sums check their budget before the first term; skip the terms
     monkeypatch.setattr(ominus_groups, "_symmetric_matrices", lambda ctx, r: iter(()))
     plan = {name: args for name, _, args, _ in cli._build_checks(MAX_R, {})}
+    # (reduced against closed, direct against reduced) by r
+    sym_dims = {1: ((1, 2, 3), (1, 2)), 2: ((1, 2), (1,)), 3: ((1, 2), ())}
     for r in range(1, MAX_R + 1):
         ctx = make_field(r)
-        dims = tuple(d for d in (1, 2) if _fits(ominus_groups.b_r_sum, ctx, d))
-        assert plan.get(f"symmetric-matrix-sum-r{r}", (ctx, ()))[1] == dims
+        dims, direct = plan[f"symmetric-matrix-sum-r{r}"][1:]
+        assert (dims, direct) == sym_dims.get(r, ((1,), ()))
+        assert all(_fits(ominus_groups.b_r_sum_reduced, ctx, d) for d in dims)
+        assert set(direct) <= set(dims) and all(_fits(ominus_groups.b_r_sum, ctx, d) for d in direct)
         for n in (1, 2, 3):
             fits = _fits(lambda: [ominus_groups.bruhat_cell_cosets(ctx, n, k) for k in range(n)])
             for kind in ("parabolic-cells", "character-sums", "trace-distributions"):

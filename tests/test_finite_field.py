@@ -153,6 +153,37 @@ def test_exp_log_tables_are_powers_of_the_smallest_generator(r, modulus):
     assert all(_order(h, modulus, r) < n for h in range(2, g))
 
 
+def _power_walk_tables(modulus, r):
+    """The generator search _exp_log_tables ran before it tested candidates by
+    their (q-1)/p powers: walk every power of g = 1, 2, ... until one meets
+    every unit; kept as its oracle."""
+    n = (1 << r) - 1
+    for g in range(1, n + 1):
+        exp = [1]
+        x = g
+        while x != 1:
+            exp.append(x)
+            x = _raw_mul(x, g, modulus, r)
+        if len(exp) == n:
+            break
+    log = [0] * (n + 1)
+    for i, x in enumerate(exp):
+        log[x] = i
+    return tuple(exp + exp), tuple(log)
+
+
+@pytest.mark.parametrize("r", range(1, MAX_R + 1))
+def test_exp_log_tables_match_the_power_walk(r):
+    # the default modulus, 0x1F and 0x11B (not primitive), and the irreducible ones among
+    # 64 seeded random draws
+    rng = random.Random(f"moduli:{r}")
+    draws = [rng.randrange(1 << r, 1 << (r + 1)) for _ in range(64)]
+    moduli = {default_modulus(r), *(m for m in (0x1F, 0x11B) if m.bit_length() == r + 1),
+              *(m for m in draws if is_irreducible(m, r))}
+    for modulus in sorted(moduli):
+        assert _exp_log_tables.__wrapped__(modulus, r) == _power_walk_tables(modulus, r)
+
+
 @pytest.mark.parametrize("r,modulus", TABLE_FIELDS)
 def test_arithmetic_matches_the_carry_less_product(r, modulus):
     ctx = make_field(r, modulus)

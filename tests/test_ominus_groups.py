@@ -19,6 +19,7 @@ from cosetmoments.ominus_groups import (
     _row_code,
     b_r_sum,
     b_r_sum_closed,
+    b_r_sum_reduced,
     bruhat_cell,
     bruhat_cell_cosets,
     bruhat_cell_order,
@@ -1104,3 +1105,35 @@ def test_symmetric_sum_at_q8_dim2_with_a_twist_and_the_largest_a_param():
     assert a != field.a_param
     ctx = make_field(3, a_param=a)
     assert b_r_sum(ctx, 2, twist=5) == b_r_sum_closed(ctx, 2)
+
+
+@pytest.mark.parametrize("q,dim", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (8, 1)])
+def test_reduced_symmetric_sum_matches_the_direct_sum_for_every_a_param_and_twist(q, dim):
+    field = make_field(q.bit_length() - 1)
+    for a in range(field.q):
+        if trace(field, a) == 1:
+            ctx = make_field(field.r, a_param=a)
+            for twist in units(ctx):
+                assert b_r_sum_reduced(ctx, dim, twist) == b_r_sum(ctx, dim, twist)
+
+
+@pytest.mark.parametrize("q,dim", [(16, 2), (256, 1)])
+def test_reduced_symmetric_sum_matches_the_closed_form_beyond_the_direct_budget(q, dim):
+    field = make_field(q.bit_length() - 1)
+    assert not ominus_groups.sym_sum_fits(q, dim)
+    a = max(x for x in range(q) if trace(field, x) == 1)
+    for ctx in (field, make_field(field.r, a_param=a)):
+        for twist in (1, ctx.a_param, q - 1):
+            assert b_r_sum_reduced(ctx, dim, twist) == b_r_sum_closed(ctx, dim)
+
+
+def test_reduced_symmetric_sum_refuses_before_its_first_term(monkeypatch):
+    def no_terms(ctx, dim):
+        raise AssertionError("a term was visited")
+
+    monkeypatch.setattr(ominus_groups, "_symmetric_matrices", no_terms)
+    assert ominus_groups.sym_sum_reduced_fits(8, 3) and not ominus_groups.sym_sum_reduced_fits(16, 3)
+    with pytest.raises(BudgetError):
+        b_r_sum_reduced(make_field(4), 3)
+    with pytest.raises(BudgetError):
+        b_r_sum_reduced(make_field(1), 24)  # q^(dim (dim + 1)/2) = 2^300

@@ -115,13 +115,14 @@ def child_prefix(r: str, shape: str) -> dict:
     return row
 
 
-def _count_calls(module, name: str) -> list[int]:
-    """Route every call of module.name through a counter; returns the counter."""
+def _count_calls(module, name: str, weight=lambda *args: 1) -> list[int]:
+    """Route every call of module.name through a counter that adds weight(*args)
+    (1 by default); returns the counter."""
     calls = [0]
     plain = getattr(module, name)
 
     def counted(*args):
-        calls[0] += 1
+        calls[0] += weight(*args)
         return plain(*args)
 
     setattr(module, name, counted)
@@ -239,25 +240,38 @@ def child_checks(max_r: str, prefixes: str) -> dict:
     """Seconds of each verify-all check whose name starts with one of the
     comma-separated prefixes (all checks when empty), run in plan order in one
     process as `--workers 1` runs them, and their sum; where the package builds
-    right-action tables, also the tables each check built (`<check>.tables`,
-    checks that built none left out)."""
+    right-action tables, also the tables each check built (`<check>.tables`),
+    and the terms of the symmetric-matrix sums each check ran: one per (B, u, v)
+    in the direct sum (`<check>.direct_terms`, #nonsingular B x q^(2 dim)) and
+    one per nonsingular B in the reduced one (`<check>.reduced_terms`); counts
+    of 0 are left out."""
+    from cosetmoments import cli
     from cosetmoments import ominus_groups as og
-    from cosetmoments.cli import _build_checks
+    from spans import nonsingular_symmetric_count
 
     wanted = tuple(p for p in prefixes.split(",") if p)
-    calls = _count_calls(og, "_right_action") if hasattr(og, "_right_action") else [0]
-    row, tables = {}, {}
-    for name, fn, args, skip in _build_checks(int(max_r), {}):
+    counters = {"tables": _count_calls(og, "_right_action") if hasattr(og, "_right_action") else [0]}
+    sums = {  # counted through cli's own references, the ones the checks call
+        "direct_terms": ("b_r_sum", lambda ctx, dim, *_: (
+            nonsingular_symmetric_count(ctx.q, dim) * ctx.q ** (2 * dim))),
+        "reduced_terms": ("b_r_sum_reduced", lambda ctx, dim, *_: (
+            nonsingular_symmetric_count(ctx.q, dim))),
+    }
+    for kind, (name, weight) in sums.items():
+        if hasattr(cli, name):
+            counters[kind] = _count_calls(cli, name, weight)
+    row, work = {}, {}
+    for name, fn, args, skip in cli._build_checks(int(max_r), {}):
         if skip or (wanted and not name.startswith(wanted)):
             continue
-        calls[0] = 0
+        for counter in counters.values():
+            counter[0] = 0
         start = time.perf_counter()
         fn(*args)
         row[name] = time.perf_counter() - start
-        if calls[0]:
-            tables[f"{name}.tables"] = calls[0]
+        work.update({f"{name}.{kind}": counter[0] for kind, counter in counters.items() if counter[0]})
     row["sum_s"] = sum(row.values())
-    return {**row, **tables}
+    return {**row, **work}
 
 
 def child_kernel(r: str, family: str, sign: str, n: str) -> dict:
@@ -545,15 +559,19 @@ LAYERS = {
         "tables on a per-element side or the r scaled-basis tables per cell otherwise",
     ),
     "symmetric": Layer(
-        "the direct symmetric-matrix sum: verify-all --max-r 8 symmetric-matrix-sum checks, "
+        "the symmetric-matrix sum: verify-all --max-r 8 symmetric-matrix-sum checks, "
         "serially, and the whole serial verify-all --max-r 8 document",
         (("verify-all-r8", "child_checks", ("8", "symmetric-matrix-sum")),
          ("verify-all --max-r 8", "child_command", ("verify-all", "--max-r", "8"))),
-        "seconds per check; terms per check: #nonsingular B x q^(2 dim) for dim 1 and 2, "
-        "once more where a_param != 1; <check>.tables: right-action tables the sum built, "
-        "per B one of B and one per column B u (q^dim codes each); the digest must agree "
-        "between the sides",
-        agree=("digest", "exit"),
+        "seconds per check; <check>.direct_terms: one per (B, u, v) of the direct sum, "
+        "#nonsingular B x q^(2 dim) per call; <check>.reduced_terms: one per nonsingular B "
+        "of the reduced sum (every symmetric B costs one mat_inv); a check calls the reduced "
+        "sum once per dimension and the direct one once per dimension and twist, the twist "
+        "a_param only where a_param != 1; "
+        "<check>.tables: right-action tables the direct sum built, per B one of B and one "
+        "per column B u (q^dim codes each); the exit code must agree between the sides, and "
+        "the digests differ where the plans do (the reduced sum adds symmetric-matrix-sum-r8)",
+        agree=("exit",),
     ),
     "startup": Layer(
         "cold start: python -m cosetmoments.cli ARGV in a fresh interpreter, timed from "
