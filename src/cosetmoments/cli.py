@@ -89,9 +89,7 @@ from .ominus_groups import (
 )
 
 MAX_VERIFY_R = 8
-# the symmetric-matrix sum's dims by q, (reduced against closed, direct against reduced);
-# every other q compares dim 1 with the closed form
-SYM_SUM_DIMS = {2: ((1, 2, 3), (1, 2)), 4: ((1, 2), (1,)), 8: ((1, 2), ())}
+SYM_SUM_DIMS = {2: ((1, 2, 3), (1, 2)), 4: ((1, 2), (1,)), 8: ((1, 2), ())}  # by q; see _check_symmetric_sum
 SIGNS = {"plus": "+", "minus": "-"}
 
 
@@ -648,10 +646,7 @@ def _cmd_verify_all(args: argparse.Namespace) -> tuple[dict, int]:
         if r in overrides:
             raise ValueError(f"--modulus-override names r = {r} more than once")
         overrides[r] = parse_hex(hex_text)
-    try:
-        results = verify_all(args.max_r, args.workers, overrides)
-    except RuntimeError as exc:  # a worker died: the run failed, no check found a mismatch
-        raise ValueError(str(exc)) from exc
+    results = verify_all(args.max_r, args.workers, overrides)
     checks = [{"name": n, "status": s, "detail": d} for n, s, d in results]
     counts = {
         status: _dec(sum(1 for _, s, _ in results if s == status))
@@ -738,7 +733,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         doc, code = args.handler(args)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:  # bad input, or a verify-all worker that died
         print(str(exc), file=sys.stderr)
         return 2
     payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import sys
 from collections import Counter, namedtuple
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import chain, product, repeat
 from math import prod
-from operator import xor
 
 from .finite_field import FieldCtx, character_sums, inv, lambda_char, mul
 from .kloosterman import BudgetError, kloosterman_spectrum
@@ -638,24 +637,21 @@ def sym_sum_reduced_fits(q: int, dim: int) -> bool:
     return q ** (dim * (dim + 1) // 2) <= SYM_REDUCED_BUDGET
 
 
-def b_r_sum_reduced(ctx: FieldCtx, dim: int, twist: int = 1) -> int:
-    """The symmetric-matrix sum with its sum over v in closed form, one term per B.
-    v^T B v = sum_s B_ss v_s^2 and lambda(c y^2) = lambda(sqrt(c) y), so the v-sum is
-    q^dim where t B u = w, w_s = sqrt(t a B_ss), and 0 elsewhere.  For nonsingular B,
-    u_0 = B^-1 w / t, and t u_0^T B u_0 = w^T B^-1 w / t = a sum_s B_ss (B^-1)_ss: the
-    root cancels and no term depends on the twist, which is checked only to be a unit."""
-    if dim < 1 or not 0 < twist < ctx.q:
-        raise ValueError("dim must be positive and twist a nonzero field element")
+def b_r_sum_reduced(ctx: FieldCtx, dim: int) -> int:
+    """The symmetric-matrix sum with its v-sum in closed form, one term per B: for nonsingular B the v-sum
+    is q^dim at one u and 0 elsewhere, where Tr(delta th B h) = a sum_s B_ss (B^-1)_ss for every twist."""
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
     if not sym_sum_reduced_fits(ctx.q, dim):
         raise BudgetError("reduced symmetric-matrix sum exceeds its term budget")
     total = 0
-    for sym in _symmetric_matrices(ctx, dim):
+    for b in _symmetric_matrices(ctx, dim):
         try:
-            sym_inv = mat_inv(ctx, sym)
+            b_inv = mat_inv(ctx, b)
         except ValueError:
             continue
-        diagonal = reduce(xor, [mul(ctx, sym[s][s], sym_inv[s][s]) for s in range(dim)])
-        total += lambda_char(ctx, mul(ctx, ctx.a_param, diagonal))
+        total += prod(lambda_char(ctx, mul(ctx, ctx.a_param, mul(ctx, b[s][s], b_inv[s][s])))
+                      for s in range(dim))  # lambda(a sum_s x_s) = prod_s lambda(a x_s)
     return ctx.q ** dim * total
 
 

@@ -1113,8 +1113,8 @@ def test_reduced_symmetric_sum_matches_the_direct_sum_for_every_a_param_and_twis
     for a in range(field.q):
         if trace(field, a) == 1:
             ctx = make_field(field.r, a_param=a)
-            for twist in units(ctx):
-                assert b_r_sum_reduced(ctx, dim, twist) == b_r_sum(ctx, dim, twist)
+            reduced = b_r_sum_reduced(ctx, dim)  # one value: the direct sum does not depend on the twist
+            assert all(b_r_sum(ctx, dim, twist) == reduced for twist in units(ctx))
 
 
 @pytest.mark.parametrize("q,dim", [(16, 2), (256, 1)])
@@ -1123,8 +1123,7 @@ def test_reduced_symmetric_sum_matches_the_closed_form_beyond_the_direct_budget(
     assert not ominus_groups.sym_sum_fits(q, dim)
     a = max(x for x in range(q) if trace(field, x) == 1)
     for ctx in (field, make_field(field.r, a_param=a)):
-        for twist in (1, ctx.a_param, q - 1):
-            assert b_r_sum_reduced(ctx, dim, twist) == b_r_sum_closed(ctx, dim)
+        assert b_r_sum_reduced(ctx, dim) == b_r_sum_closed(ctx, dim)
 
 
 def test_reduced_symmetric_sum_refuses_before_its_first_term(monkeypatch):
