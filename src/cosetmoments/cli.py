@@ -536,8 +536,7 @@ def _build_checks(max_r: int, overrides: dict[int, int]) -> list[CheckEntry]:
         ]
         if r >= 2:
             entries.append((f"range-spectrum-r{r}", _check_range_spectrum, ()))
-        entries.append((f"symmetric-matrix-sum-r{r}", _check_symmetric_sum,
-                        SYM_SUM_DIMS.get(q, ((1,), ()))))
+        entries.append((f"symmetric-matrix-sum-r{r}", _check_symmetric_sum, SYM_SUM_DIMS.get(q, ((1,), ()))))
         entries.append((f"so2-isometries-r{r}", _check_so2, ()))
         for n in (1, 2, 3):
             if q_minus_fits(q, n) and products_fit(q, n):

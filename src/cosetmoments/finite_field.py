@@ -22,7 +22,7 @@ modulus, a_param and trace_mask; the exp and log tables follow from those.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, repeat
+from math import isqrt
 
 MAX_R = 16
 
@@ -161,21 +161,23 @@ def make_field(r: int, modulus: int | None = None, a_param: int | None = None) -
     return FieldCtx(r=r, q=q, modulus=modulus, a_param=a_param, trace_mask=mask, exp=exp, log=log)
 
 
-def _raw_pow(x: int, e: int, modulus: int, r: int) -> int:
-    acc = 1
-    for bit in bin(e)[2:]:  # square and multiply, from the top bit
-        acc = _raw_mul(_raw_mul(acc, acc, modulus, r), x if bit == "1" else 1, modulus, r)
-    return acc
-
-
 @lru_cache(maxsize=None)
 def _exp_log_tables(modulus: int, r: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """exp[i] = g^i for i < 2(q - 1) (two periods, so log sums need no reduction) and log[g^i] = i,
     where g = 1, 2, ... is the first with g^((q-1)/p) != 1 for every prime p dividing q - 1."""
+    def power(x: int, e: int) -> int:
+        acc = 1
+        for bit in bin(e)[2:]:  # square and multiply, from the top bit
+            acc = _raw_mul(_raw_mul(acc, acc, modulus, r), x if bit == "1" else 1, modulus, r)
+        return acc
+
     n = (1 << r) - 1
-    primes = [p for p in range(2, n + 1) if n % p == 0 and all(p % d for d in range(2, p))]
-    g = next(g for g in range(1, n + 1) if all(_raw_pow(g, n // p, modulus, r) != 1 for p in primes))
-    exp = list(accumulate(repeat(g, n - 1), lambda x, y: _raw_mul(x, y, modulus, r), initial=1))
+    low = [d for d in range(2, isqrt(n) + 1) if n % d == 0]  # each prime factor or its cofactor
+    primes = [p for p in {*low, *(n // d for d in low), n} if p > 1 and all(p % d for d in range(2, p))]
+    g = next(g for g in range(1, n + 1) if all(power(g, n // p) != 1 for p in primes))
+    exp, x = [1], 1
+    for _ in range(n - 1):
+        exp.append(x := _raw_mul(x, g, modulus, r))
     log = [0] * (n + 1)
     for i, x in enumerate(exp):
         log[x] = i

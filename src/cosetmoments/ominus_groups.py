@@ -638,8 +638,7 @@ def sym_sum_reduced_fits(q: int, dim: int) -> bool:
 
 
 def b_r_sum_reduced(ctx: FieldCtx, dim: int) -> int:
-    """The symmetric-matrix sum with its v-sum in closed form, one term per B: for nonsingular B the v-sum
-    is q^dim at one u and 0 elsewhere, where Tr(delta th B h) = a sum_s B_ss (B^-1)_ss for every twist."""
+    """b_r_sum at every twist, its v-sum in closed form: q^dim sum_B lambda(a sum_s B_ss (B^-1)_ss)."""
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     if not sym_sum_reduced_fits(ctx.q, dim):
