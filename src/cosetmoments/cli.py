@@ -164,6 +164,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
     ctx = _field_from_args(args)
     spec = _spec_from_args(args, ctx)
     params = _field_echo(ctx) | _spec_echo(spec)
+    _refuse_unprintable(spec)
     a_cnt, b_cnt, total = dc_cardinality(spec)
     closed_dist = trace_distribution(spec, "closed_form")
     result: dict = {
@@ -191,29 +192,37 @@ def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
     return _doc("enumerate", params, result), code
 
 
-def _refuse_prefix(length: int, j_max: int) -> None:
-    """Refuse, before any work, a j_max outside the prefix range, and a prefix
-    whose bound C_j <= binom(N, j) (which grows with j up to N/2) has more
-    decimal digits than int-to-string conversion allows.  binom(N, j) >= (N/j)^j
-    > 2^low, with low read from bit lengths, refuses a large N at once; the
-    exact binomial is computed only when that bound does not decide, so it is small."""
-    if not 0 <= j_max <= PREFIX_J_LIMIT:
+def _refuse_unprintable(spec: DoubleCosetSpec, j_max: int | None = None) -> None:
+    """Refuse, before the closed forms, a j_max outside the prefix range, and a weight prefix
+    or coset size N with more decimal digits than int-to-string conversion allows.  Every N past
+    the limit counts as 10^digits: the prefix bound C_j <= binom(N, j) is at least N for
+    1 <= j <= N/2.  N >= q^(n^2 - n) and binom(N, j) >= (N/j)^j > 2^low, with low read from bit
+    lengths, decide a large n or j at once; N and binom(N, j) are computed only where they do
+    not, so they are small."""
+    if j_max is not None and not 0 <= j_max <= PREFIX_J_LIMIT:
         raise ValueError(f"j_max must lie in 0..{PREFIX_J_LIMIT}")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    j = min(j_max, length // 2)
+    if not digits:
+        return
+    cap = 10 ** digits
+    big = 3 * spec.ctx.r * (spec.n ** 2 - spec.n) >= 10 * digits  # 2^10 > 10^3
+    length = cap if big else min(bruhat_cell_order(spec.ctx.q, spec.n, spec.sigma_index), cap)
+    j = min(j_max or 0, length // 2)
     low = j * (length.bit_length() - 1 - j.bit_length())
-    if digits and (3 * low >= 10 * digits or comb(length, j) >= 10 ** digits):  # 2^10 > 10^3
+    if j and (3 * low >= 10 * digits or comb(length, j) >= cap):
         raise BudgetError(f"the weight prefix to j_max = {j_max} may hold counts of more than "
                           f"{digits} decimal digits, which cannot be printed; lower --jmax")
+    if length == cap:
+        raise BudgetError(f"the coset size at --n {spec.n} has more than {digits} decimal digits, "
+                          "which cannot be printed; lower --n")
 
 
 def _cmd_weights(args: argparse.Namespace) -> tuple[dict, int]:
     ctx = _field_from_args(args)
     spec = _spec_from_args(args, ctx)
     params = _field_echo(ctx) | _spec_echo(spec)
+    _refuse_unprintable(spec, args.jmax)
     total = dc_cardinality(spec)[2]
-    if args.jmax is not None:
-        _refuse_prefix(total, args.jmax)
     closed = closed_weights(spec)
     weights = {to_hex(a): _dec(closed[a]) for a in range(1, ctx.q)}
     result: dict = {"length": _dec(total), "weights": weights}

@@ -37,7 +37,7 @@ PRODUCT_BUDGET = 10 ** 6      # largest |O^-(2n,q)|, the products the cells of o
 SCAN_BUDGET = 10 ** 6         # largest q^(2n) for the exhaustive form check
 GL_ENUM_BUDGET = 10 ** 6      # largest q^(k^2) candidate pool for GL(k,q)
 SYM_SUM_BUDGET = 10 ** 7      # largest term count for the symmetric-matrix sum
-SYM_REDUCED_BUDGET = 10 ** 6  # largest count of matrices B, one inverse each, for the reduced sum
+SYM_REDUCED_BUDGET = 10 ** 6  # largest count of matrices B, one nonsingularity test each, for the reduced sum
 
 
 # ---------------------------------------------------------------------------
@@ -638,20 +638,15 @@ def sym_sum_reduced_fits(q: int, dim: int) -> bool:
 
 
 def b_r_sum_reduced(ctx: FieldCtx, dim: int) -> int:
-    """b_r_sum at every twist, its v-sum in closed form: q^dim sum_B lambda(a sum_s B_ss (B^-1)_ss)."""
+    """b_r_sum at every twist, its v-sum in closed form: q^dim sum_B lambda(a sum_s B_ss (B^-1)_ss).
+    B is diag(B) plus an alternating matrix, and B^-1 is symmetric, so sum_s B_ss (B^-1)_ss =
+    Tr(B B^-1) = dim in characteristic 2: every term is lambda(a dim) = (-1)^dim, and the sum
+    is (-q)^dim times the number of nonsingular symmetric B."""
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
     if not sym_sum_reduced_fits(ctx.q, dim):
         raise BudgetError("reduced symmetric-matrix sum exceeds its term budget")
-    total = 0
-    for b in _symmetric_matrices(ctx, dim):
-        try:
-            b_inv = mat_inv(ctx, b)
-        except ValueError:
-            continue
-        total += prod(lambda_char(ctx, mul(ctx, ctx.a_param, mul(ctx, b[s][s], b_inv[s][s])))
-                      for s in range(dim))  # lambda(a sum_s x_s) = prod_s lambda(a x_s)
-    return ctx.q ** dim * total
+    return (-ctx.q) ** dim * sum(_is_nonsingular(ctx, b) for b in _symmetric_matrices(ctx, dim))
 
 
 def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:
@@ -682,16 +677,10 @@ def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:
 
 
 def b_r_sum_closed(ctx: FieldCtx, r: int) -> int:
-    """Closed form of the symmetric-matrix sum; independent of the character."""
+    """Closed form of the symmetric-matrix sum; independent of the character:
+    (-q)^r times MacWilliams' count of nonsingular symmetric r x r matrices,
+    q^(k(k+1)) prod_{j <= ceil(r/2)} (q^(2j-1) - 1) with k = floor(r/2)."""
     if r < 1:
         raise ValueError(f"r must be positive, got {r}")
-    q = ctx.q
-    if r % 2 == 0:
-        e, rem = divmod(r * (r + 6), 4)
-        if rem:
-            raise AssertionError("even-r exponent must be integral")
-        return q ** e * _oddprod(q, r // 2)
-    e, rem = divmod(r * r + 4 * r - 1, 4)
-    if rem:
-        raise AssertionError("odd-r exponent must be integral")
-    return -(q ** e) * _oddprod(q, (r + 1) // 2)
+    q, k = ctx.q, r // 2
+    return (-q) ** r * q ** (k * (k + 1)) * _oddprod(q, r - k)

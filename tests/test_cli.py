@@ -231,6 +231,54 @@ def test_budget_refusals_past_the_digit_limit_degrade_to_null(capsys, default_di
     assert doc["result"].get("enumerated") is None
 
 
+@pytest.mark.parametrize("command", ("enumerate", "weights"))
+def test_the_largest_printable_minus_coset_size_prints(capsys, default_digit_limit, command):
+    # at n = 83, N has 4123 decimal digits; at n = 85 it has 4324
+    code, doc, err = run(capsys, command, "--r", "1", "--family", "1", "--sign", "minus", "--n", "83")
+    assert code == 0, err
+    assert len(doc["result"]["size" if command == "enumerate" else "length"]) == 4123
+
+
+@pytest.mark.parametrize("command", ("enumerate", "weights"))
+@pytest.mark.parametrize("sign,n", (("minus", "85"), ("minus", "3001"), ("minus", "1000001"),
+                                    ("plus", "1000000")))
+def test_an_unprintable_coset_size_is_refused_before_any_closed_form(
+        capsys, monkeypatch, default_digit_limit, command, sign, n):
+    def refuse(*args):
+        raise AssertionError("no closed form may be computed for an unprintable coset size")
+
+    for name in ("dc_cardinality", "trace_distribution", "closed_weights", "exp_sums_dc"):
+        monkeypatch.setattr(cli, name, refuse)
+    start = time.perf_counter()
+    code, doc, err = run(capsys, command, "--r", "1", "--family", "1", "--sign", sign, "--n", n)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and doc is None
+    assert f"coset size at --n {n} has more than 4300 decimal digits" in err
+
+
+def test_weights_past_the_size_limit_names_jmax_unless_it_is_zero(capsys, default_digit_limit):
+    # every binom(N, j) with 1 <= j <= N/2 is at least N, so lowering --jmax helps only down to 0
+    argv = ("weights", "--r", "1", "--family", "1", "--sign", "minus", "--n", "85", "--jmax")
+    code, _, err = run(capsys, *argv, "1")
+    assert code == 2 and "j_max = 1 may hold counts of more than 4300 decimal digits" in err
+    code, _, err = run(capsys, *argv, "0")
+    assert code == 2 and "coset size at --n 85 has more than 4300 decimal digits" in err
+    code, _, err = run(capsys, *argv, "1001")
+    assert code == 2 and "j_max must lie in 0..1000" in err
+
+
+@pytest.mark.parametrize("command", ("enumerate", "weights"))
+def test_no_size_refusal_without_a_digit_limit(capsys, command):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        code, doc, err = run(capsys, command, "--r", "1", "--family", "1", "--sign", "minus", "--n", "85")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 0, err
+    assert len(doc["result"]["size" if command == "enumerate" else "length"]) == 4324
+
+
 def test_kloos_refusal_past_the_digit_limit_states_its_budget(capsys, default_digit_limit):
     # (q - 1)^2000 = 255^2000 has more decimal digits than int-to-string conversion allows
     code, doc, err = run(capsys, "kloos", "--r", "8", "--m", "2000", "--a", "0x1")

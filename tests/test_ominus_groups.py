@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, product
+from math import prod
 
 import pytest
 
@@ -1124,6 +1125,68 @@ def test_reduced_symmetric_sum_matches_the_closed_form_beyond_the_direct_budget(
     a = max(x for x in range(q) if trace(field, x) == 1)
     for ctx in (field, make_field(field.r, a_param=a)):
         assert b_r_sum_reduced(ctx, dim) == b_r_sum_closed(ctx, dim)
+
+
+def _trace_one_fields(q):
+    field = make_field(q.bit_length() - 1)
+    return [make_field(field.r, a_param=a) for a in range(q) if trace(field, a) == 1]
+
+
+def _nonsingular_symmetric(ctx, dim):
+    for b in ominus_groups._symmetric_matrices(ctx, dim):
+        try:
+            yield b, mat_inv(ctx, b)
+        except ValueError:
+            continue
+
+
+def _per_b_reduced_sum(ctx, dim):
+    """The reduced sum as first written, one inverse per nonsingular B:
+    q^dim sum_B lambda(a sum_s B_ss (B^-1)_ss); kept as its oracle."""
+    total = 0
+    for b, b_inv in _nonsingular_symmetric(ctx, dim):
+        total += prod(lambda_char(ctx, mul(ctx, ctx.a_param, mul(ctx, b[s][s], b_inv[s][s])))
+                      for s in range(dim))
+    return ctx.q ** dim * total
+
+
+def _two_branch_closed(q, r):
+    """The closed form as first written, one branch per parity of r; kept as its oracle."""
+    odd = prod(q ** (2 * j - 1) - 1 for j in range(1, (r + 1) // 2 + 1))
+    if r % 2 == 0:
+        e, rem = divmod(r * (r + 6), 4)
+        assert not rem
+        return q ** e * odd
+    e, rem = divmod(r * r + 4 * r - 1, 4)
+    assert not rem
+    return -(q ** e) * odd
+
+
+@pytest.mark.parametrize("q,dim", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (4, 3), (8, 1), (8, 2), (16, 2)])
+def test_reduced_symmetric_sum_matches_the_per_b_kernel_for_every_a_param(q, dim):
+    for ctx in _trace_one_fields(q):
+        assert b_r_sum_reduced(ctx, dim) == _per_b_reduced_sum(ctx, dim)
+
+
+def test_closed_symmetric_sum_matches_the_two_branch_form():
+    for r in range(1, 17):
+        ctx = make_field(r)
+        for dim in range(1, 41):
+            assert b_r_sum_closed(ctx, dim) == _two_branch_closed(ctx.q, dim)
+
+
+@pytest.mark.parametrize("q,dim", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (8, 1), (8, 2)])
+def test_diagonal_pairing_of_a_nonsingular_symmetric_matrix_is_its_dimension(q, dim):
+    # B = diag(B) + an alternating matrix and B^-1 is symmetric: sum_s B_ss (B^-1)_ss = Tr(B B^-1)
+    ctx = make_field(q.bit_length() - 1)
+    count = 0
+    for b, b_inv in _nonsingular_symmetric(ctx, dim):
+        pairing = 0
+        for s in range(dim):
+            pairing ^= mul(ctx, b[s][s], b_inv[s][s])
+        assert pairing == dim % 2
+        count += 1
+    assert count > 0
 
 
 def test_reduced_symmetric_sum_refuses_before_its_first_term(monkeypatch):

@@ -243,8 +243,8 @@ def child_checks(max_r: str, prefixes: str) -> dict:
     right-action tables, also the tables each check built (`<check>.tables`),
     and the terms of the symmetric-matrix sums each check ran: one per (B, u, v)
     in the direct sum (`<check>.direct_terms`, #nonsingular B x q^(2 dim)) and
-    one per nonsingular B in the reduced one (`<check>.reduced_terms`); counts
-    of 0 are left out."""
+    one nonsingularity test per symmetric B in the reduced one
+    (`<check>.reduced_terms`, q^(dim (dim + 1)/2)); counts of 0 are left out."""
     from cosetmoments import cli
     from cosetmoments import ominus_groups as og
     from spans import nonsingular_symmetric_count
@@ -254,8 +254,7 @@ def child_checks(max_r: str, prefixes: str) -> dict:
     sums = {  # counted through cli's own references, the ones the checks call
         "direct_terms": ("b_r_sum", lambda ctx, dim, *_: (
             nonsingular_symmetric_count(ctx.q, dim) * ctx.q ** (2 * dim))),
-        "reduced_terms": ("b_r_sum_reduced", lambda ctx, dim, *_: (
-            nonsingular_symmetric_count(ctx.q, dim))),
+        "reduced_terms": ("b_r_sum_reduced", lambda ctx, dim, *_: ctx.q ** (dim * (dim + 1) // 2)),
     }
     for kind, (name, weight) in sums.items():
         if hasattr(cli, name):
@@ -564,14 +563,14 @@ LAYERS = {
         (("verify-all-r8", "child_checks", ("8", "symmetric-matrix-sum")),
          ("verify-all --max-r 8", "child_command", ("verify-all", "--max-r", "8"))),
         "seconds per check; <check>.direct_terms: one per (B, u, v) of the direct sum, "
-        "#nonsingular B x q^(2 dim) per call; <check>.reduced_terms: one per nonsingular B "
-        "of the reduced sum (every symmetric B costs one mat_inv); a check calls the reduced "
+        "#nonsingular B x q^(2 dim) per call; <check>.reduced_terms: one nonsingularity test "
+        "per symmetric B of the reduced sum, q^(dim (dim + 1)/2) per call; a check calls the reduced "
         "sum once per dimension and the direct one once per dimension and twist, the twist "
         "a_param only where a_param != 1; "
         "<check>.tables: right-action tables the direct sum built, per B one of B and one "
-        "per column B u (q^dim codes each); the exit code must agree between the sides, and "
-        "the digests differ where the plans do (the reduced sum adds symmetric-matrix-sum-r8)",
-        agree=("exit",),
+        "per column B u (q^dim codes each); the digest and the exit code must agree between "
+        "the sides",
+        agree=("digest", "exit"),
     ),
     "startup": Layer(
         "cold start: python -m cosetmoments.cli ARGV in a fresh interpreter, timed from "
