@@ -24,8 +24,9 @@ from __future__ import annotations
 import sys
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import chain, product, repeat
+from itertools import chain, combinations, product, repeat
 from math import prod
+from operator import eq, xor
 
 from .finite_field import FieldCtx, character_sums, inv, lambda_char, mul
 from .kloosterman import BudgetError, kloosterman_spectrum
@@ -103,30 +104,31 @@ def _right_action(ctx: FieldCtx, m: Matrix) -> list[int]:
     return table
 
 
+def _row_reduce(ctx: FieldCtx, rows: list[list[int]]) -> bool:
+    """Gauss-Jordan in place on the first len(rows) columns: False at the first column with no pivot."""
+    for col in range(len(rows)):
+        piv = next((i for i in range(col, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            return False
+        rows[col], rows[piv] = rows[piv], rows[col]
+        scale = inv(ctx, rows[col][col])
+        rows[col] = pivot = [mul(ctx, scale, x) for x in rows[col]]
+        for i, row in enumerate(rows):
+            if i != col and (fac := row[col]):
+                rows[i] = [x ^ mul(ctx, fac, y) for x, y in zip(row, pivot)]
+    return True
+
+
 def mat_inv(ctx: FieldCtx, m: Matrix) -> Matrix:
     """Inverse by Gaussian elimination; raises ValueError on singular input."""
-    k = len(m)
-    aug = [list(m[i]) + [1 if j == i else 0 for j in range(k)] for i in range(k)]
-    for col in range(k):
-        piv = next((i for i in range(col, k) if aug[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = inv(ctx, aug[col][col])
-        aug[col] = [mul(ctx, scale, x) for x in aug[col]]
-        for i in range(k):
-            if i != col and aug[i][col]:
-                fac = aug[i][col]
-                aug[i] = [x ^ mul(ctx, fac, y) for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[k:]) for row in aug)
+    aug = [list(row) + [1 if j == i else 0 for j in range(len(m))] for i, row in enumerate(m)]
+    if not _row_reduce(ctx, aug):
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[len(m):]) for row in aug)
 
 
 def _is_nonsingular(ctx: FieldCtx, m: Matrix) -> bool:
-    try:
-        mat_inv(ctx, m)
-        return True
-    except ValueError:
-        return False
+    return _row_reduce(ctx, [list(row) for row in m])
 
 
 # ---------------------------------------------------------------------------
@@ -166,26 +168,27 @@ def is_isometry_exhaustive(ctx: FieldCtx, n: int, m: Matrix) -> bool:
     return tuple(map(theta.__getitem__, _right_action(ctx, transpose(m)))) == theta
 
 
+def _form_values(ctx: FieldCtx, n: int, vecs: Matrix):
+    """theta(v_i) for every i, then B(v_i, v_j) = theta(v_i + v_j) + theta(v_i) + theta(v_j), i < j."""
+    th = [theta_minus(ctx, n, v) for v in vecs]
+    yield from th
+    for (i, x), (j, y) in combinations(enumerate(vecs), 2):
+        yield theta_minus(ctx, n, tuple(map(xor, x, y))) ^ th[i] ^ th[j]
+
+
+@lru_cache(maxsize=None)
+def _basis_form(ctx: FieldCtx, n: int) -> tuple[int, ...]:
+    """`_form_values` on the standard basis: the side of `isometry_relations` fixed by (ctx, n)."""
+    return tuple(_form_values(ctx, n, identity_matrix(2 * n)))
+
+
 def isometry_relations(ctx: FieldCtx, n: int, m: Matrix) -> bool:
     """M preserves the form exactly when it does so on a basis and on the
     polar form B(x, y) = theta(x + y) + theta(x) + theta(y): theta(Me_i) =
     theta(e_i) for every i and B(Me_i, Me_j) = B(e_i, e_j) for every i < j."""
-    size = 2 * n
-    if len(m) != size or any(len(row) != size for row in m):
-        raise ValueError(f"matrix must be {size} x {size}")
-    cols, basis = transpose(m), identity_matrix(size)
-    th_cols = [theta_minus(ctx, n, c) for c in cols]
-    th_basis = [theta_minus(ctx, n, e) for e in basis]
-
-    def polar(vecs: Matrix, th: list[int], i: int, j: int) -> int:
-        both = tuple(x ^ y for x, y in zip(vecs[i], vecs[j]))
-        return theta_minus(ctx, n, both) ^ th[i] ^ th[j]
-
-    return th_cols == th_basis and all(
-        polar(cols, th_cols, i, j) == polar(basis, th_basis, i, j)
-        for i in range(size)
-        for j in range(i + 1, size)
-    )
+    if len(m) != 2 * n or any(len(row) != 2 * n for row in m):
+        raise ValueError(f"matrix must be {2 * n} x {2 * n}")
+    return all(map(eq, _form_values(ctx, n, transpose(m)), _basis_form(ctx, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +294,8 @@ def enumerate_gl(ctx: FieldCtx, k: int) -> tuple[Matrix, ...]:
         raise ValueError("enumerate_gl needs k >= 1")
     if ctx.q ** (k * k) > GL_ENUM_BUDGET:
         raise BudgetError(f"GL({k},{ctx.q}) candidate pool exceeds {GL_ENUM_BUDGET}")
-    out = []
-    for entries in product(range(ctx.q), repeat=k * k):
-        m = tuple(entries[i * k : (i + 1) * k] for i in range(k))
-        if _is_nonsingular(ctx, m):
-            out.append(m)
+    pool = (tuple(e[i * k : (i + 1) * k] for i in range(k)) for e in product(range(ctx.q), repeat=k * k))
+    out = [m for m in pool if _is_nonsingular(ctx, m)]
     if len(out) != gl_order(k, ctx.q):
         raise AssertionError("GL enumeration count disagrees with its order")
     return tuple(sorted(out))
@@ -369,10 +369,11 @@ def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> 
     the disjoint union of its right cosets w Q^-, leaders w = x sigma_r for x in
     Q^-'s order, each listed as w y for y in Q^-'s order.  A coset is built only
     if w is in none built yet and must add |Q^-| new elements, so a Q^- that is
-    not a group fails loudly.  Right action is linear in the row: w Q^- is the
-    XOR, over the set bits of w, of their basis rows' images, each one column
-    over Q^- in 64-bit lanes, moved up to its row of w.  The rho-twisted cell is
-    rho times each element, in order: the last row code added to the one before."""
+    not a group fails loudly.  Right action is linear in the row, so the steps are
+    operations on Q^- in 64-bit lanes: w Q^- XORs, over the set bits of w, their
+    basis rows' images moved up to w's rows; the leaders XOR, over every bit of x,
+    that bit's lane times sigma_r's image of its basis row; the rho twist adds the
+    last row code to the one before, one shift and XOR over the packed cell."""
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..{n - 1}, got {r}")
     if r and not products_fit(ctx.q, n):  # refuse before enumerating Q^-
@@ -380,12 +381,14 @@ def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> 
     width = 2 * n * ctx.r  # bits of a row code
     mask, shifts = (1 << width) - 1, _shifts(width, 2 * n)
     if twisted:
-        return tuple(w ^ (w & mask) << width for w in bruhat_cell_cosets(ctx, n, r, False))
+        packed = _pack(cell := bruhat_cell_cosets(ctx, n, r, False))
+        return _unpack(packed ^ (packed & _pack(repeat(mask, len(cell)))) << width, len(cell))
     if not r:  # sigma_0 is the identity and Q^- is a group
         qm = enumerate_q_minus(ctx, n)
         if 2 * n * width > 64:  # the budgets admit no such n and q
             raise AssertionError("a cell element must fit one 64-bit lane")
-        return tuple(_row_code(ctx, chain.from_iterable(y)) for y in qm)
+        codes = {row: _row_code(ctx, row) for row in set(chain.from_iterable(qm))}
+        return _unpack(sum(_pack(codes[y[j]] for y in qm) << s for j, s in enumerate(shifts)), len(qm))
     group = bruhat_cell_cosets(ctx, n, 0, False)  # Q^- in code form, the identity's coset
     eye = identity_matrix(2 * n)  # z^k eye acts on a row code as z^k on each entry
     scaled = [_right_action(ctx, tuple(tuple(e << k for e in row) for row in eye)) for k in range(ctx.r)]
@@ -393,9 +396,11 @@ def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> 
     images = [_pack([times[y >> s & mask] for y in group]) for s in reversed(shifts) for times in scaled]
     columns = [image << s for s in reversed(shifts) for image in images]  # by bit of w
     sigma = _right_action(ctx, weyl_elements(ctx, n)[0][r])
+    lanes, ones, leaders = _pack(group), _pack(repeat(1, len(group))), 0
+    for bit in range(2 * n * width):
+        leaders ^= (lanes >> bit & ones) * (sigma[1 << bit % width] << bit - bit % width)
     cell, seen = [], set()  # seen is only the membership test
-    for x in group:
-        left = sum(sigma[x >> s & mask] << s for s in shifts)
+    for left in _unpack(leaders, len(group)):
         if left in seen:
             continue
         packed = 0

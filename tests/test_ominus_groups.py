@@ -109,6 +109,36 @@ def test_inverse_round_trip():
             assert mat_mul(ctx, m, mat_inv(ctx, m)) == identity_matrix(2)
 
 
+def _inverts(ctx, m) -> bool:
+    try:
+        mat_inv(ctx, m)
+    except ValueError:
+        return False
+    return True
+
+
+def _square_matrices(ctx, k):
+    for entries in product(range(ctx.q), repeat=k * k):
+        yield tuple(entries[i * k:(i + 1) * k] for i in range(k))
+
+
+def test_nonsingularity_test_agrees_with_the_inverse():
+    # _is_nonsingular reduces the matrix alone; mat_inv reduces it beside the identity
+    for k in (1, 2, 3):
+        verdicts = [ominus_groups._is_nonsingular(CTX2, m) for m in _square_matrices(CTX2, k)]
+        assert verdicts == [_inverts(CTX2, m) for m in _square_matrices(CTX2, k)]
+        assert sum(verdicts) == gl_order(k, 2)
+    for field_r in (2, 3):
+        ctx = make_field(field_r)
+        rng = random.Random(f"nonsingular:{field_r}")
+        for k in (1, 2, 3):
+            sample = [tuple(tuple(rng.randrange(ctx.q) for _ in range(k)) for _ in range(k))
+                      for _ in range(500)]
+            sample += [identity_matrix(k), ((0,) * k,) * k]
+            for m in sample:
+                assert ominus_groups._is_nonsingular(ctx, m) == _inverts(ctx, m)
+
+
 # --- the quadratic form ---------------------------------------------------
 
 
@@ -194,6 +224,54 @@ def test_isometry_checks_agree_near_the_group(key):
         assert isometry_relations(ctx, n, m) and is_isometry_exhaustive(ctx, n, m)
     for m in near + noise:
         assert isometry_relations(ctx, n, m) == is_isometry_exhaustive(ctx, n, m)
+
+
+def _uncached_isometry_relations(ctx, n, m):
+    """isometry_relations as it was before the basis side was cached: the form
+    and its polar form evaluated on the basis at every call; kept as its oracle."""
+    size = 2 * n
+    if len(m) != size or any(len(row) != size for row in m):
+        raise ValueError(f"matrix must be {size} x {size}")
+    cols, basis = transpose(m), identity_matrix(size)
+    th_cols = [theta_minus(ctx, n, c) for c in cols]
+    th_basis = [theta_minus(ctx, n, e) for e in basis]
+
+    def polar(vecs, th, i, j):
+        both = tuple(x ^ y for x, y in zip(vecs[i], vecs[j]))
+        return theta_minus(ctx, n, both) ^ th[i] ^ th[j]
+
+    return th_cols == th_basis and all(
+        polar(cols, th_cols, i, j) == polar(basis, th_basis, i, j)
+        for i in range(size)
+        for j in range(i + 1, size)
+    )
+
+
+@pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2)))
+def test_cached_isometry_relations_match_the_uncached_oracle_on_q_minus(field_r, n):
+    ctx = make_field(field_r)
+    # the cached basis side: theta(e_i) = 0 on the pairing blocks, 1 and a on the tail;
+    # B(e_i, e_j) = 1 exactly on the pairs (i, i + n - 1) and on the tail pair
+    partners = {(i, i + n - 1) for i in range(n - 1)} | {(2 * n - 2, 2 * n - 1)}
+    pairs = [(i, j) for i in range(2 * n) for j in range(i + 1, 2 * n)]
+    assert ominus_groups._basis_form(ctx, n) == (
+        (0,) * (2 * n - 2) + (1, ctx.a_param) + tuple(int(p in partners) for p in pairs))
+    caught = Counter()
+    for m in enumerate_q_minus(ctx, n):
+        assert isometry_relations(ctx, n, m) and _uncached_isometry_relations(ctx, n, m)
+        # adding e_i (theta(e_i) = 0) to column j changes theta of that column by
+        # m[p][j], p the partner of i, and otherwise B(column j, column k) by m[p][k]
+        # for some k, as row p of m is not zero: never an isometry
+        for i in range(2 * n - 2):
+            j = sum(m[i]) % (2 * n)
+            rows = [list(row) for row in m]
+            rows[i][j] ^= 1
+            bent = tuple(tuple(row) for row in rows)
+            assert not isometry_relations(ctx, n, bent)
+            assert not _uncached_isometry_relations(ctx, n, bent)
+            partner = i + n - 1 if i < n - 1 else i - (n - 1)
+            caught["theta" if m[partner][j] else "polar"] += 1
+    assert caught["theta"] and caught["polar"]  # both halves of the relations reject some
 
 
 def test_isometry_relations_reject_wrong_shapes():
@@ -626,6 +704,57 @@ def test_bruhat_cell_is_sorted_and_twisted_by_rho(key):
         twisted = bruhat_cell(ctx, n, r, True)
         assert cell == tuple(sorted(cell)) and twisted == tuple(sorted(twisted))
         assert twisted == tuple(sorted(_rho_left_mul(w) for w in cell))
+
+
+def _per_element_cell_cosets(ctx, n, r, twisted=False):
+    """bruhat_cell_cosets as it was before its leaders, its twist and its r = 0
+    cell were lane operations: each leader x sigma_r a sum over x's row codes,
+    the twist a generator over the elements, Q^- encoded entry by entry; the
+    walk itself is the same.  Kept as the oracle of those three steps."""
+    width = 2 * n * ctx.r
+    mask, shifts = (1 << width) - 1, ominus_groups._shifts(width, 2 * n)
+    if twisted:
+        return tuple(w ^ (w & mask) << width for w in _per_element_cell_cosets(ctx, n, r))
+    if not r:
+        return tuple(_row_code(ctx, chain.from_iterable(y)) for y in enumerate_q_minus(ctx, n))
+    group = _per_element_cell_cosets(ctx, n, 0)
+    eye = identity_matrix(2 * n)
+    scaled = [_right_action(ctx, tuple(tuple(e << k for e in row) for row in eye)) for k in range(ctx.r)]
+    images = [ominus_groups._pack([times[y >> s & mask] for y in group])
+              for s in reversed(shifts) for times in scaled]
+    columns = [image << s for s in reversed(shifts) for image in images]
+    sigma = _right_action(ctx, weyl_elements(ctx, n)[0][r])
+    cell, seen = [], set()
+    for x in group:
+        left = sum(sigma[x >> s & mask] << s for s in shifts)
+        if left in seen:
+            continue
+        packed = 0
+        for bit, column in enumerate(columns):
+            if left >> bit & 1:
+                packed ^= column
+        coset = ominus_groups._unpack(packed, len(group))
+        seen.update(coset)
+        cell += coset
+        assert len(seen) == len(cell)
+    return tuple(cell)
+
+
+@pytest.mark.parametrize("key", sorted(CELL_FIELDS))
+def test_lane_cells_match_the_per_element_oracle_in_order(key):
+    field_r, n, a_param = CELL_FIELDS[key]
+    ctx = make_field(field_r, a_param=a_param)
+    for r in range(n):
+        for twisted in (False, True):
+            assert bruhat_cell_cosets(ctx, n, r, twisted) == _per_element_cell_cosets(ctx, n, r, twisted)
+
+
+def test_lane_cells_match_the_per_element_oracle_at_every_n1_field():
+    # n = 1 has only the r = 0 cell and its twin; their elements fill up to 52 bits of a lane
+    for field_r in range(1, 14):
+        ctx = make_field(field_r)
+        for twisted in (False, True):
+            assert bruhat_cell_cosets(ctx, 1, 0, twisted) == _per_element_cell_cosets(ctx, 1, 0, twisted)
 
 
 ACTION_FIELDS = ((1, 2, None), (1, 3, None), (2, 2, None), (2, 2, 0x3), (3, 1, None))

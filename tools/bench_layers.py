@@ -172,7 +172,9 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
     """One untwisted Bruhat cell with Q^- already enumerated and every cell
     cache cleared before each timed call (on a side that keeps per-element
     right-action tables of Q^-, those too), so each call builds its own tables;
-    `cosets_s` times the unsorted coset-order walk alone, under the same resets.
+    `cosets_s` times the unsorted coset-order walk alone, and `twisted_s` the
+    rho-twisted cell in coset order, under the same resets (so it includes the
+    untwisted walk it reads: the twist itself costs twisted_s - cosets_s).
     The work that side's walk does: the right-action tables built (q^(2n) row
     codes each: one per element of Q^- and sigma's on a per-element side, the r
     scaled-basis tables and sigma's otherwise), the basis columns of |Q^-| lanes
@@ -197,6 +199,7 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
 
     seconds = _median_s(lambda: og.bruhat_cell(ctx, n_int, r_int), reset=reset)
     cosets_s = _median_s(lambda: og.bruhat_cell_cosets(ctx, n_int, r_int), reset=reset)
+    twisted_s = _median_s(lambda: og.bruhat_cell_cosets(ctx, n_int, r_int, True), reset=reset)
     calls = _count_calls(og, "_right_action")
     reset()
     cell = og.bruhat_cell(ctx, n_int, r_int)
@@ -204,7 +207,7 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
             "cosets_expanded": len(cell) // len(qm)}
     if not per_element:
         work["basis_columns"] = 2 * n_int * ctx.r
-    return {"s": seconds, "cosets_s": cosets_s, **work, "cell_size": len(cell),
+    return {"s": seconds, "cosets_s": cosets_s, "twisted_s": twisted_s, **work, "cell_size": len(cell),
             "q_minus_order": len(qm), "digest": _digest(cell)}
 
 
@@ -509,7 +512,8 @@ LAYERS = {
         "sigma's, otherwise the r scaled-basis tables and sigma's; basis_columns: columns of "
         "|Q^-| 64-bit lanes, one per basis row (2n r); cosets expanded (|cell| / |Q^-|); every "
         "cell cache is cleared before each timed call; cosets_s times the unsorted coset-order "
-        "walk alone; the digest and the cell size must agree",
+        "walk alone, twisted_s the rho-twisted cell with the walk it reads; the digest and the "
+        "cell size must agree",
         agree=("digest", "cell_size"),
     ),
     "q-minus": Layer(
