@@ -8,8 +8,8 @@ These words form the dual of the code of interest; everything here works
 with that q-element dual: closed-form Hamming weights, the exact weight
 distribution of the big primal code, and the duality and kernel checks.
 Both the weight prefix and the full distribution at tiny lengths come from
-one MacWilliams engine: dual weights (by a Walsh-Hadamard transform of the
-trace classes, or by popcount), then Krawtchouk values per distinct weight.
+one MacWilliams engine: the dual weights (the closed weights (N - S(a))/2,
+or popcounts), then Krawtchouk values per distinct weight.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .ominus_groups import (
     dc_cardinality,
     double_coset_traces,
     exp_sums_dc,
-    trace_distribution,
 )
 
 PREFIX_J_LIMIT = 10 ** 3      # largest weight-prefix cutoff
@@ -101,30 +100,36 @@ def _macwilliams(
 
 
 def prefix_counts_from_distribution(
-    ctx: FieldCtx, class_counts: dict[int, int], j_max: int
+    length: int, dual_weights: tuple[int, ...], j_max: int
 ) -> tuple[int, ...]:
-    """C_j for j <= j_max: the number of ways to pick j coordinates, nu_beta
-    from the trace-beta class, with the field sum of picked betas zero.
-    The dual word c(a) has weight (length - W[M(a)]) / 2 (see `character_sums`).
-    M is a bijection (the trace form is nondegenerate), so the q dual weights
-    are the values (length - W[u]) / 2 of the unpermuted transform."""
+    """C_j for j <= j_max of the length-N code whose dual has the words of the
+    given weights, one entry per word c(a): the MacWilliams transform of their
+    multiset, with dual size q = len(dual_weights)."""
     if not 0 <= j_max <= PREFIX_J_LIMIT:
         raise ValueError(f"j_max must lie in 0..{PREFIX_J_LIMIT}")
+    if any(not isinstance(w, int) or not 0 <= w <= length for w in dual_weights):
+        raise AssertionError("dual weights must be integers in 0..length")
+    return _macwilliams(length, Counter(dual_weights), len(dual_weights), j_max)
+
+
+def class_dual_weights(ctx: FieldCtx, class_counts: dict[int, int]) -> tuple[int, ...]:
+    """The q dual weights of a coset given by its trace classes nu_beta.
+    c(a) has weight (length - W[M(a)]) / 2 (see `character_sums`), and M is a
+    bijection (the trace form is nondegenerate), so as a multiset these are
+    the values (length - W[u]) / 2 of the unpermuted transform."""
     length = sum(class_counts.values())
-    walsh = _walsh_hadamard([class_counts.get(beta, 0) for beta in range(ctx.q)])
-    weights = {}
-    for value, mult in Counter(walsh).items():
+    weights = []
+    for value in _walsh_hadamard([class_counts.get(beta, 0) for beta in range(ctx.q)]):
         w, rem = divmod(length - value, 2)
-        if rem or not 0 <= w <= length:
-            raise AssertionError("dual weights must be integers in 0..length")
-        weights[w] = mult
-    return _macwilliams(length, weights, ctx.q, j_max)
+        if rem:
+            raise AssertionError("dual weights must be integers")
+        weights.append(w)
+    return tuple(weights)
 
 
 def weight_distribution_prefix(spec: DoubleCosetSpec, j_max: int) -> WeightPrefix:
-    counts = prefix_counts_from_distribution(
-        spec.ctx, trace_distribution(spec, "closed_form"), j_max
-    )
+    length = dc_cardinality(spec)[2]
+    counts = prefix_counts_from_distribution(length, closed_weights(spec), j_max)
     return WeightPrefix(spec, j_max, counts)
 
 

@@ -3,9 +3,9 @@
 Everything here is an exact integer computation.  Point values come from
 direct sums over the exponents of a generator g; the values at every a at
 once, which the moment oracle, the value range and the coset closed forms
-read, come from `kloosterman_spectrum`, one exact big-integer product per
-dimension (Kronecker substitution).  The direct sums stay the independent
-oracles against which the spectrum and every closed form are checked.
+read, come from `kloosterman_spectrum`, one character-sum transform per
+dimension.  The direct sums stay the independent oracles against which the
+spectrum and every closed form are checked.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import isqrt
 
-from .finite_field import FieldCtx, inv, lambda_char, lambda_table, mul, units
+from .finite_field import FieldCtx, character_sums, inv, lambda_char, lambda_table, mul, units
 
 ENUM_BUDGET = 10 ** 8  # direct-summation term cap
 ORACLE_H_LIMIT = 512  # largest h_max of the moment oracle
@@ -80,52 +80,20 @@ def carlitz_k2(ctx: FieldCtx, a: int) -> int:
     return k * k - ctx.q
 
 
-def _cyclic_convolution(a: list[int], b: list[int]) -> list[int]:
-    """c_k = sum over i + j = k (mod n) of a_i b_j, for nonnegative digit lists of
-    one length n, by Kronecker substitution: pack each list into one integer of
-    w-byte digits, multiply once, add the top n digits of the product onto the
-    bottom n, and read the digits back from one to_bytes.  w bytes hold every
-    input digit and every c_k <= n max(a) max(b), so no carry crosses a digit."""
-    n = len(a)
-    width = max(n * max(a) * max(b), max(a), max(b)).bit_length() // 8 + 1
-
-    def pack(digits: list[int]) -> int:
-        return int.from_bytes(b"".join(d.to_bytes(width, "little") for d in digits), "little")
-
-    x = pack(a)
-    prod = x * (x if b is a else pack(b))
-    shift = 8 * width * n
-    buf = ((prod & ((1 << shift) - 1)) + (prod >> shift)).to_bytes(width * n, "little")
-    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, width * n, width)]
-
-
 @lru_cache(maxsize=None)
 def kloosterman_spectrum(ctx: FieldCtx, m: int) -> tuple[int, ...]:
-    """K_m(lambda;a) for every a at once: entry a of a q-entry tuple (entry 0 unused).
+    """K_m(lambda;a) for every a at once: entry a of a q-entry tuple (entry 0 is 0).
 
-    With n = q - 1 and s_i = lambda(g^i), lambda(x + y) = lambda(x) lambda(y)
-    makes K_1(g^k) = sum over i + j = k (mod n) of s_i s_j and K_2(g^k) = sum_i
-    s_i K_1(g^(k-i)): two cyclic convolutions, taken on nonnegative digits and
-    shifted back."""
+    With u = 1/x, K_1(a) = sum over u != 0 of lambda(a u) lambda(1/u); with w = x y
+    the x-sum of K_2 is K_1(w), so K_2(a) = sum over u != 0 of lambda(a u) K_1(1/u).
+    Each is one `character_sums` of the vector inner(1/u) (0 at u = 0), with inner
+    lambda for m = 1 and the m = 1 spectrum for m = 2."""
     if m not in (1, 2):
         raise ValueError(f"the spectrum covers m in {{1, 2}}, got {m}")
-    lam, exp, n = lambda_table(ctx), ctx.exp, ctx.q - 1
-    s = [lam[x] for x in exp[:n]]
-    digits = [v + 1 for v in s]  # in {0, 2}
-    if m == 1:
-        # sum (s_i + 1)(s_j + 1) = K_1 + 2 sum(s) + n; product digits at most n * 2 * 2
-        other, excess = digits, 2 * sum(s) + n
-    else:
-        k1 = kloosterman_spectrum(ctx, 1)
-        ks = [k1[x] for x in exp[:n]]
-        off = isqrt(4 * ctx.q) + 1  # K_1^2 <= 4q, so 0 < K_1 + off < 2 off
-        # sum (s_i + 1)(K_j + off) = K_2 + off sum(s) + sum(K_1) + n off;
-        # product digits at most n * 2 * 2off
-        other, excess = [k + off for k in ks], off * sum(s) + sum(ks) + n * off
-    out = [0] * ctx.q
-    for x, v in zip(exp, _cyclic_convolution(digits, other)):
-        out[x] = v - excess
-    return tuple(out)
+    inner = lambda_table(ctx) if m == 1 else kloosterman_spectrum(ctx, 1)
+    sums = character_sums(ctx, [0] + [inner[inv(ctx, u)] for u in units(ctx)])
+    sums[0] = 0
+    return tuple(sums)
 
 
 def power_moment_oracle(ctx: FieldCtx, m: int, h_max: int) -> MomentSeries:

@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import comb, factorial
 
 from .coset_codes import (
+    class_dual_weights,
     closed_weights,
     degenerate_kernel,
     dual_code_kernel,
@@ -23,7 +24,7 @@ from .coset_codes import (
 )
 from .finite_field import FieldCtx, inv, trace
 from .kloosterman import MomentSeries, power_moment_oracle
-from .ominus_groups import DoubleCosetSpec, dc_cardinality, trace_distribution
+from .ominus_groups import DoubleCosetSpec, dc_cardinality
 
 H_MAX_LIMIT = 32
 
@@ -115,8 +116,8 @@ def _pless_sum(prefix: tuple[int, ...], n: int, h: int) -> int:
 
 
 def _solve_recursion(
-    ctx: FieldCtx,
-    class_counts: dict[int, int],
+    length: int,
+    dual_weights: tuple[int, ...],
     a_cnt: int,
     base: int,
     c: int,
@@ -126,13 +127,12 @@ def _solve_recursion(
 
     2^h sum_a w(a)^h equals q * P(h) with P built from the weight prefix;
     expanding w(a)^h binomially and isolating l = h gives the recursion.
-    All divisions are exact and asserted."""
-    q = ctx.q
-    n = sum(class_counts.values())
-    prefix = prefix_counts_from_distribution(ctx, class_counts, min(n, h_max))
+    The q dual weights give the prefix; all divisions are exact and asserted."""
+    q = len(dual_weights)
+    prefix = prefix_counts_from_distribution(length, dual_weights, min(length, h_max))
     values = [q - 1]
     for h in range(1, h_max + 1):
-        lead, rem = divmod(q * _pless_sum(prefix, n, h), a_cnt ** h)
+        lead, rem = divmod(q * _pless_sum(prefix, length, h), a_cnt ** h)
         if rem:
             raise AssertionError("the moment identity must divide exactly by A^h")
         acc = lead
@@ -173,9 +173,8 @@ def recursive_moments(
     if not 1 <= h_max <= H_MAX_LIMIT:
         raise ValueError(f"h_max must lie in 1..{H_MAX_LIMIT}")
     params = _series_params(spec, series)
-    a_cnt = dc_cardinality(spec)[0]
-    counts = trace_distribution(spec, "closed_form")
-    values = _solve_recursion(spec.ctx, counts, a_cnt, params.base, params.c, h_max)
+    a_cnt, _, length = dc_cardinality(spec)
+    values = _solve_recursion(length, closed_weights(spec), a_cnt, params.base, params.c, h_max)
     return _package_report(spec, params, h_max, values, with_oracle)
 
 
@@ -210,9 +209,10 @@ def smallest_case_recursions(
         spec = DoubleCosetSpec(1, "-", 1, ctx)
     else:
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    if sum(counts.values()) != dc_cardinality(spec)[2]:
+    length = dc_cardinality(spec)[2]
+    if sum(counts.values()) != length:
         raise AssertionError("printed class sizes must sum to the coset size")
-    values = _solve_recursion(ctx, counts, a_cnt, base, c, h_max)
+    values = _solve_recursion(length, class_dual_weights(ctx, counts), a_cnt, base, c, h_max)
     params = SeriesParams("mk", base, c, 1, 1)
     return _package_report(spec, params, h_max, values, with_oracle)
 

@@ -1,5 +1,7 @@
 """Dual codewords, weight distributions, and the duality checks."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from cosetmoments.coset_codes import (
     DUALITY_N_LIMIT,
     MACWILLIAMS_N_LIMIT,
     PREFIX_J_LIMIT,
+    class_dual_weights,
     closed_weights,
     codeword_weight_closed,
     degenerate_kernel,
@@ -264,7 +267,29 @@ def test_engine_matches_dp_at_every_small_field(r):
         counts = trace_distribution(spec, "closed_form")
         j_max = min(dc_cardinality(spec)[2], DP_J_CAP[r])
         expected = dp_prefix(ctx, counts, j_max)
-        assert prefix_counts_from_distribution(ctx, counts, j_max) == expected, _sid(spec)
+        prefix = prefix_counts_from_distribution(
+            sum(counts.values()), class_dual_weights(ctx, counts), j_max)
+        assert prefix == expected, _sid(spec)
+
+
+def _weight_paths_agree(spec, j_max):
+    """The closed weights and the weights of the closed trace classes give one prefix."""
+    length = dc_cardinality(spec)[2]
+    classes = class_dual_weights(spec.ctx, trace_distribution(spec, "closed_form"))
+    by_weights = prefix_counts_from_distribution(length, closed_weights(spec), j_max)
+    assert by_weights == prefix_counts_from_distribution(length, classes, j_max), _sid(spec)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_closed_weights_match_the_class_path(r):
+    for spec in _every_spec(make_field(r)):
+        _weight_paths_agree(spec, 32)
+
+
+@pytest.mark.parametrize("r,seed", [(12, 1), (12, 2), (16, 1), (16, 2)])
+def test_closed_weights_match_the_class_path_at_large_r(r, seed):
+    specs = _every_spec(make_field(r), 4)
+    _weight_paths_agree(random.Random(f"{r}:{seed}").choice(specs), 32)
 
 
 @st.composite
@@ -282,7 +307,8 @@ def test_engine_matches_dp_over_random_moduli(ctx, pick, j_max):
     specs = _every_spec(ctx, 4)
     spec = specs[pick % len(specs)]
     counts = trace_distribution(spec, "closed_form")
-    prefix = prefix_counts_from_distribution(ctx, counts, j_max)
+    prefix = prefix_counts_from_distribution(
+        sum(counts.values()), class_dual_weights(ctx, counts), j_max)
     assert prefix == dp_prefix(ctx, counts, j_max)
     # the code does not depend on the representation of the field
     default = DoubleCosetSpec(spec.family, spec.sign, spec.n, make_field(ctx.r))

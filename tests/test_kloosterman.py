@@ -1,16 +1,17 @@
 """Kloosterman sums, their power moments, and the classical identities."""
 
+import random
 from functools import lru_cache
+from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetmoments.finite_field import is_irreducible, make_field, units
+from cosetmoments.finite_field import is_irreducible, lambda_table, make_field, trace, units
 from cosetmoments.kloosterman import (
     ORACLE_H_LIMIT,
     BudgetError,
-    _cyclic_convolution,
     _kloosterman_generic,
     artin_schreier_sums,
     carlitz_k2,
@@ -84,6 +85,48 @@ def test_exponent_form_matches_generic_sum(r, modulus, m):
         assert _kloosterman_generic(ctx, m, a) == kloosterman_sum(ctx, m, a)
 
 
+def _cyclic_convolution(a: list[int], b: list[int]) -> list[int]:
+    """c_k = sum over i + j = k (mod n) of a_i b_j, for nonnegative digit lists of
+    one length n, by Kronecker substitution: pack each list into one integer of
+    w-byte digits, multiply once, add the top n digits of the product onto the
+    bottom n, and read the digits back from one to_bytes.  w bytes hold every
+    input digit and every c_k <= n max(a) max(b), so no carry crosses a digit."""
+    n = len(a)
+    width = max(n * max(a) * max(b), max(a), max(b)).bit_length() // 8 + 1
+
+    def pack(digits: list[int]) -> int:
+        return int.from_bytes(b"".join(d.to_bytes(width, "little") for d in digits), "little")
+
+    x = pack(a)
+    prod = x * (x if b is a else pack(b))
+    shift = 8 * width * n
+    buf = ((prod & ((1 << shift) - 1)) + (prod >> shift)).to_bytes(width * n, "little")
+    return [int.from_bytes(buf[i : i + width], "little") for i in range(0, width * n, width)]
+
+
+@lru_cache(maxsize=None)
+def _convolution_spectrum(ctx, m):
+    """The spectrum as cyclic convolutions over the exponents of g: with n = q - 1
+    and s_i = lambda(g^i), K_1(g^k) = sum over i + j = k (mod n) of s_i s_j and
+    K_2(g^k) = sum_i s_i K_1(g^(k-i)), taken on nonnegative digits and shifted back."""
+    lam, exp, n = lambda_table(ctx), ctx.exp, ctx.q - 1
+    s = [lam[x] for x in exp[:n]]
+    digits = [v + 1 for v in s]  # in {0, 2}
+    if m == 1:
+        # sum (s_i + 1)(s_j + 1) = K_1 + 2 sum(s) + n; product digits at most n * 2 * 2
+        other, excess = digits, 2 * sum(s) + n
+    else:
+        ks = [_convolution_spectrum(ctx, 1)[x] for x in exp[:n]]
+        off = isqrt(4 * ctx.q) + 1  # K_1^2 <= 4q, so 0 < K_1 + off < 2 off
+        # sum (s_i + 1)(K_j + off) = K_2 + off sum(s) + sum(K_1) + n off;
+        # product digits at most n * 2 * 2off
+        other, excess = [k + off for k in ks], off * sum(s) + sum(ks) + n * off
+    out = [0] * ctx.q
+    for x, v in zip(exp, _cyclic_convolution(digits, other)):
+        out[x] = v - excess
+    return tuple(out)
+
+
 @given(
     st.integers(min_value=1, max_value=40).flatmap(
         lambda n: st.tuples(*[st.lists(st.integers(0, 10 ** 6), min_size=n, max_size=n)] * 2)
@@ -99,9 +142,29 @@ def test_cyclic_convolution_matches_schoolbook(pair):
     assert _cyclic_convolution(a, a) == _cyclic_convolution(a, list(a))
 
 
+def _seeded_field(r, seed):
+    """A field with a random irreducible modulus and a random trace-1 a_param."""
+    rng = random.Random(seed)
+    modulus = next(m for m in iter(lambda: rng.randrange(1 << r, 1 << (r + 1)), None)
+                   if is_irreducible(m, r))
+    ctx = make_field(r, modulus)
+    a_param = next(x for x in iter(lambda: rng.randrange(ctx.q), None) if trace(ctx, x))
+    return make_field(r, modulus, a_param)
+
+
+@pytest.mark.parametrize(
+    "ctx", [make_field(r) for r in range(1, 13)] + [_seeded_field(16, seed) for seed in (1, 2)],
+    ids=lambda ctx: f"r{ctx.r}-0x{ctx.modulus:X}",
+)
+def test_transform_spectrum_matches_convolutions(ctx):
+    """Both transform spectra equal the convolution form, entry 0 included."""
+    for m in (1, 2):
+        assert kloosterman_spectrum(ctx, m) == _convolution_spectrum(ctx, m), m
+
+
 @pytest.mark.parametrize("r,modulus", [(r, None) for r in range(1, 11)] + [(4, 0x1F), (8, 0x11B)])
 def test_spectrum_matches_direct_sums(r, modulus):
-    """The convolution spectrum equals the exponent-form sum at every a, also
+    """The transform spectrum equals the exponent-form sum at every a, also
     when z does not generate the unit group (0x1F, 0x11B)."""
     ctx = make_field(r, modulus)
     spectrum = kloosterman_spectrum(ctx, 1)
@@ -146,7 +209,7 @@ def test_first_moments_at_large_r(r):
 
 
 def test_spectrum_of_the_two_element_field():
-    # q = 2: one unit and one digit, lambda(1) + 1 = 0
+    # q = 2: the one unit is its own inverse, and lambda(1) = -1
     ctx = make_field(1)
     assert kloosterman_spectrum(ctx, 1) == (0, 1)
     assert kloosterman_spectrum(ctx, 2) == (0, -1)

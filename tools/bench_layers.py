@@ -9,13 +9,15 @@ DIR is the src/ directory of a checkout of the parent commit; the change
 side is this checkout's src/. Every figure comes from a fresh interpreter
 that imports one side's package, so first-use costs (tables, caches) are
 paid inside the measurement. Each case of a layer runs PROCESSES times per
-side, the two sides alternating process by process (and the side that
-starts alternating case by case), so a drift in host load reaches both:
-float fields keep their median, every other field must repeat exactly
-and is kept as a string. Fields a layer names in `agree` (values, digests)
-must also be equal between the two sides. A case that exceeds its time
-limit is recorded as such and not repeated. Layers marked change-only
-compare two paths of the same checkout and ignore DIR.
+side (a layer may ask for more), the two sides alternating process by
+process (and the side that starts alternating case by case), so a drift in
+host load reaches both: float fields keep their median, every other field
+must repeat exactly and is kept as a string, and the change's row counts,
+per float field, the processes in which it was faster than the parent
+process it alternated with. Fields a layer names in `agree` (values,
+digests) must also be equal between the two sides. A case that exceeds
+its time limit is recorded as such and not repeated. Without DIR, each
+layer records this checkout alone.
 
 As in `bench/run.py`, every child runs pinned to one core, and every float
 field a child returns is a time, divided by the speed of that core while
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -45,7 +48,6 @@ import statistics
 import subprocess
 import sys
 import time
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -83,35 +85,33 @@ def _digest(value) -> str:
 PREFIX_SHAPES = {"1+/n2": (1, "+", 2), "1-/n1": (1, "-", 1), "3-/n3": (3, "-", 3),
                  "3+/n2": (3, "+", 2), "2+/n2": (2, "+", 2)}
 PREFIX_J_MAXES = (8, 16, 32)
-PREFIX_DP_R_LIMIT = 8  # the XOR-state DP oracle runs only up to here
 
 
 def child_prefix(r: str, shape: str) -> dict:
-    """The MacWilliams engine against the XOR-state DP it replaced (kept in
-    tests/test_coset_codes.py as the oracle), per j_max, on one spec's
-    closed-form trace classes."""
-    sys.path.insert(0, str(ROOT / "tests"))
-    from test_coset_codes import dp_prefix
-
-    from cosetmoments.coset_codes import prefix_counts_from_distribution
-    from cosetmoments.finite_field import _walsh_hadamard, make_field
-    from cosetmoments.ominus_groups import DoubleCosetSpec, trace_distribution
+    """The weight-distribution prefix of one spec per j_max, its input already
+    cached: the closed dual weights on a side whose prefix takes dual weights
+    (it has `class_dual_weights`), else the closed trace classes, which that
+    side's prefix turns into weights by one Walsh-Hadamard transform."""
+    from cosetmoments import coset_codes as cc
+    from cosetmoments.finite_field import make_field
+    from cosetmoments.ominus_groups import DoubleCosetSpec, dc_cardinality, trace_distribution
 
     ctx = make_field(int(r))
-    counts = trace_distribution(DoubleCosetSpec(*PREFIX_SHAPES[shape], ctx), "closed_form")
-    weights = len(Counter(_walsh_hadamard([counts.get(b, 0) for b in range(ctx.q)])))
-    row = {"distinct_weights": weights, "walsh_hadamard_adds": ctx.q * int(r)}
+    spec = DoubleCosetSpec(*PREFIX_SHAPES[shape], ctx)
+    weights = cc.closed_weights(spec)
+    if hasattr(cc, "class_dual_weights"):
+        length = dc_cardinality(spec)[2]
+        row = {"weights_read": ctx.q}
+        prefix = lambda j_max: cc.prefix_counts_from_distribution(length, weights, j_max)
+    else:
+        counts = trace_distribution(spec, "closed_form")
+        row = {"walsh_hadamard_adds": ctx.q * int(r)}
+        prefix = lambda j_max: cc.prefix_counts_from_distribution(ctx, counts, j_max)
+    row["distinct_weights"] = len(set(weights))
     for j_max in PREFIX_J_MAXES:
-        engine = prefix_counts_from_distribution(ctx, counts, j_max)
-        row[f"j{j_max}_engine_s"] = _median_s(
-            lambda: prefix_counts_from_distribution(ctx, counts, j_max))
-        row[f"j{j_max}_engine_work"] = weights * j_max
-        row[f"j{j_max}_digest"] = _digest(engine)
-        if int(r) <= PREFIX_DP_R_LIMIT:
-            start = time.perf_counter()
-            if dp_prefix(ctx, counts, j_max) != engine:
-                raise AssertionError(f"engine and DP disagree at r = {r}, {shape}, j = {j_max}")
-            row[f"j{j_max}_dp_s"] = time.perf_counter() - start
+        row[f"j{j_max}_s"] = _median_s(lambda: prefix(j_max))
+        row[f"j{j_max}_krawtchouk_steps"] = row["distinct_weights"] * j_max
+        row[f"j{j_max}_digest"] = _digest(prefix(j_max))
     return row
 
 
@@ -239,15 +239,44 @@ def child_q_minus(field_r: str, n: str) -> dict:
     return {"s": seconds, **work, "q_minus_order": len(group), "digest": _digest(group)}
 
 
+CHECK_REPEATS = 5  # runs of each check from one state; child_checks keeps the fastest
+
+
+def _forked_seconds(fn, args) -> float:
+    """Seconds of fn(*args) in a forked copy of this process (its caches as
+    they are now), which exits after the call."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read)
+            start = time.perf_counter()
+            fn(*args)
+            os.write(write, repr(time.perf_counter() - start).encode())
+        finally:
+            os._exit(0)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        elapsed = pipe.read()
+    os.waitpid(pid, 0)
+    return float(elapsed)
+
+
 def child_checks(max_r: str, prefixes: str) -> dict:
     """Seconds of each verify-all check whose name starts with one of the
     comma-separated prefixes (all checks when empty), run in plan order in one
-    process as `--workers 1` runs them, and their sum; where the package builds
-    right-action tables, also the tables each check built (`<check>.tables`),
-    and the terms of the symmetric-matrix sums each check ran: one per (B, u, v)
-    in the direct sum (`<check>.direct_terms`, #nonsingular B x q^(2 dim)) and
-    one nonsingularity test per symmetric B in the reduced one
-    (`<check>.reduced_terms`, q^(dim (dim + 1)/2)); counts of 0 are left out."""
+    process as `--workers 1` runs them, and their sum.  Each check runs
+    CHECK_REPEATS times from the state the checks before it leave, after a full
+    garbage collection: once in this process and the other times in forked
+    copies (this process runs no threads), and the fastest run is kept.  So
+    neither a collection owed to earlier checks nor a slow moment of the host
+    lands on a check, while the caches it fills for itself stay cold.  Where
+    the package builds right-action tables, also the tables each check built
+    (`<check>.tables`), and the terms of the symmetric-matrix sums each check
+    ran: one per (B, u, v) in the direct sum (`<check>.direct_terms`,
+    #nonsingular B x q^(2 dim)) and one nonsingularity test per symmetric B in
+    the reduced one (`<check>.reduced_terms`, q^(dim (dim + 1)/2)); counts of 0
+    are left out."""
     from cosetmoments import cli
     from cosetmoments import ominus_groups as og
     from spans import nonsingular_symmetric_count
@@ -266,11 +295,13 @@ def child_checks(max_r: str, prefixes: str) -> dict:
     for name, fn, args, skip in cli._build_checks(int(max_r), {}):
         if skip or (wanted and not name.startswith(wanted)):
             continue
+        gc.collect()
+        runs = [_forked_seconds(fn, args) for _ in range(CHECK_REPEATS - 1)]
         for counter in counters.values():
             counter[0] = 0
         start = time.perf_counter()
         fn(*args)
-        row[name] = time.perf_counter() - start
+        row[name] = min(runs + [time.perf_counter() - start])
         work.update({f"{name}.{kind}": counter[0] for kind, counter in counters.items() if counter[0]})
     row["sum_s"] = sum(row.values())
     return {**row, **work}
@@ -306,8 +337,8 @@ SPECTRUM_K2_DIRECT_R = 8  # one direct K_2 double sum is timed up to here
 
 
 def child_spectrum(r: str) -> dict:
-    """The all-a Kloosterman values: the convolution spectrum (m = 1, then
-    m = 2 from the cached m = 1) against the direct exponent-form sums."""
+    """The all-a Kloosterman values: the spectrum (m = 1, then m = 2 from the
+    cached m = 1) and its work, against the direct exponent-form sums."""
     from cosetmoments import kloosterman as kl
     from cosetmoments.finite_field import make_field
 
@@ -316,17 +347,18 @@ def child_spectrum(r: str) -> dict:
     q, n = ctx.q, ctx.q - 1
     start = time.perf_counter()
     k1 = kl.kloosterman_spectrum(ctx, 1)
-    conv1_s = time.perf_counter() - start
+    m1_s = time.perf_counter() - start
     start = time.perf_counter()
     k2 = kl.kloosterman_spectrum(ctx, 2)
-    conv2_s = time.perf_counter() - start
-    off = math.isqrt(4 * q) + 1
+    m2_s = time.perf_counter() - start
+    if hasattr(kl, "_cyclic_convolution"):  # a side that convolves over the exponents
+        work = {"product_digits_per_m": n}
+    else:
+        work = {"butterfly_adds_per_m": q * r_int}
     row = {
-        "conv_m1_s": conv1_s,
-        "conv_m2_s": conv2_s,
-        "conv_digits": n,
-        "conv_m1_digit_bytes": (n * 2 * 2).bit_length() // 8 + 1,
-        "conv_m2_digit_bytes": (n * 2 * 2 * off).bit_length() // 8 + 1,
+        "m1_s": m1_s,
+        "m2_s": m2_s,
+        **work,
         "direct_m1_terms": n * n,
         "direct_m2_terms": n ** 3,
         "m1_digest": _digest(k1),
@@ -475,7 +507,7 @@ class Layer:
     cases: tuple[tuple[str, str, tuple[str, ...]], ...]  # (row key, child name, child args)
     work_units: str
     agree: tuple[str, ...] = ()
-    change_only: bool = False
+    processes: int = PROCESSES
 
 
 SPECTRUM_CHECKS = (
@@ -490,11 +522,13 @@ CELL_CHECKS = ("parabolic-cells", "character-sums", "trace-distributions", "so2-
 
 LAYERS = {
     "prefix": Layer(
-        "weight-distribution prefix: MacWilliams engine vs the XOR-state DP (BENCH_2)",
+        "weight-distribution prefix from its cached input: the closed dual weights, or the "
+        "closed trace classes and one Walsh-Hadamard transform",
         tuple((f"r{r}-{shape}", "child_prefix", (str(r), shape))
               for r in (4, 6, 8, 10, 12, 14, 16) for shape in PREFIX_SHAPES),
-        "distinct dual weights x j_max (Krawtchouk steps); q log2 q Walsh-Hadamard additions",
-        change_only=True,
+        "per side, labelled and not compared: distinct dual weights x j_max (Krawtchouk "
+        "steps); q weights read, or q log2 q Walsh-Hadamard additions; the digests must agree",
+        agree=("distinct_weights", *(f"j{j}_digest" for j in PREFIX_J_MAXES)),
     ),
     "field": Layer(
         "GF(2^r) arithmetic: context set-up, ns per mul and inv (BENCH_4)",
@@ -527,11 +561,12 @@ LAYERS = {
         agree=("digest", "q_minus_order"),
     ),
     "spectrum": Layer(
-        "all-a Kloosterman values: Kronecker-substituted convolutions vs direct sums",
+        "all-a Kloosterman values: one spectrum per m vs direct sums",
         tuple((f"r{r}", "child_spectrum", (str(r),)) for r in (8, 10, 12, 14, 16)),
-        "direct: (q-1)^2 terms for m = 1, (q-1)^3 for m = 2; convolution: q - 1 digits "
-        "of the stated bytes, one big-integer product per m",
-        change_only=True,
+        "direct: (q-1)^2 terms for m = 1, (q-1)^3 for m = 2; per side, labelled and not "
+        "compared: one character-sum transform per m (q log2 q butterfly additions), or one "
+        "big-integer product of q - 1 digits per m; the digests must agree",
+        agree=("m1_digest", "m2_digest"),
     ),
     "commands": Layer(
         "end-to-end CLI documents in a fresh interpreter, package import included",
@@ -547,16 +582,32 @@ LAYERS = {
         "one CLI document; the digest must agree between the sides",
         agree=("digest", "exit"),
     ),
+    "large-field": Layer(
+        "end-to-end CLI documents at q = 65536 in a fresh interpreter, package import "
+        "included; more processes per side, so the pairs the change wins are counted",
+        tuple((" ".join(argv), "child_command", argv) for argv in (
+            ("kloos", "--r", "16", "--m", "2", "--hmax", "32"),
+            ("moments", "--r", "16", "--family", "4", "--sign", "minus", "--n", "3", "--hmax", "32",
+             "--verify"),
+            ("weights", "--r", "16", "--family", "1", "--sign", "minus", "--n", "1", "--jmax", "32"),
+        )),
+        "one CLI document; change_faster_pairs: processes in which the change was faster than "
+        "the parent process it alternated with; the digest must agree between the sides",
+        agree=("digest", "exit"),
+        processes=7,
+    ),
     "checks": Layer(
         "verify-all --max-r 8 checks that read the spectrum or SO(2,q), serially",
         (("verify-all-r8", "child_checks", ("8", ",".join(SPECTRUM_CHECKS))),),
-        "seconds per check; the plan is fixed by the check names",
+        f"seconds per check, the fastest of {CHECK_REPEATS} runs; the plan is fixed by the "
+        "check names",
     ),
     "cell-checks": Layer(
         "verify-all --max-r 8 checks that enumerate Q^- and its Bruhat cells or scan every "
         "vector for the form, serially",
         (("verify-all-r8", "child_checks", ("8", ",".join(CELL_CHECKS))),),
-        "seconds per check; the plan is fixed by the check names; <check>.tables: right-action "
+        f"seconds per check, the fastest of {CHECK_REPEATS} runs; the plan is fixed by the "
+        "check names; <check>.tables: right-action "
         "tables the check built, in plan order after the checks before it (q^(2n) row codes "
         "each): Q^-'s unipotent tables, the sigma tables, the scan tables, and Q^-'s element "
         "tables on a per-element side or the r scaled-basis tables per cell otherwise",
@@ -566,7 +617,8 @@ LAYERS = {
         "serially, and the whole serial verify-all --max-r 8 document",
         (("verify-all-r8", "child_checks", ("8", "symmetric-matrix-sum")),
          ("verify-all --max-r 8", "child_command", ("verify-all", "--max-r", "8"))),
-        "seconds per check; <check>.direct_terms: one per (B, u, v) of the direct sum, "
+        f"seconds per check, the fastest of {CHECK_REPEATS} runs; <check>.direct_terms: one per "
+        "(B, u, v) of the direct sum, "
         "#nonsingular B x q^(2 dim) per call; <check>.reduced_terms: one nonsingularity test "
         "per symmetric B of the reduced sum, q^(dim (dim + 1)/2) per call; a check calls the reduced "
         "sum once per dimension and the direct one once per dimension and twist, the twist "
@@ -612,7 +664,7 @@ LAYERS = {
         "per kernel, q reads of the closed sum vector (exp_sums_dc) where the package has one, "
         "else one transform of the closed classes: q log2 q additions and q permuted reads; "
         "support_traces is the older literal kernel's bound, one trace per a and nonempty "
-        "class; seconds per check; the digests must agree",
+        f"class; seconds per check, the fastest of {CHECK_REPEATS} runs; the digests must agree",
         agree=("digest", "exit"),
     ),
 }
@@ -660,15 +712,15 @@ def layer_record(layer: Layer, parent_src: Path | None) -> dict:
     """Every case on both sides, the sides alternating: the side that runs
     first swaps from one process to the next and from one case to the next,
     so a shift in host load lands on both."""
-    record = {"doc": layer.doc, "work_units": layer.work_units, "processes": str(PROCESSES)}
+    record = {"doc": layer.doc, "work_units": layer.work_units, "processes": str(layer.processes)}
     sides = {"after": ROOT / "src"}
-    if not (layer.change_only or parent_src is None):
+    if parent_src is not None:
         sides["before"] = parent_src
     rows: dict[str, dict] = {side: {} for side in sides}
     for index, (key, child, args) in enumerate(layer.cases):
         runs: dict[str, list[dict]] = {side: [] for side in sides}
         timed_out: set[str] = set()
-        for process in range(PROCESSES):
+        for process in range(layer.processes):
             order = list(sides) if (index + process) % 2 == 0 else list(reversed(sides))
             for side in order:
                 if side in timed_out:
@@ -678,9 +730,16 @@ def layer_record(layer: Layer, parent_src: Path | None) -> dict:
                     timed_out.add(side)
                 else:
                     runs[side].append(row)
-        for side, src in sides.items():
+        for side in sides:
             rows[side][key] = (median_row(runs[side]) if runs[side]
                                else {"timed_out_after_s": str(CHILD_TIMEOUT_S)})
+        if len(sides) == 2:  # the k-th process of one side pairs with the k-th of the other
+            pairs = list(zip(runs["before"], runs["after"]))
+            rows["after"][key]["change_faster_pairs"] = {
+                field: f"{sum(after[field] < before[field] for before, after in pairs)}/{len(pairs)}"
+                for field, value in (runs["after"] or [{}])[0].items()
+                if isinstance(value, float) and field != "speed"}
+        for side, src in sides.items():
             print(json.dumps({"src": str(src), "case": key, **rows[side][key]}),
                   file=sys.stderr, flush=True)
     if "before" not in rows:
