@@ -152,12 +152,10 @@ def _seeded_field(r, seed):
     return make_field(r, modulus, a_param)
 
 
-@pytest.mark.parametrize(
-    "ctx", [make_field(r) for r in range(1, 13)] + [_seeded_field(16, seed) for seed in (1, 2)],
-    ids=lambda ctx: f"r{ctx.r}-0x{ctx.modulus:X}",
-)
-def test_transform_spectrum_matches_convolutions(ctx):
+@pytest.mark.parametrize("r,seed", [(r, None) for r in range(1, 13)] + [(16, 1), (16, 2)])
+def test_transform_spectrum_matches_convolutions(r, seed):
     """Both transform spectra equal the convolution form, entry 0 included."""
+    ctx = make_field(r) if seed is None else _seeded_field(r, seed)
     for m in (1, 2):
         assert kloosterman_spectrum(ctx, m) == _convolution_spectrum(ctx, m), m
 
