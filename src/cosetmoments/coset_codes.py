@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache
 
-from .finite_field import FieldCtx, _walsh_hadamard, mul, trace
+from .finite_field import FieldCtx, character_sums, mul, trace
 from .kloosterman import BudgetError
 from .ominus_groups import (
     DoubleCosetSpec,
@@ -29,13 +29,6 @@ from .ominus_groups import (
 PREFIX_J_LIMIT = 10 ** 3      # largest weight-prefix cutoff
 MACWILLIAMS_N_LIMIT = 64      # largest length for a full distribution
 DUALITY_N_LIMIT = 24          # largest length for the exhaustive duality check
-
-# (family, sign, n, q) whose a -> c(a) kernel is the two-element subfield
-DEGENERATE_KERNEL_SPECS = frozenset({(3, "+", 2, 2), (3, "+", 2, 4), (4, "-", 3, 2)})
-
-
-def degenerate_kernel(spec: DoubleCosetSpec) -> bool:
-    return (spec.family, spec.sign, spec.n, spec.ctx.q) in DEGENERATE_KERNEL_SPECS
 
 
 def dual_codeword(spec: DoubleCosetSpec, a: int) -> tuple[int, ...]:
@@ -113,13 +106,12 @@ def prefix_counts_from_distribution(
 
 
 def class_dual_weights(ctx: FieldCtx, class_counts: dict[int, int]) -> tuple[int, ...]:
-    """The q dual weights of a coset given by its trace classes nu_beta.
-    c(a) has weight (length - W[M(a)]) / 2 (see `character_sums`), and M is a
-    bijection (the trace form is nondegenerate), so as a multiset these are
-    the values (length - W[u]) / 2 of the unpermuted transform."""
+    """The q dual weights of a coset given by its trace classes nu_beta, indexed
+    by a as `closed_weights` is: c(a) has weight (length - S(a)) / 2, where
+    S(a) = sum over beta of nu_beta lambda(a beta) is one `character_sums`."""
     length = sum(class_counts.values())
     weights = []
-    for value in _walsh_hadamard([class_counts.get(beta, 0) for beta in range(ctx.q)]):
+    for value in character_sums(ctx, [class_counts.get(beta, 0) for beta in range(ctx.q)]):
         w, rem = divmod(length - value, 2)
         if rem:
             raise AssertionError("dual weights must be integers")
@@ -169,9 +161,15 @@ def dual_code_kernel(spec: DoubleCosetSpec) -> tuple[int, ...]:
     return tuple(a for a, s in enumerate(sums) if s == sums[0])
 
 
+def degenerate_kernel(spec: DoubleCosetSpec) -> bool:
+    """Whether a -> c(a) has a kernel beyond 0, read from the closed sums."""
+    return dual_code_kernel(spec) != (0,)
+
+
 def delsarte_check(spec: DoubleCosetSpec) -> bool:
     """The binary dual of the code cut out by the field-valued parity
-    condition is exactly {c(a)}: rowspace comparison plus kernel audit."""
+    condition is exactly {c(a)}: rowspace comparison plus kernel audit, the
+    literal kernel against the closed one, which is 0 or the subfield {0, 1}."""
     ctx = spec.ctx
     if dc_cardinality(spec)[2] > DUALITY_N_LIMIT:  # refused before the cell is built
         raise BudgetError(f"duality check needs length <= {DUALITY_N_LIMIT}")
@@ -182,5 +180,4 @@ def delsarte_check(spec: DoubleCosetSpec) -> bool:
         span |= {x ^ row for x in span}
     words = set(_packed_dual_words(spec))
     kernel = tuple(a for a in range(ctx.q) if not any(dual_codeword(spec, a)))
-    expected = (0, 1) if degenerate_kernel(spec) else (0,)
-    return span == words and kernel == expected and kernel == dual_code_kernel(spec)
+    return span == words and kernel in ((0,), (0, 1)) and kernel == dual_code_kernel(spec)

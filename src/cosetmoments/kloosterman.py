@@ -10,9 +10,10 @@ spectrum and every closed form are checked.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter, namedtuple
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import isqrt
 
 from .finite_field import FieldCtx, character_sums, inv, lambda_char, lambda_table, mul, units
@@ -35,42 +36,31 @@ def _check_unit(ctx: FieldCtx, a: int, name: str = "a") -> None:
 
 
 def direct_sum_fits(q: int, m: int) -> bool:
-    """Whether the direct K_m sum's (q - 1)^m terms fit ENUM_BUDGET."""
-    return (q - 1) ** m <= ENUM_BUDGET
+    """Whether the direct K_m sum's (m - 1)(q - 1)^2 + (q - 1) terms fit ENUM_BUDGET."""
+    return (m - 1) * (q - 1) ** 2 + (q - 1) <= ENUM_BUDGET
 
 
 @lru_cache(maxsize=None)
 def kloosterman_sum(ctx: FieldCtx, m: int, a: int) -> int:
-    """K_m(lambda;a) by direct summation over (F_q^*)^m."""
+    """K_m(lambda;a) by direct summation over the exponents of g.
+
+    With x = g^i, K_j(a) = sum over x != 0 of lambda(x) K_(j-1)(a/x), where
+    K_0 = lambda: each of the m - 1 lower levels is that sum at every exponent,
+    (q - 1)^2 terms, and the top level is one sum of q - 1 terms at log a."""
     if m < 1:
         raise ValueError(f"dimension m must be positive, got {m}")
     _check_unit(ctx, a)
     if not direct_sum_fits(ctx.q, m):
-        raise BudgetError(f"direct K_{m} sum needs (q - 1)^{m} terms, over the budget {ENUM_BUDGET}")
-    if m > 2:
-        return _kloosterman_generic(ctx, m, a)
-    lam = lambda_table(ctx)
-    exp, n = ctx.exp, ctx.q - 1
-    if m == 1:
-        return _k1_exponent_form(lam, exp, n, ctx.log[a])
-    # x = g^i and lambda(x + s) = lambda(x) lambda(s) leave a K_1 sum at a/x
-    return sum(lam[exp[i]] * _k1_exponent_form(lam, exp, n, (ctx.log[a] - i) % n) for i in range(n))
-
-
-def _k1_exponent_form(lam: tuple[int, ...], exp: tuple[int, ...], n: int, e: int) -> int:
-    """Sum over i of lambda(g^i + g^(e - i)), i.e. K_1(lambda; g^e), with n = q - 1."""
-    return sum(lam[x ^ y] for x, y in zip(exp[:n], reversed(exp[e + 1 : e + n + 1])))
-
-
-def _kloosterman_generic(ctx: FieldCtx, m: int, a: int) -> int:
-    lam = lambda_table(ctx)
-    total = 0
-    for alphas in product(range(1, ctx.q), repeat=m):
-        s, p = 0, 1
-        for al in alphas:
-            s, p = s ^ al, mul(ctx, p, al)
-        total += lam[s ^ mul(ctx, a, inv(ctx, p))]
-    return total
+        raise BudgetError(
+            f"direct K_{m} sum needs (m - 1)(q - 1)^2 + (q - 1) terms, over the budget {ENUM_BUDGET}"
+        )
+    lam, n = lambda_table(ctx), ctx.q - 1
+    chi = level = [lam[x] for x in ctx.exp[:n]]  # chi(i) = lambda(g^i), also K_0(g^i)
+    for j in range(1, m + 1):
+        twice = level + level  # twice[e + n - i] = K_(j-1)(g^(e - i)) for 0 <= i < n
+        points = range(n) if j < m else (ctx.log[a],)
+        level = [sum(map(operator.mul, chi, reversed(twice[e + 1 : e + n + 1]))) for e in points]
+    return level[0]
 
 
 def carlitz_k2(ctx: FieldCtx, a: int) -> int:

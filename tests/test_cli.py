@@ -280,10 +280,24 @@ def test_no_size_refusal_without_a_digit_limit(capsys, command):
 
 
 def test_kloos_refusal_past_the_digit_limit_states_its_budget(capsys, default_digit_limit):
-    # (q - 1)^2000 = 255^2000 has more decimal digits than int-to-string conversion allows
+    # the refusal names its count by formula, never as a number that may not print
     code, doc, err = run(capsys, "kloos", "--r", "8", "--m", "2000", "--a", "0x1")
     assert code == 2 and doc is None
-    assert "direct K_2000 sum needs (q - 1)^2000 terms, over the budget" in err
+    assert "direct K_2000 sum needs (m - 1)(q - 1)^2 + (q - 1) terms, over the budget" in err
+
+
+def test_kloos_refuses_a_dimension_over_the_budget_at_once(capsys):
+    # at q = 2 the direct sum has m terms: 10^8 + 1 is over the budget
+    start = time.perf_counter()
+    code, doc, err = run(capsys, "kloos", "--r", "1", "--m", "100000001", "--a", "0x1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and doc is None and "over the budget" in err
+
+
+def test_kloos_at_q2_is_the_sign_of_the_parity_of_m(capsys):
+    # K_m(lambda;1) over GF(2) is lambda(m + 1) = (-1)^(m + 1)
+    code, doc, _ = run(capsys, "kloos", "--r", "1", "--m", "5000", "--a", "0x1")
+    assert code == 0 and doc["result"]["value"] == "-1"
 
 
 def _weights_specs():

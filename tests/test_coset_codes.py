@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cosetmoments import coset_codes
 from cosetmoments.coset_codes import (
-    DEGENERATE_KERNEL_SPECS,
     DUALITY_N_LIMIT,
     MACWILLIAMS_N_LIMIT,
     PREFIX_J_LIMIT,
@@ -36,6 +35,9 @@ from cosetmoments.ominus_groups import (
 CTX2 = make_field(1)
 CTX4 = make_field(2)
 CTX8 = make_field(3)
+
+# (family, sign, n, q) whose a -> c(a) kernel is the two-element subfield
+DEGENERATE_KERNEL_SPECS = frozenset({(3, "+", 2, 2), (3, "+", 2, 4), (4, "-", 3, 2)})
 
 
 def _sid(spec):
@@ -148,6 +150,14 @@ def test_degenerate_kernel_registry_is_accurate():
         ctx = make_field(q.bit_length() - 1)
         spec = DoubleCosetSpec(fam, sign, n, ctx)
         assert dual_code_kernel(spec) == (0, 1)
+        assert degenerate_kernel(spec)
+
+
+def test_the_degenerate_kernels_are_exactly_the_known_specs():
+    found = {(spec.family, spec.sign, spec.n, spec.ctx.q)
+             for r in range(1, 13) for n in range(1, 12) for spec in valid_specs(make_field(r), n)
+             if degenerate_kernel(spec)}
+    assert found == DEGENERATE_KERNEL_SPECS
 
 
 def support_kernel(spec):
@@ -278,6 +288,12 @@ def _weight_paths_agree(spec, j_max):
     classes = class_dual_weights(spec.ctx, trace_distribution(spec, "closed_form"))
     by_weights = prefix_counts_from_distribution(length, closed_weights(spec), j_max)
     assert by_weights == prefix_counts_from_distribution(length, classes, j_max), _sid(spec)
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_class_weights_of_the_closed_classes_are_the_closed_weights(r):
+    for spec in _every_spec(make_field(r)):
+        assert class_dual_weights(spec.ctx, trace_distribution(spec)) == closed_weights(spec), _sid(spec)
 
 
 @pytest.mark.parametrize("r", range(1, 9))

@@ -2,17 +2,17 @@
 
 import random
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cosetmoments.finite_field import is_irreducible, lambda_table, make_field, trace, units
+from cosetmoments.finite_field import inv, is_irreducible, lambda_table, make_field, mul, trace, units
 from cosetmoments.kloosterman import (
     ORACLE_H_LIMIT,
     BudgetError,
-    _kloosterman_generic,
     artin_schreier_sums,
     carlitz_k2,
     kgl_closed,
@@ -52,10 +52,10 @@ def test_argument_validation():
 
 
 def test_budget_error_before_work():
-    # 63^5 ~ 10^9 terms would be needed; must refuse instantly
-    ctx = make_field(6)
+    # 2 * 8191^2 ~ 1.3 * 10^8 terms would be needed; must refuse instantly
+    ctx = make_field(13)
     with pytest.raises(BudgetError):
-        kloosterman_sum(ctx, 5, 1)
+        kloosterman_sum(ctx, 3, 1)
 
 
 def test_budget_error_never_prints_the_term_count(default_digit_limit):
@@ -73,15 +73,31 @@ def test_two_dimensional_sum_satisfies_carlitz(r):
         assert kloosterman_sum(ctx, 2, a) == carlitz_k2(ctx, a)
 
 
-@pytest.mark.parametrize("m", (1, 2))
-@pytest.mark.parametrize("r,modulus", [(r, None) for r in range(1, 6)] + [(4, 0x1F)])
-def test_exponent_form_matches_generic_sum(r, modulus, m):
-    """The log-table sums agree with the product-by-product oracle, also when z
-    does not generate the unit group (0x1F)."""
-    from cosetmoments.kloosterman import _kloosterman_generic
+def _kloosterman_generic(ctx, m, a):
+    """Oracle: K_m(lambda;a) product by product over (F_q^*)^m, (q - 1)^m terms."""
+    lam = lambda_table(ctx)
+    total = 0
+    for alphas in product(range(1, ctx.q), repeat=m):
+        s, p = 0, 1
+        for al in alphas:
+            s, p = s ^ al, mul(ctx, p, al)
+        total += lam[s ^ mul(ctx, a, inv(ctx, p))]
+    return total
 
+
+# every unit at m = 1..4 for r <= 4 (and at 0x1F, where z does not generate the
+# unit group), m <= 3 at r = 5, and m = 3 at r = 6 at a few units
+GENERIC_CASES = ([(r, None, m) for r in range(1, 5) for m in range(1, 5)]
+                 + [(4, 0x1F, m) for m in range(1, 5)] + [(5, None, m) for m in (1, 2, 3)]
+                 + [(6, None, 3)])
+
+
+@pytest.mark.parametrize("r,modulus,m", GENERIC_CASES)
+def test_exponent_form_matches_generic_sum(r, modulus, m):
+    """The sum over exponents agrees with the product-by-product oracle."""
     ctx = make_field(r, modulus)
-    for a in units(ctx):
+    points = units(ctx) if r < 6 else sorted({1, 2, ctx.a_param, ctx.q - 1})
+    for a in points:
         assert _kloosterman_generic(ctx, m, a) == kloosterman_sum(ctx, m, a)
 
 

@@ -385,6 +385,28 @@ def child_spectrum(r: str) -> dict:
     return row
 
 
+DIRECT_CASES = ((12, 1), (16, 1), (8, 2), (8, 3), (6, 4))  # (r, m)
+
+
+def child_direct(r: str, m: str) -> dict:
+    """One uncached direct K_m sum at a = 1 (`kloosterman_sum.__wrapped__`), the
+    character table already built, and its terms: (q - 1)^m on a side that sums
+    m >= 3 product by product (timed once, it takes seconds), else
+    (m - 1)(q - 1)^2 + (q - 1)."""
+    from cosetmoments import kloosterman as kl
+    from cosetmoments.finite_field import lambda_table, make_field
+
+    ctx = make_field(int(r))
+    m_int, n = int(m), ctx.q - 1
+    lambda_table(ctx)
+    by_products = hasattr(kl, "_kloosterman_generic") and m_int >= 3
+    values = []
+    seconds = _median_s(lambda: values.append(kl.kloosterman_sum.__wrapped__(ctx, m_int, 1)),
+                        1 if by_products else REPEATS)
+    terms = n ** m_int if by_products else (m_int - 1) * n * n + n
+    return {"s": seconds, "terms": terms, "value": str(values[0])}
+
+
 def child_command(*argv: str) -> dict:
     """One CLI document, timed from the package import to the written output;
     the digest covers the document and the exit code."""
@@ -494,7 +516,7 @@ def child_values() -> dict:
 
 CHILDREN = {f.__name__: f for f in (
     child_prefix, child_field, child_cell, child_q_minus, child_checks, child_kernel, child_spectrum,
-    child_command, child_startup, child_values)}
+    child_direct, child_command, child_startup, child_values)}
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +589,15 @@ LAYERS = {
         "compared: one character-sum transform per m (q log2 q butterfly additions), or one "
         "big-integer product of q - 1 digits per m; the digests must agree",
         agree=("m1_digest", "m2_digest"),
+    ),
+    "direct": Layer(
+        "one direct K_m point sum, uncached, at a = 1",
+        tuple((f"r{r}-m{m}", "child_direct", (str(r), str(m))) for r, m in DIRECT_CASES),
+        "terms summed, per side and not compared: (q - 1)^m where m >= 3 is summed product "
+        "by product over (F_q^*)^m, else (m - 1)(q - 1)^2 + (q - 1) (m - 1 levels of the "
+        "recursion over the exponents at every exponent, then the top level at log a); the "
+        "values must agree",
+        agree=("value",),
     ),
     "commands": Layer(
         "end-to-end CLI documents in a fresh interpreter, package import included",
