@@ -286,11 +286,16 @@ def test_kloos_refusal_past_the_digit_limit_states_its_budget(capsys, default_di
     assert "direct K_2000 sum needs (m - 1)(q - 1)^2 + (q - 1) terms, over the budget" in err
 
 
-def test_kloos_refuses_a_dimension_over_the_budget_at_once(capsys):
-    # at q = 2 the direct sum has m terms: 10^8 + 1 is over the budget
-    start = time.perf_counter()
+def test_kloos_refuses_a_dimension_over_the_budget_at_once(capsys, monkeypatch):
+    # at q = 2 the direct sum has m terms: 10^8 + 1 is over the budget, and the
+    # refusal comes before the sum reads its first lambda value
+    assert not kloosterman.direct_sum_fits(2, 100000001)
+
+    def refuse(ctx):
+        raise AssertionError("a refused dimension must not start the sum")
+
+    monkeypatch.setattr(kloosterman, "lambda_table", refuse)
     code, doc, err = run(capsys, "kloos", "--r", "1", "--m", "100000001", "--a", "0x1")
-    assert time.perf_counter() - start < 1.0
     assert code == 2 and doc is None and "over the budget" in err
 
 
