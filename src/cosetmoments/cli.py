@@ -17,17 +17,6 @@ import sys
 from math import comb
 
 from . import __version__
-from .coset_codes import (
-    DUALITY_N_LIMIT,
-    MACWILLIAMS_N_LIMIT,
-    PREFIX_J_LIMIT,
-    closed_weights,
-    degenerate_kernel,
-    delsarte_check,
-    dual_codeword,
-    full_weight_distribution_small,
-    weight_distribution_prefix,
-)
 from .finite_field import (
     FieldCtx,
     _raw_mul,
@@ -54,39 +43,9 @@ from .kloosterman import (
     range_spectrum,
     twisted_sum_check,
 )
-from .moment_recursion import (
-    pless_check,
-    recursion_series,
-    recursive_moments,
-    smallest_case_recursions,
-    stirling2,
-    stirling2_alternating,
-)
-from .ominus_groups import (
-    O2_COSET_REP,
-    DoubleCosetSpec,
-    b_r_sum,
-    b_r_sum_closed,
-    b_r_sum_reduced,
-    bruhat_cell_cosets,
-    bruhat_cell_order,
-    dc_cardinality,
-    enumerate_q_minus,
-    enumerate_so2,
-    exp_sums_dc,
-    first_specs,
-    is_isometry_exhaustive,
-    isometry_relations,
-    o_minus_order,
-    p_minus_order,
-    parabolic_indices,
-    products_fit,
-    q_minus_fits,
-    q_minus_order,
-    scan_fits,
-    trace_distribution,
-    valid_specs,
-)
+
+# The group, code and recursion layers are imported inside the functions that
+# use them, so `--help`, `field` and `kloos` never load them.
 
 MAX_VERIFY_R = 8
 SYM_SUM_DIMS = {2: ((1, 2, 3), (1, 2)), 4: ((1, 2), (1,)), 8: ((1, 2), ())}  # by q; see _check_symmetric_sum
@@ -113,6 +72,7 @@ def _field_echo(ctx: FieldCtx) -> dict:
 
 
 def _spec_from_args(args: argparse.Namespace, ctx: FieldCtx) -> DoubleCosetSpec:
+    from .ominus_groups import DoubleCosetSpec
     return DoubleCosetSpec(args.family, SIGNS[args.sign], args.n, ctx)
 
 
@@ -161,6 +121,7 @@ def _cmd_kloos(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
+    from .ominus_groups import dc_cardinality, q_minus_order, trace_distribution
     ctx = _field_from_args(args)
     spec = _spec_from_args(args, ctx)
     params = _field_echo(ctx) | _spec_echo(spec)
@@ -199,6 +160,8 @@ def _refuse_unprintable(spec: DoubleCosetSpec, j_max: int | None = None) -> None
     1 <= j <= N/2.  N >= q^(n^2 - n) and binom(N, j) >= (N/j)^j > 2^low, with low read from bit
     lengths, decide a large n or j at once; N and binom(N, j) are computed only where they do
     not, so they are small."""
+    from .coset_codes import PREFIX_J_LIMIT
+    from .ominus_groups import bruhat_cell_order
     if j_max is not None and not 0 <= j_max <= PREFIX_J_LIMIT:
         raise ValueError(f"j_max must lie in 0..{PREFIX_J_LIMIT}")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -218,6 +181,8 @@ def _refuse_unprintable(spec: DoubleCosetSpec, j_max: int | None = None) -> None
 
 
 def _cmd_weights(args: argparse.Namespace) -> tuple[dict, int]:
+    from .coset_codes import closed_weights, weight_distribution_prefix
+    from .ominus_groups import dc_cardinality, exp_sums_dc
     ctx = _field_from_args(args)
     spec = _spec_from_args(args, ctx)
     params = _field_echo(ctx) | _spec_echo(spec)
@@ -268,6 +233,7 @@ def _report_doc(report) -> dict:
 
 
 def _cmd_moments(args: argparse.Namespace) -> tuple[dict, int]:
+    from .moment_recursion import recursion_series, recursive_moments
     ctx = _field_from_args(args)
     spec = _spec_from_args(args, ctx)
     params = _field_echo(ctx) | _spec_echo(spec)
@@ -294,6 +260,7 @@ def _cmd_moments(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _check_stirling() -> None:
+    from .moment_recursion import stirling2, stirling2_alternating
     for h in range(21):
         for t in range(h + 1):
             if stirling2(h, t) != stirling2_alternating(h, t):
@@ -393,6 +360,7 @@ def _check_range_spectrum(ctx: FieldCtx) -> None:
 
 
 def _check_symmetric_sum(ctx: FieldCtx, dims: tuple[int, ...], direct: tuple[int, ...]) -> None:
+    from .ominus_groups import b_r_sum, b_r_sum_closed, b_r_sum_reduced
     for dim in dims:
         reduced = b_r_sum_reduced(ctx, dim)  # no reduced term depends on the twist
         if reduced != b_r_sum_closed(ctx, dim):
@@ -403,6 +371,9 @@ def _check_symmetric_sum(ctx: FieldCtx, dims: tuple[int, ...], direct: tuple[int
 
 
 def _check_so2(ctx: FieldCtx) -> None:
+    from .ominus_groups import (
+        O2_COSET_REP, enumerate_so2, is_isometry_exhaustive, isometry_relations, scan_fits,
+    )
     group = enumerate_so2(ctx)
     for m in group:
         if not isometry_relations(ctx, 1, m):
@@ -418,6 +389,11 @@ def _check_so2(ctx: FieldCtx) -> None:
 
 
 def _check_parabolic_cells(ctx: FieldCtx, n: int) -> None:
+    from .ominus_groups import (
+        bruhat_cell_cosets, bruhat_cell_order, dc_cardinality, enumerate_q_minus,
+        is_isometry_exhaustive, isometry_relations, o_minus_order, p_minus_order,
+        parabolic_indices, q_minus_order, scan_fits, valid_specs,
+    )
     q = ctx.q
     qm = enumerate_q_minus(ctx, n)
     if len(qm) != q_minus_order(q, n):
@@ -449,6 +425,7 @@ def _check_parabolic_cells(ctx: FieldCtx, n: int) -> None:
 
 
 def _check_exp_sums(ctx: FieldCtx, n: int) -> None:
+    from .ominus_groups import exp_sums_dc, valid_specs
     for spec in valid_specs(ctx, n):
         enumerated, closed = exp_sums_dc(spec, "enumerated"), exp_sums_dc(spec)
         for a in range(1, ctx.q):
@@ -459,16 +436,23 @@ def _check_exp_sums(ctx: FieldCtx, n: int) -> None:
 
 
 def _check_trace_distributions(ctx: FieldCtx, n: int) -> None:
+    from .ominus_groups import trace_distribution, valid_specs
     for spec in valid_specs(ctx, n):
         if trace_distribution(spec, "enumerated") != trace_distribution(spec, "closed_form"):
             raise AssertionError(f"trace distribution mismatch at family {spec.family}")
 
 
 def _code_specs(ctx: FieldCtx) -> list[DoubleCosetSpec]:
+    from .ominus_groups import valid_specs
     return valid_specs(ctx, 1) + (valid_specs(ctx, 2) if ctx.q == 2 else [])
 
 
 def _check_codes(ctx: FieldCtx) -> None:
+    from .coset_codes import (
+        DUALITY_N_LIMIT, MACWILLIAMS_N_LIMIT, closed_weights, delsarte_check, dual_codeword,
+        full_weight_distribution_small, weight_distribution_prefix,
+    )
+    from .ominus_groups import dc_cardinality
     for spec in _code_specs(ctx):
         weights = closed_weights(spec)
         for a in range(1, ctx.q):
@@ -489,6 +473,8 @@ def _check_codes(ctx: FieldCtx) -> None:
 
 
 def _check_pless(ctx: FieldCtx) -> None:
+    from .coset_codes import degenerate_kernel
+    from .moment_recursion import pless_check
     for spec in _code_specs(ctx):
         if degenerate_kernel(spec):
             try:
@@ -503,6 +489,8 @@ def _check_pless(ctx: FieldCtx) -> None:
 
 
 def _check_recursions(ctx: FieldCtx) -> None:
+    from .moment_recursion import recursion_series, recursive_moments, smallest_case_recursions
+    from .ominus_groups import first_specs
     for spec in first_specs(ctx):
         try:
             series_list = recursion_series(spec)
@@ -528,6 +516,7 @@ CheckEntry = tuple[str, object, tuple, str]
 
 
 def _build_checks(max_r: int, overrides: dict[int, int]) -> list[CheckEntry]:
+    from .ominus_groups import products_fit, q_minus_fits
     plan: list[CheckEntry] = [("stirling-triangle-vs-alternating", _check_stirling, (), "")]
     for r in range(1, max_r + 1):
         modulus = overrides.get(r, default_modulus(r))
@@ -612,6 +601,8 @@ def verify_all(
     plan = _build_checks(max_r, modulus_overrides or {})
     if workers == 1 or not hasattr(os, "fork"):  # serial where the platform cannot fork
         return [_run_check(entry) for entry in plan]
+    # every layer the checks read is compiled here, once, rather than in each forked worker
+    from . import coset_codes, moment_recursion, ominus_groups  # noqa: F401
     by_args: dict[tuple, list[int]] = {}  # plan indices by argument tuple, in plan order
     for index, entry in enumerate(plan):
         by_args.setdefault(entry[2], []).append(index)

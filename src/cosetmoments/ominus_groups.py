@@ -364,6 +364,21 @@ def weyl_elements(ctx: FieldCtx, n: int) -> tuple[tuple[Matrix, ...], Matrix]:
 
 
 @lru_cache(maxsize=None)
+def _basis_columns(ctx: FieldCtx, n: int, group: tuple[int, ...]) -> tuple[int, ...]:
+    """Per bit of a leader w, the images under every y of Q^- (`group`, in code form) of that
+    bit's basis row, packed in 64-bit lanes and moved up to its row of w: w Q^- is the XOR of the
+    columns at the set bits of w.  They depend on Q^- alone, so the cells of every r at one
+    (ctx, n) share them; keyed on the codes, a Q^- built again reads no stale entry."""
+    width = 2 * n * ctx.r
+    mask, shifts = (1 << width) - 1, _shifts(width, 2 * n)
+    eye = identity_matrix(2 * n)  # z^k eye acts on a row code as z^k on each entry
+    scaled = [_right_action(ctx, tuple(tuple(e << k for e in row) for row in eye)) for k in range(ctx.r)]
+    # basis row b of row j: z^k e_j, bit k of entry j; its image under y is z^k (row j of y)
+    images = [_pack([times[y >> s & mask] for y in group]) for s in reversed(shifts) for times in scaled]
+    return tuple(image << s for s in reversed(shifts) for image in images)
+
+
+@lru_cache(maxsize=None)
 def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[int, ...]:
     """The double coset Q^- sigma_r Q^- as element codes in coset order, unsorted:
     the disjoint union of its right cosets w Q^-, leaders w = x sigma_r for x in
@@ -390,11 +405,7 @@ def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> 
         codes = {row: _row_code(ctx, row) for row in set(chain.from_iterable(qm))}
         return _unpack(sum(_pack(codes[y[j]] for y in qm) << s for j, s in enumerate(shifts)), len(qm))
     group = bruhat_cell_cosets(ctx, n, 0, False)  # Q^- in code form, the identity's coset
-    eye = identity_matrix(2 * n)  # z^k eye acts on a row code as z^k on each entry
-    scaled = [_right_action(ctx, tuple(tuple(e << k for e in row) for row in eye)) for k in range(ctx.r)]
-    # basis row b of row j: z^k e_j, bit k of entry j; its image under y is z^k (row j of y)
-    images = [_pack([times[y >> s & mask] for y in group]) for s in reversed(shifts) for times in scaled]
-    columns = [image << s for s in reversed(shifts) for image in images]  # by bit of w
+    columns = _basis_columns(ctx, n, group)
     sigma = _right_action(ctx, weyl_elements(ctx, n)[0][r])
     lanes, ones, leaders = _pack(group), _pack(repeat(1, len(group))), 0
     for bit in range(2 * n * width):

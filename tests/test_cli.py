@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cosetmoments
-from cosetmoments import __version__, cli, coset_codes, kloosterman, ominus_groups
+from cosetmoments import __version__, cli, coset_codes, kloosterman, moment_recursion, ominus_groups
 from cosetmoments.cli import main, verify_all
 from cosetmoments.finite_field import MAX_R, make_field
 from cosetmoments.kloosterman import ORACLE_H_LIMIT, BudgetError, carlitz_k2, kloosterman_sum
@@ -187,7 +187,7 @@ def test_weights_refuses_an_unprintable_prefix_up_front(capsys, monkeypatch, def
     def refuse(spec, j_max):
         raise AssertionError("the prefix must not be computed past the digit limit")
 
-    monkeypatch.setattr(cli, "weight_distribution_prefix", refuse)
+    monkeypatch.setattr(coset_codes, "weight_distribution_prefix", refuse)
     for j_max in ("917", "1000"):
         code, doc, err = run(capsys, *argv, j_max)
         assert code == 2 and doc is None
@@ -213,7 +213,7 @@ def test_weights_refuses_a_jmax_out_of_range_before_any_sum(capsys, monkeypatch)
     def refuse(spec, mode="closed_form"):
         raise AssertionError("no character sum may be computed for a j_max out of range")
 
-    monkeypatch.setattr(cli, "exp_sums_dc", refuse)
+    monkeypatch.setattr(ominus_groups, "exp_sums_dc", refuse)
     monkeypatch.setattr(coset_codes, "exp_sums_dc", refuse)
     argv = ("weights", "--r", "1", "--family", "2", "--sign", "minus", "--n", "3", "--jmax")
     for j_max in ("-1", "1001", "5000"):
@@ -247,8 +247,9 @@ def test_an_unprintable_coset_size_is_refused_before_any_closed_form(
     def refuse(*args):
         raise AssertionError("no closed form may be computed for an unprintable coset size")
 
-    for name in ("dc_cardinality", "trace_distribution", "closed_weights", "exp_sums_dc"):
-        monkeypatch.setattr(cli, name, refuse)
+    for name in ("dc_cardinality", "trace_distribution", "exp_sums_dc"):
+        monkeypatch.setattr(ominus_groups, name, refuse)
+    monkeypatch.setattr(coset_codes, "closed_weights", refuse)
     start = time.perf_counter()
     code, doc, err = run(capsys, command, "--r", "1", "--family", "1", "--sign", sign, "--n", n)
     assert time.perf_counter() - start < 1.0
@@ -337,8 +338,8 @@ def test_weights_verdict_equals_the_literal_popcount(capsys, spec):
 
 
 def test_weights_verdict_catches_one_wrong_closed_weight(capsys, monkeypatch):
-    real = cli.closed_weights
-    monkeypatch.setattr(cli, "closed_weights",
+    real = coset_codes.closed_weights
+    monkeypatch.setattr(coset_codes, "closed_weights",
                         lambda spec: tuple(w + (a == 0x5) for a, w in enumerate(real(spec))))
     code, doc, _ = run(capsys, "weights", "--r", "4", "--family", "1", "--sign", "minus", "--n", "1")
     assert doc["result"]["popcount_verified"] is False
@@ -357,13 +358,13 @@ def test_weights_over_the_enumeration_budget_at_r14_is_null(capsys):
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (4, 1)])
 def test_character_sum_check_catches_one_wrong_closed_sum(monkeypatch, r, n):
     cli._check_exp_sums(make_field(r), n)
-    real = cli.exp_sums_dc
+    real = ominus_groups.exp_sums_dc
 
     def one_wrong_closed_sum(spec, mode="closed_form"):
         sums = real(spec, mode)
         return sums if mode != "closed_form" else tuple(s + (a == 0x3) for a, s in enumerate(sums))
 
-    monkeypatch.setattr(cli, "exp_sums_dc", one_wrong_closed_sum)
+    monkeypatch.setattr(ominus_groups, "exp_sums_dc", one_wrong_closed_sum)
     with pytest.raises(AssertionError, match="character sum mismatch at family 1, a = 0x3"):
         cli._check_exp_sums(make_field(r), n)
 
@@ -459,7 +460,7 @@ def _hand_written_recursion_jobs(q):
 
 @pytest.mark.parametrize("r", range(1, 5))
 def test_recursion_check_runs_the_hand_written_jobs(monkeypatch, r):
-    real = cli.recursive_moments
+    real = moment_recursion.recursive_moments
     jobs = []
 
     def recorder(spec, h_max, series=None, with_oracle=True):
@@ -468,7 +469,7 @@ def test_recursion_check_runs_the_hand_written_jobs(monkeypatch, r):
             jobs.append((spec.family, spec.sign, spec.n, report.series))
         return report
 
-    monkeypatch.setattr(cli, "recursive_moments", recorder)
+    monkeypatch.setattr(moment_recursion, "recursive_moments", recorder)
     cli._check_recursions(make_field(r))
     assert sorted(jobs) == sorted(_hand_written_recursion_jobs(1 << r))
 
@@ -540,6 +541,26 @@ def test_verify_all_pool_tasks_group_checks_by_their_arguments(monkeypatch, caps
     assert [e[0] for e in by_name["parabolic-cells-n1-r1"]] == [
         "parabolic-cells-n1-r1", "character-sums-n1-r1", "trace-distributions-n1-r1"]
     assert by_name["moment-oracle-r1"] is by_name["weil-bound-r1"] is by_name["so2-isometries-r1"]
+
+
+def test_verify_all_loads_every_layer_before_it_forks():
+    # a layer first imported in a worker would be compiled once per worker
+    probe = (
+        "import os, sys\n"
+        "import cosetmoments.cli as cli\n"
+        "real_fork, seen = os.fork, []\n"
+        "def fork():\n"
+        "    seen.append(sorted(m for m in sys.modules if m.startswith('cosetmoments.')))\n"
+        "    return real_fork()\n"
+        "os.fork = fork\n"
+        "assert cli.verify_all(1, workers=2) == cli.verify_all(1, workers=1)\n"
+        "print(len(seen), *{' '.join(names) for names in seen})\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
+    )
+    layers = ("cli", "coset_codes", "finite_field", "kloosterman", "moment_recursion", "ominus_groups")
+    assert proc.stdout.split() == ["2", *(f"cosetmoments.{name}" for name in layers)]
 
 
 @pytest.mark.parametrize("death, status", [

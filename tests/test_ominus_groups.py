@@ -832,7 +832,6 @@ def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, 
     fake = _fake_q_minus(ctx, n)
     bruhat_cell_cosets(ctx, n, 1)  # the true group's cells are cached
     monkeypatch.setattr(ominus_groups, "enumerate_q_minus", lambda c, k: fake)
-    monkeypatch.setattr(cli, "enumerate_q_minus", lambda c, k: fake)
     bruhat_cell_cosets.cache_clear()
     try:
         with pytest.raises(AssertionError, match="right cosets of Q\\^- must be disjoint"):
@@ -850,6 +849,7 @@ def test_cell_walk_builds_no_table_per_element_of_q_minus(monkeypatch, field_r, 
     monkeypatch.setattr(ominus_groups, "_right_action",
                         lambda c, m: built.append(m) or _right_action(c, m))
     bruhat_cell_cosets.cache_clear()
+    ominus_groups._basis_columns.cache_clear()
     try:
         bruhat_cell_cosets(ctx, n, 0)
         assert built == []
@@ -857,6 +857,24 @@ def test_cell_walk_builds_no_table_per_element_of_q_minus(monkeypatch, field_r, 
     finally:
         bruhat_cell_cosets.cache_clear()
     assert len(built) == field_r + 1 and built[-1] == weyl_elements(ctx, n)[0][n - 1]
+
+
+def test_cells_at_one_q_minus_build_the_scaled_basis_tables_once(monkeypatch):
+    # the basis columns depend on Q^- alone: after the first cell, each r builds only its sigma table;
+    # n = 3 at q = 2 is the one (q, n) the budgets admit with two cells past Q^- itself
+    ctx, n = make_field(1), 3
+    bruhat_cell_cosets(ctx, n, 0)
+    built = []
+    monkeypatch.setattr(ominus_groups, "_right_action",
+                        lambda c, m: built.append(m) or _right_action(c, m))
+    bruhat_cell_cosets.cache_clear()
+    ominus_groups._basis_columns.cache_clear()
+    try:
+        cells = [bruhat_cell_cosets(ctx, n, r, twisted) for r in (1, 2) for twisted in (False, True)]
+    finally:
+        bruhat_cell_cosets.cache_clear()
+    assert len(built) == 1 + 2 and built[1:] == list(weyl_elements(ctx, n)[0][1:])
+    assert [len(cell) for cell in cells] == [bruhat_cell_order(2, n, r) for r in (1, 1, 2, 2)]
 
 
 def test_every_admitted_cell_element_fits_one_lane():

@@ -30,6 +30,9 @@ change), the medians and quartiles of the end-to-end metrics and the pairs
 the change wins are added per workload, and per seed under "by_seed". The
 k-th run of a seed on one side pairs with the k-th run of that seed on the
 other, in the order of the record names (which hold their start time).
+Where the directories also hold `--trace 1` records, each workload's
+per-layer metrics are added under "per_layer_trace", both sides side by
+side, with the work counters compared.
 """
 
 from __future__ import annotations
@@ -190,7 +193,7 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
         og.PRODUCT_BUDGET = math.inf
     qm = og.enumerate_q_minus(ctx, n_int)
     per_element = hasattr(og, "_q_minus_tables")
-    names = ("bruhat_cell", "bruhat_cell_cosets", "_q_minus_tables")
+    names = ("bruhat_cell", "bruhat_cell_cosets", "_q_minus_tables", "_basis_columns")
     caches = [getattr(og, name) for name in names if hasattr(og, name)]
 
     def reset():
@@ -428,7 +431,9 @@ import contextlib, io, json
 with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     main(sys.argv[1:])
 pool = ("concurrent.futures.process", "multiprocessing")
+layers = sorted(m for m in sys.modules if m.startswith("cosetmoments."))
 print(json.dumps({"modules_imported": len(imported), "modules": " ".join(imported),
+                  "layers_after_main": " ".join(layers),
                   "pool_loaded": any(m in sys.modules for m in pool)}))
 """
 
@@ -436,8 +441,9 @@ print(json.dumps({"modules_imported": len(imported), "modules": " ".join(importe
 def child_startup(*argv: str) -> dict:
     """`python -m cosetmoments.cli ARGV` in a fresh interpreter, timed from
     outside it; then, in another fresh interpreter, the modules that
-    `import cosetmoments.cli` loads (their count and names) and whether the
-    run loaded the process pool."""
+    `import cosetmoments.cli` loads (their count and names), the package
+    modules loaded once `main(ARGV)` has run, and whether the run loaded the
+    process pool."""
     samples, outputs = [], set()
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -664,13 +670,16 @@ LAYERS = {
         f"outside, {REPEATS} runs per process; a pool's workers share the child's one core",
         tuple((" ".join(argv), "child_startup", argv) for argv in (
             ("--help",),
+            ("field", "--r", "12"),
+            ("kloos", "--r", "10", "--hmax", "4"),
             ("kloos", "--r", "12", "--a", "0x3"),
             ("moments", "--r", "8", "--family", "2", "--sign", "plus", "--n", "2", "--hmax", "7", "--verify"),
             ("verify-all", "--max-r", "1", "--workers", "2"),
             ("verify-all", "--max-r", "2", "--workers", "2"),
         )),
         "modules_imported: modules `import cosetmoments.cli` adds to a fresh interpreter, "
-        "named in modules; pool_loaded: whether the run loaded concurrent.futures.process "
+        "named in modules; layers_after_main: the cosetmoments modules loaded once main(ARGV) "
+        "has run; pool_loaded: whether the run loaded concurrent.futures.process "
         "or multiprocessing; the digest must agree between the sides",
         agree=("digest", "exit"),
     ),
@@ -835,6 +844,35 @@ def e2e_summary(parent_dir: Path, change_dir: Path) -> dict:
     }
 
 
+SPAN_METRICS = ("trace.spans", "trace.overhead_s")  # with every *.calls and *.self_s
+
+
+def trace_summary(parent_dir: Path, change_dir: Path) -> dict:
+    """The --trace 1 per-layer metrics of each workload on both sides (the last record of
+    each), split into the work counters, which must be equal, and the span figures (self
+    times, span calls and counts) and remaining timings, which may move between layers."""
+    units = {m["name"]: m["unit"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    records: dict[str, dict[str, dict]] = {}  # workload -> side -> metrics
+    for side, folder in (("parent", parent_dir), ("change", change_dir)):
+        for path in sorted(folder.glob("*-trace1-*.json")):
+            record = json.loads(path.read_text())
+            records.setdefault(record["workload"], {})[side] = record["metrics"]
+    spans = [n for n in units if n in SPAN_METRICS or n.endswith((".calls", ".self_s"))]
+    counters = [n for n in units if n not in spans and units[n] in ("count", "bytes", "ratio")]
+    out = {}
+    for workload, sides in sorted(records.items()):
+        if len(sides) < 2:
+            continue  # traced on one side only: nothing to compare
+        parent, change = sides["parent"], sides["change"]
+        out[workload] = {
+            "parent": parent, "change": change,
+            "counters_equal": all(parent[n] == change[n] for n in counters),
+            "counters_differing": {n: [parent[n], change[n]] for n in counters if parent[n] != change[n]},
+            "span_figures": {n: [parent[n], change[n]] for n in spans},
+        }
+    return out
+
+
 def main() -> None:
     if sys.argv[1:2] == ["--child"]:  # the child's own arguments may look like options
         print(json.dumps(CHILDREN[sys.argv[2]](*sys.argv[3:])))
@@ -864,6 +902,7 @@ def main() -> None:
     }
     if args.e2e_parent and args.e2e_change:
         doc["end_to_end"] = e2e_summary(args.e2e_parent, args.e2e_change)
+        doc["per_layer_trace"] = trace_summary(args.e2e_parent, args.e2e_change)
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
