@@ -28,8 +28,8 @@ _EXPORTS = {  # defining module -> its public names
         "dual_codeword", "full_weight_distribution_small", "weight_distribution_prefix",
     ),
     "moment_recursion": (
-        "RecursionReport", "moment_lhs_expansion", "pless_check", "recursive_moments",
-        "smallest_case_recursions", "stirling2",
+        "RecursionReport", "pless_check", "recursive_moments", "smallest_case_recursions",
+        "stirling2",
     ),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

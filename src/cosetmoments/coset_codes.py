@@ -39,14 +39,17 @@ def dual_codeword(spec: DoubleCosetSpec, a: int) -> tuple[int, ...]:
     return tuple(trace(ctx, mul(ctx, a, t)) for t in double_coset_traces(spec))
 
 
-@lru_cache(maxsize=None)
-def closed_weights(spec: DoubleCosetSpec) -> tuple[int, ...]:
-    """Hamming weight (N - S(a)) / 2 of every c(a) from the closed character
-    sums S(a); entry 0 is the zero word's."""
-    sums = exp_sums_dc(spec)
+def _dual_weights(sums: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """Weight (N - S(a)) / 2 of every c(a) from its character sum S(a), N = S(0)."""
     if any((sums[0] - s) % 2 or s > sums[0] for s in sums):
         raise AssertionError("weight must be a nonnegative integer")
     return tuple((sums[0] - s) // 2 for s in sums)
+
+
+@lru_cache(maxsize=None)
+def closed_weights(spec: DoubleCosetSpec) -> tuple[int, ...]:
+    """The dual weights from the closed character sums."""
+    return _dual_weights(exp_sums_dc(spec))
 
 
 def codeword_weight_closed(spec: DoubleCosetSpec, a: int) -> int:
@@ -107,16 +110,9 @@ def prefix_counts_from_distribution(
 
 def class_dual_weights(ctx: FieldCtx, class_counts: dict[int, int]) -> tuple[int, ...]:
     """The q dual weights of a coset given by its trace classes nu_beta, indexed
-    by a as `closed_weights` is: c(a) has weight (length - S(a)) / 2, where
-    S(a) = sum over beta of nu_beta lambda(a beta) is one `character_sums`."""
-    length = sum(class_counts.values())
-    weights = []
-    for value in character_sums(ctx, [class_counts.get(beta, 0) for beta in range(ctx.q)]):
-        w, rem = divmod(length - value, 2)
-        if rem:
-            raise AssertionError("dual weights must be integers")
-        weights.append(w)
-    return tuple(weights)
+    by a as `closed_weights` is, with S(a) = sum over beta in GF(q) of
+    nu_beta lambda(a beta) from one `character_sums`."""
+    return _dual_weights(character_sums(ctx, [class_counts.get(beta, 0) for beta in range(ctx.q)]))
 
 
 def weight_distribution_prefix(spec: DoubleCosetSpec, j_max: int) -> WeightPrefix:

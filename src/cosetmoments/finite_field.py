@@ -256,7 +256,10 @@ def to_hex(x: int) -> str:
 
 
 def parse_hex(text: str) -> int:
-    value = int(text, 16)
+    try:
+        value = int(text, 16)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a hex value") from None
     if value < 0:
         raise ValueError(f"negative encodings are not field elements: {text}")
     return value

@@ -130,15 +130,12 @@ def kgl_closed(ctx: FieldCtx, t: int, a: int) -> int:
     k = kloosterman_sum(ctx, 1, a)
     total = 0
     for l in range(1, (t + 2) // 2 + 1):
-        if l == 1:
-            inner = 1
-        else:
-            inner = 0
-            for chain in combinations_with_replacement(range(2 * l - 1, t + 2), l - 1):
-                term = 1
-                for nu, j in enumerate(reversed(chain), start=1):
-                    term *= q ** (j - 2 * nu) - 1
-                inner += term
+        inner = 0  # at l = 1 the one empty chain contributes the empty product 1
+        for chain in combinations_with_replacement(range(2 * l - 1, t + 2), l - 1):
+            term = 1
+            for nu, j in enumerate(reversed(chain), start=1):
+                term *= q ** (j - 2 * nu) - 1
+            inner += term
         total += q ** l * k ** (t + 2 - 2 * l) * inner
     if t >= 2:
         return q ** ((t - 2) * (t + 1) // 2) * total

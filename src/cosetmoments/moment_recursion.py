@@ -18,7 +18,6 @@ from .coset_codes import (
     class_dual_weights,
     closed_weights,
     degenerate_kernel,
-    dual_code_kernel,
     prefix_counts_from_distribution,
     weight_distribution_prefix,
 )
@@ -224,10 +223,9 @@ def pless_check(spec: DoubleCosetSpec, h: int) -> tuple[int, int]:
     over the weight prefix of the big code with dual dimension r."""
     if h < 1:
         raise ValueError("h must be at least 1")
-    kernel = dual_code_kernel(spec)
-    if kernel != (0,):
+    if degenerate_kernel(spec):
         raise ValueError(
-            f"the map a -> c(a) has nontrivial kernel {kernel}: the dual has "
+            "the map a -> c(a) has the two-element subfield as kernel: the dual has "
             "fewer than q words and the q-term moment sum is unavailable"
         )
     lhs = sum(w ** h for w in closed_weights(spec)[1:])
@@ -237,20 +235,3 @@ def pless_check(spec: DoubleCosetSpec, h: int) -> tuple[int, int]:
     if rem:
         raise AssertionError("the power-moment sum must be an integer")
     return lhs, rhs
-
-
-def moment_lhs_expansion(spec: DoubleCosetSpec, h: int, series: str | None = None) -> int:
-    """sum_a w(c(a))^h via the binomial expansion in oracle moments."""
-    if not 0 <= h <= H_MAX_LIMIT:
-        raise ValueError(f"h must lie in 0..{H_MAX_LIMIT}")
-    params = _series_params(spec, series)
-    moments = _oracle_moments(spec.ctx, params, h)
-    a_cnt = dc_cardinality(spec)[0]
-    total = sum(
-        comb(h, l) * params.base ** (h - l) * params.c ** l * moments[l]
-        for l in range(h + 1)
-    )
-    value, rem = divmod(a_cnt ** h * total, 1 << h)
-    if rem:
-        raise AssertionError("the weight-moment expansion must be divisible by 2^h")
-    return value

@@ -694,9 +694,17 @@ def test_verify_all_refuses_a_repeated_override(capsys):
 
 
 def test_verify_all_bad_override_syntax(capsys):
-    code, _, err = run(capsys, "verify-all", "--modulus-override", "3")
-    assert code == 2
-    assert "R:HEX" in err
+    for item in ("3", "abc:0xB", "3:zz", "3:", ":0xB", "3:-0x1"):
+        code, _, err = run(capsys, "verify-all", "--modulus-override", item)
+        assert (code, err) == (2, "--modulus-override takes R:HEX, e.g. 3:0xF\n"), item
+
+
+@pytest.mark.parametrize(
+    "command,option", (("field", "--modulus"), ("field", "--a-param"), ("kloos", "--a"))
+)
+def test_a_malformed_hex_argument_is_named(capsys, command, option):
+    code, _, err = run(capsys, command, "--r", "3", option, "zz")
+    assert (code, err) == (2, "'zz' is not a hex value\n")
 
 
 def test_verify_all_bounds():

@@ -23,7 +23,7 @@ from cosetmoments.coset_codes import (
     prefix_counts_from_distribution,
     weight_distribution_prefix,
 )
-from cosetmoments.finite_field import is_irreducible, make_field, mul, trace, units
+from cosetmoments.finite_field import make_field, mul, trace, units
 from cosetmoments.kloosterman import BudgetError
 from cosetmoments.ominus_groups import (
     DoubleCosetSpec,
@@ -31,6 +31,7 @@ from cosetmoments.ominus_groups import (
     trace_distribution,
     valid_specs,
 )
+from test_finite_field import random_fields
 
 CTX2 = make_field(1)
 CTX4 = make_field(2)
@@ -296,6 +297,20 @@ def test_class_weights_of_the_closed_classes_are_the_closed_weights(r):
         assert class_dual_weights(spec.ctx, trace_distribution(spec)) == closed_weights(spec), _sid(spec)
 
 
+@given(ctx=random_fields(), n=st.integers(1, 4), pick=st.integers(min_value=0))
+@settings(deadline=None, max_examples=40)
+def test_class_weights_are_the_closed_weights_over_random_moduli(ctx, n, pick):
+    specs = valid_specs(ctx, n)
+    spec = specs[pick % len(specs)]
+    assert class_dual_weights(ctx, trace_distribution(spec)) == closed_weights(spec), _sid(spec)
+
+
+def test_class_weights_refuse_a_negative_weight():
+    # N = S(0) = 1 and S(1) = 2 + 1 = 3 at q = 2: weight (1 - 3) / 2 = -1
+    with pytest.raises(AssertionError, match="weight must be a nonnegative integer"):
+        class_dual_weights(CTX2, {0: 2, 1: -1})
+
+
 @pytest.mark.parametrize("r", range(1, 9))
 def test_closed_weights_match_the_class_path(r):
     for spec in _every_spec(make_field(r)):
@@ -308,16 +323,7 @@ def test_closed_weights_match_the_class_path_at_large_r(r, seed):
     _weight_paths_agree(random.Random(f"{r}:{seed}").choice(specs), 32)
 
 
-@st.composite
-def random_fields(draw):
-    r = draw(st.integers(min_value=1, max_value=5))
-    moduli = [m for m in range(1 << r, 1 << (r + 1)) if is_irreducible(m, r)]
-    ctx = make_field(r, draw(st.sampled_from(moduli)))
-    a_param = draw(st.sampled_from([x for x in range(ctx.q) if trace(ctx, x)]))
-    return make_field(r, ctx.modulus, a_param)
-
-
-@given(ctx=random_fields(), pick=st.integers(min_value=0), j_max=st.integers(0, 10))
+@given(ctx=random_fields(r_max=5), pick=st.integers(min_value=0), j_max=st.integers(0, 10))
 @settings(deadline=None, max_examples=40)
 def test_engine_matches_dp_over_random_moduli(ctx, pick, j_max):
     specs = _every_spec(ctx, 4)

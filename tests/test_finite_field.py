@@ -342,7 +342,7 @@ def test_hex_encoding():
     assert parse_hex("1B") == 27
     with pytest.raises(ValueError):
         parse_hex("-0x1")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'zz' is not a hex value"):
         parse_hex("zz")
 
 

@@ -27,6 +27,7 @@ from cosetmoments.kloosterman import (
     twisted_sum_check,
 )
 from cosetmoments.moment_recursion import H_MAX_LIMIT
+from test_finite_field import random_fields
 
 # direct-sum values, stable across sessions
 K_TABLE_Q4 = {1: 3, 2: -1, 3: -1}
@@ -322,6 +323,13 @@ def test_matrix_sum_recursion_matches_closed_form(r):
     for a in units(ctx):
         for t in range(1, 7):
             assert kgl_recursive(ctx, t, a) == kgl_closed(ctx, t, a)
+
+
+@given(ctx=random_fields(r_max=6), t=st.integers(1, 8), pick=st.integers(min_value=0))
+@settings(deadline=None, max_examples=60)
+def test_matrix_sum_recursion_matches_closed_form_over_random_moduli(ctx, t, pick):
+    a = 1 + pick % (ctx.q - 1)
+    assert kgl_closed(ctx, t, a) == kgl_recursive(ctx, t, a)
 
 
 def test_matrix_sum_edge_cases():

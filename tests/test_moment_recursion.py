@@ -1,5 +1,7 @@
 """The power-moment recursions, their oracles, and the Pless identity."""
 
+from math import comb
+
 import pytest
 
 from cosetmoments.coset_codes import codeword_weight_closed, weight_distribution_prefix
@@ -7,14 +9,15 @@ from cosetmoments.finite_field import make_field, units
 from cosetmoments.kloosterman import power_moment_oracle
 from cosetmoments.moment_recursion import (
     H_MAX_LIMIT,
-    moment_lhs_expansion,
+    _oracle_moments,
+    _series_params,
     pless_check,
     recursive_moments,
     smallest_case_recursions,
     stirling2,
     stirling2_alternating,
 )
-from cosetmoments.ominus_groups import DoubleCosetSpec
+from cosetmoments.ominus_groups import DoubleCosetSpec, dc_cardinality
 
 CTX2 = make_field(1)
 CTX4 = make_field(2)
@@ -191,6 +194,21 @@ def test_pless_rejects_h_zero():
 
 
 # --- the binomial-expansion bridge ----------------------------------------
+
+
+def moment_lhs_expansion(spec, h, series=None):
+    """sum_a w(c(a))^h via the binomial expansion in oracle moments: the left
+    side of the identity that `_solve_recursion` inverts, evaluated forwards."""
+    params = _series_params(spec, series)
+    moments = _oracle_moments(spec.ctx, params, h)
+    a_cnt = dc_cardinality(spec)[0]
+    total = sum(
+        comb(h, l) * params.base ** (h - l) * params.c ** l * moments[l]
+        for l in range(h + 1)
+    )
+    value, rem = divmod(a_cnt ** h * total, 1 << h)
+    assert not rem, "the weight-moment expansion must be divisible by 2^h"
+    return value
 
 
 @pytest.mark.parametrize(

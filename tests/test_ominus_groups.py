@@ -840,6 +840,20 @@ def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, 
         bruhat_cell_cosets.cache_clear()
 
 
+@pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2)))
+def test_cell_check_rejects_a_q_minus_of_the_wrong_size(monkeypatch, field_r, n):
+    # no separate size assertion: the r = 0 cell is Q^-, so its size check catches it
+    ctx = make_field(field_r)
+    short = enumerate_q_minus(ctx, n)[:-1]
+    monkeypatch.setattr(ominus_groups, "enumerate_q_minus", lambda c, k: short)
+    bruhat_cell_cosets.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="cell size mismatch at r = 0"):
+            cli._check_parabolic_cells(ctx, n)
+    finally:
+        bruhat_cell_cosets.cache_clear()
+
+
 @pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2), (3, 2)))
 def test_cell_walk_builds_no_table_per_element_of_q_minus(monkeypatch, field_r, n):
     # with Q^- cached, a cell builds r scaled-basis tables and the sigma table, not |Q^-|

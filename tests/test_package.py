@@ -16,7 +16,7 @@ PUBLIC = """
     codeword_weight_closed dc_cardinality default_modulus delsarte_check double_coset_elements
     dual_code_kernel dual_codeword enumerate_q_minus enumerate_so2 exp_sum_dc
     full_weight_distribution_small is_irreducible kgl_closed kgl_recursive kloosterman_spectrum
-    kloosterman_sum lambda_char make_field moment_lhs_expansion o_minus_order parse_hex
+    kloosterman_sum lambda_char make_field o_minus_order parse_hex
     pless_check power_moment_oracle predicted_spectrum q_minus_order range_spectrum
     recursive_moments smallest_case_recursions stirling2 theta_minus to_hex trace
     trace_distribution twisted_sum_check weight_distribution_prefix
