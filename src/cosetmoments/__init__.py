@@ -18,10 +18,13 @@ _EXPORTS = {  # defining module -> its public names
         "kgl_recursive", "kloosterman_spectrum", "kloosterman_sum", "power_moment_oracle",
         "predicted_spectrum", "range_spectrum", "twisted_sum_check",
     ),
+    "double_cosets": (
+        "DoubleCosetSpec", "b_r_sum_closed", "dc_cardinality", "exp_sum_dc", "o_minus_order",
+        "q_minus_order", "trace_distribution",
+    ),
     "ominus_groups": (
-        "DoubleCosetSpec", "b_r_sum", "b_r_sum_closed", "b_r_sum_reduced", "bruhat_cell",
-        "dc_cardinality", "double_coset_elements", "enumerate_q_minus", "enumerate_so2",
-        "exp_sum_dc", "o_minus_order", "q_minus_order", "theta_minus", "trace_distribution",
+        "b_r_sum", "b_r_sum_reduced", "bruhat_cell", "double_coset_elements", "enumerate_q_minus",
+        "enumerate_so2", "theta_minus",
     ),
     "coset_codes": (
         "WeightPrefix", "codeword_weight_closed", "delsarte_check", "dual_code_kernel",

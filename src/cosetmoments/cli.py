@@ -12,43 +12,18 @@ import argparse
 import json
 import marshal
 import os
-import random
 import sys
 from math import comb
 
 from . import __version__
-from .finite_field import (
-    FieldCtx,
-    _raw_mul,
-    default_modulus,
-    inv,
-    make_field,
-    mul,
-    parse_hex,
-    theta_subgroup,
-    to_hex,
-    trace,
-)
-from .kloosterman import (
-    BudgetError,
-    artin_schreier_sums,
-    carlitz_k2,
-    direct_sum_fits,
-    kgl_closed,
-    kgl_recursive,
-    kloosterman_spectrum,
-    kloosterman_sum,
-    power_moment_oracle,
-    predicted_spectrum,
-    range_spectrum,
-    twisted_sum_check,
-)
+from .finite_field import FieldCtx, make_field, parse_hex, theta_subgroup, to_hex, trace
+from .kloosterman import BudgetError, kloosterman_spectrum, kloosterman_sum, power_moment_oracle
 
-# The group, code and recursion layers are imported inside the functions that
-# use them, so `--help`, `field` and `kloos` never load them.
+# The closed forms, group, code and recursion layers and the verify-all checks
+# are imported inside the functions that use them, so `--help`, `field` and
+# `kloos` load none of them and `moments` loads no enumeration and no check.
 
 MAX_VERIFY_R = 8
-SYM_SUM_DIMS = {2: ((1, 2, 3), (1, 2)), 4: ((1, 2), (1,)), 8: ((1, 2), ())}  # by q; see _check_symmetric_sum
 SIGNS = {"plus": "+", "minus": "-"}
 
 
@@ -72,7 +47,7 @@ def _field_echo(ctx: FieldCtx) -> dict:
 
 
 def _spec_from_args(args: argparse.Namespace, ctx: FieldCtx) -> DoubleCosetSpec:
-    from .ominus_groups import DoubleCosetSpec
+    from .double_cosets import DoubleCosetSpec
     return DoubleCosetSpec(args.family, SIGNS[args.sign], args.n, ctx)
 
 
@@ -121,7 +96,7 @@ def _cmd_kloos(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
-    from .ominus_groups import dc_cardinality, q_minus_order, trace_distribution
+    from .double_cosets import dc_cardinality, q_minus_order, trace_distribution
     ctx = _field_from_args(args)
     spec = _spec_from_args(args, ctx)
     params = _field_echo(ctx) | _spec_echo(spec)
@@ -161,7 +136,7 @@ def _refuse_unprintable(spec: DoubleCosetSpec, j_max: int | None = None) -> None
     lengths, decide a large n or j at once; N and binom(N, j) are computed only where they do
     not, so they are small."""
     from .coset_codes import PREFIX_J_LIMIT
-    from .ominus_groups import bruhat_cell_order
+    from .double_cosets import bruhat_cell_order
     if j_max is not None and not 0 <= j_max <= PREFIX_J_LIMIT:
         raise ValueError(f"j_max must lie in 0..{PREFIX_J_LIMIT}")
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
@@ -182,7 +157,7 @@ def _refuse_unprintable(spec: DoubleCosetSpec, j_max: int | None = None) -> None
 
 def _cmd_weights(args: argparse.Namespace) -> tuple[dict, int]:
     from .coset_codes import closed_weights, weight_distribution_prefix
-    from .ominus_groups import dc_cardinality, exp_sums_dc
+    from .double_cosets import dc_cardinality, exp_sums_dc
     ctx = _field_from_args(args)
     spec = _spec_from_args(args, ctx)
     params = _field_echo(ctx) | _spec_echo(spec)
@@ -255,309 +230,7 @@ def _cmd_moments(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# the verify-all registry; the plan builds each degree's field once and passes
-# it to every check of that degree, and forked workers inherit the whole plan
-
-
-def _check_stirling() -> None:
-    from .moment_recursion import stirling2, stirling2_alternating
-    for h in range(21):
-        for t in range(h + 1):
-            if stirling2(h, t) != stirling2_alternating(h, t):
-                raise AssertionError(f"triangle and alternating forms differ at ({h},{t})")
-
-
-def _check_field_construction(r: int, modulus: int) -> None:
-    ctx = make_field(r, modulus)
-    q = ctx.q
-    if sum(trace(ctx, x) for x in range(q)) != q // 2:
-        raise AssertionError("trace must split the field in half")
-    if trace(ctx, ctx.a_param) != 1:
-        raise AssertionError("a_param must have absolute trace one")
-    if set(theta_subgroup(ctx)) != {x for x in range(q) if trace(ctx, x) == 0}:
-        raise AssertionError("the x^2 + x image must equal the trace kernel")
-
-
-def _check_field_axioms(ctx: FieldCtx) -> None:
-    # x * x^-1 = 1 holds by construction of the log tables; compare with the carry-less product
-    q, r, modulus = ctx.q, ctx.r, ctx.modulus
-    rng = random.Random(0xC0DE + r)
-    for _ in range(300):
-        x, y, z = rng.randrange(q), rng.randrange(q), rng.randrange(q)
-        if mul(ctx, x, mul(ctx, y, z)) != _raw_mul(x, _raw_mul(y, z, modulus, r), modulus, r):
-            raise AssertionError(f"product fails at {to_hex(x)},{to_hex(y)},{to_hex(z)}")
-        if mul(ctx, x, y ^ z) != mul(ctx, x, y) ^ mul(ctx, x, z):
-            raise AssertionError(f"distributivity fails at {to_hex(x)},{to_hex(y)},{to_hex(z)}")
-    for x in range(1, q):
-        if mul(ctx, x, x) != _raw_mul(x, x, modulus, r):
-            raise AssertionError(f"square fails at {to_hex(x)}")
-        if _raw_mul(x, inv(ctx, x), modulus, r) != 1:
-            raise AssertionError(f"inverse fails at {to_hex(x)}")
-
-
-def _check_moment_oracle(ctx: FieldCtx) -> None:
-    series = power_moment_oracle(ctx, 1, 2)
-    if series.values[1] != 1:
-        raise AssertionError("the first power moment must be 1")
-    if series.values[2] != ctx.q * ctx.q - ctx.q - 1:
-        raise AssertionError("the second power moment must be q^2 - q - 1")
-    spectrum = kloosterman_spectrum(ctx, 1)
-    for a in range(1, ctx.q):
-        if spectrum[a] != kloosterman_sum(ctx, 1, a):
-            raise AssertionError(f"spectrum differs from the direct sum at a = {to_hex(a)}")
-
-
-def _check_carlitz(ctx: FieldCtx) -> None:
-    spectrum = kloosterman_spectrum(ctx, 2)
-    for a in range(1, ctx.q):
-        if spectrum[a] != carlitz_k2(ctx, a):
-            raise AssertionError(f"two-dimensional spectrum mismatch at a = {to_hex(a)}")
-    if direct_sum_fits(ctx.q, 2):  # the direct double sum at two points
-        for a in {1, ctx.a_param}:
-            if kloosterman_sum(ctx, 2, a) != spectrum[a]:
-                raise AssertionError(f"two-dimensional sum mismatch at a = {to_hex(a)}")
-
-
-def _check_weil_bound(ctx: FieldCtx) -> None:
-    for a in range(1, ctx.q):
-        k = kloosterman_sum(ctx, 1, a)
-        if k * k > 4 * ctx.q:
-            raise AssertionError(f"square-root bound violated at a = {to_hex(a)}")
-
-
-def _check_frobenius(ctx: FieldCtx) -> None:
-    for a in range(1, ctx.q):
-        if kloosterman_sum(ctx, 1, mul(ctx, a, a)) != kloosterman_sum(ctx, 1, a):
-            raise AssertionError(f"conjugate arguments disagree at a = {to_hex(a)}")
-
-
-def _check_twisted_sums(ctx: FieldCtx) -> None:
-    for m in (1, 2):
-        for beta in range(ctx.q):
-            lhs, rhs = twisted_sum_check(ctx, m, beta)
-            if lhs != rhs:
-                raise AssertionError(f"twisted identity fails at m={m}, beta={to_hex(beta)}")
-
-
-def _check_artin_schreier(ctx: FieldCtx) -> None:
-    for beta in range(1, ctx.q):
-        s0, s1 = artin_schreier_sums(ctx, beta)
-        k = kloosterman_sum(ctx, 1, beta)
-        if s0 != k - 1 or s1 != -k - 1:
-            raise AssertionError(f"quadratic-fiber sums fail at beta = {to_hex(beta)}")
-
-
-def _check_kgl(ctx: FieldCtx) -> None:
-    for t in range(1, 7):
-        for a in {1, ctx.a_param}:
-            if a and kgl_recursive(ctx, t, a) != kgl_closed(ctx, t, a):
-                raise AssertionError(f"matrix-average forms differ at t={t}, a={to_hex(a)}")
-
-
-def _check_range_spectrum(ctx: FieldCtx) -> None:
-    if range_spectrum(ctx) != predicted_spectrum(ctx.q):
-        raise AssertionError("attained values must fill the predicted residue range")
-
-
-def _check_symmetric_sum(ctx: FieldCtx, dims: tuple[int, ...], direct: tuple[int, ...]) -> None:
-    from .ominus_groups import b_r_sum, b_r_sum_closed, b_r_sum_reduced
-    for dim in dims:
-        reduced = b_r_sum_reduced(ctx, dim)  # no reduced term depends on the twist
-        if reduced != b_r_sum_closed(ctx, dim):
-            raise AssertionError(f"symmetric-matrix sum mismatch at dim = {dim}")
-        for twist in sorted({1, ctx.a_param}) if dim in direct else ():
-            if b_r_sum(ctx, dim, twist) != reduced:
-                raise AssertionError(f"direct and reduced sums differ at dim = {dim}, twist {to_hex(twist)}")
-
-
-def _check_so2(ctx: FieldCtx) -> None:
-    from .ominus_groups import (
-        O2_COSET_REP, enumerate_so2, is_isometry_exhaustive, isometry_relations, scan_fits,
-    )
-    group = enumerate_so2(ctx)
-    for m in group:
-        if not isometry_relations(ctx, 1, m):
-            raise AssertionError("a norm-one element fails the isometry relations")
-    if scan_fits(ctx.q, 1):
-        for m in group[:8]:
-            if not is_isometry_exhaustive(ctx, 1, m):
-                raise AssertionError("a norm-one element fails the exhaustive scan")
-    if not isometry_relations(ctx, 1, O2_COSET_REP):
-        raise AssertionError("the outer coset representative must be an isometry")
-    if O2_COSET_REP in group:
-        raise AssertionError("the outer coset representative must lie outside")
-
-
-def _check_parabolic_cells(ctx: FieldCtx, n: int) -> None:
-    from .ominus_groups import (
-        bruhat_cell_cosets, bruhat_cell_order, dc_cardinality, enumerate_q_minus,
-        is_isometry_exhaustive, isometry_relations, o_minus_order, p_minus_order,
-        parabolic_indices, scan_fits, valid_specs,
-    )
-    q = ctx.q
-    qm = enumerate_q_minus(ctx, n)  # its size is the r = 0 cell's, checked below
-    step = max(1, len(qm) // 64)
-    for m in qm[::step]:
-        if not isometry_relations(ctx, n, m):
-            raise AssertionError("a parabolic element fails the isometry relations")
-    if scan_fits(q, n):
-        for m in qm[:4]:
-            if not is_isometry_exhaustive(ctx, n, m):
-                raise AssertionError("a parabolic element fails the exhaustive scan")
-    union: set = set()
-    total = 0
-    for rr in range(n):
-        a_ord, index = parabolic_indices(ctx, n, rr)
-        if a_ord * index != p_minus_order(q, n):
-            raise AssertionError(f"stabilizer order times index must be |P^-| at r = {rr}")
-        for twisted in (False, True):
-            cell = bruhat_cell_cosets(ctx, n, rr, twisted)
-            if not len(cell) == bruhat_cell_order(q, n, rr) == len(qm) * index:
-                raise AssertionError(f"cell size mismatch at r = {rr}, twisted = {twisted}")
-            union.update(cell)
-            total += len(cell)
-    if total != o_minus_order(q, n) or len(union) != total:
-        raise AssertionError("cells must partition the whole isometry group")
-    for spec in valid_specs(ctx, n):
-        dc_cardinality(spec)  # internal consistency assertion runs here
-
-
-def _check_exp_sums(ctx: FieldCtx, n: int) -> None:
-    from .ominus_groups import exp_sums_dc, valid_specs
-    for spec in valid_specs(ctx, n):
-        enumerated, closed = exp_sums_dc(spec, "enumerated"), exp_sums_dc(spec)
-        for a in range(1, ctx.q):
-            if enumerated[a] != closed[a]:
-                raise AssertionError(
-                    f"character sum mismatch at family {spec.family}, a = {to_hex(a)}"
-                )
-
-
-def _check_trace_distributions(ctx: FieldCtx, n: int) -> None:
-    from .ominus_groups import trace_distribution, valid_specs
-    for spec in valid_specs(ctx, n):
-        if trace_distribution(spec, "enumerated") != trace_distribution(spec, "closed_form"):
-            raise AssertionError(f"trace distribution mismatch at family {spec.family}")
-
-
-def _code_specs(ctx: FieldCtx) -> list[DoubleCosetSpec]:
-    from .ominus_groups import valid_specs
-    return valid_specs(ctx, 1) + (valid_specs(ctx, 2) if ctx.q == 2 else [])
-
-
-def _check_codes(ctx: FieldCtx) -> None:
-    from .coset_codes import (
-        DUALITY_N_LIMIT, MACWILLIAMS_N_LIMIT, closed_weights, delsarte_check, dual_codeword,
-        full_weight_distribution_small, weight_distribution_prefix,
-    )
-    from .ominus_groups import dc_cardinality
-    for spec in _code_specs(ctx):
-        weights = closed_weights(spec)
-        for a in range(1, ctx.q):
-            if weights[a] != sum(dual_codeword(spec, a)):
-                raise AssertionError(
-                    f"closed weight differs from popcount at family {spec.family}, a = {to_hex(a)}"
-                )
-        length = dc_cardinality(spec)[2]
-        if length <= DUALITY_N_LIMIT and not delsarte_check(spec):
-            raise AssertionError(f"duality check fails at family {spec.family}")
-        if length <= MACWILLIAMS_N_LIMIT:
-            full = full_weight_distribution_small(spec)
-            prefix = weight_distribution_prefix(spec, min(6, length)).counts
-            if tuple(full[: len(prefix)]) != prefix:
-                raise AssertionError(f"distribution prefix mismatch at family {spec.family}")
-            if any(full[j] != full[length - j] for j in range(length + 1)):
-                raise AssertionError(f"distribution symmetry fails at family {spec.family}")
-
-
-def _check_pless(ctx: FieldCtx) -> None:
-    from .coset_codes import degenerate_kernel
-    from .moment_recursion import pless_check
-    for spec in _code_specs(ctx):
-        if degenerate_kernel(spec):
-            try:
-                pless_check(spec, 1)
-            except ValueError:
-                continue
-            raise AssertionError("a degenerate kernel must be rejected")
-        for h in range(1, 6):
-            lhs, rhs = pless_check(spec, h)
-            if lhs != rhs:
-                raise AssertionError(f"power moment identity fails at family {spec.family}, h={h}")
-
-
-def _check_recursions(ctx: FieldCtx) -> None:
-    from .moment_recursion import recursion_series, recursive_moments, smallest_case_recursions
-    from .ominus_groups import first_specs
-    for spec in first_specs(ctx):
-        try:
-            series_list = recursion_series(spec)
-        except ValueError:
-            continue  # outside the recursion domain at this q
-        for series in series_list:
-            report = recursive_moments(spec, 4, series)
-            if not all(report.agree):
-                raise AssertionError(
-                    f"recursion disagrees with the oracle at family {spec.family}{spec.sign}, "
-                    f"series {report.series}"
-                )
-    for variant in ("a", "b"):
-        rep = smallest_case_recursions(ctx, variant, 4)
-        if not all(rep.agree):
-            raise AssertionError(f"smallest-case variant {variant} disagrees with the oracle")
-        general = recursive_moments(rep.spec, 4, with_oracle=False)
-        if rep.recursion_values.values != general.recursion_values.values:
-            raise AssertionError(f"smallest-case variant {variant} differs from the general form")
-
-
-CheckEntry = tuple[str, object, tuple, str]
-
-
-def _build_checks(max_r: int, overrides: dict[int, int]) -> list[CheckEntry]:
-    from .ominus_groups import products_fit, q_minus_fits
-    plan: list[CheckEntry] = [("stirling-triangle-vs-alternating", _check_stirling, (), "")]
-    for r in range(1, max_r + 1):
-        modulus = overrides.get(r, default_modulus(r))
-        q = 1 << r
-        # (name, check, the arguments after the field context)
-        entries: list[tuple[str, object, tuple]] = [
-            (f"field-axioms-r{r}", _check_field_axioms, ()),
-            (f"moment-oracle-r{r}", _check_moment_oracle, ()),
-            (f"carlitz-two-dimensional-r{r}", _check_carlitz, ()),
-            (f"weil-bound-r{r}", _check_weil_bound, ()),
-            (f"frobenius-invariance-r{r}", _check_frobenius, ()),
-            (f"twisted-sums-r{r}", _check_twisted_sums, ()),
-            (f"artin-schreier-fibers-r{r}", _check_artin_schreier, ()),
-            (f"matrix-average-recursion-r{r}", _check_kgl, ()),
-        ]
-        if r >= 2:
-            entries.append((f"range-spectrum-r{r}", _check_range_spectrum, ()))
-        entries.append((f"symmetric-matrix-sum-r{r}", _check_symmetric_sum, SYM_SUM_DIMS.get(q, ((1,), ()))))
-        entries.append((f"so2-isometries-r{r}", _check_so2, ()))
-        for n in (1, 2, 3):
-            if q_minus_fits(q, n) and products_fit(q, n):
-                entries += [
-                    (f"parabolic-cells-n{n}-r{r}", _check_parabolic_cells, (n,)),
-                    (f"character-sums-n{n}-r{r}", _check_exp_sums, (n,)),
-                    (f"trace-distributions-n{n}-r{r}", _check_trace_distributions, (n,)),
-                ]
-        if q_minus_fits(q, 1):
-            entries.append((f"code-weights-and-duality-r{r}", _check_codes, ()))
-        entries += [
-            (f"power-moment-identity-r{r}", _check_pless, ()),
-            (f"recursions-vs-oracle-r{r}", _check_recursions, ()),
-        ]
-        plan.append((f"field-construction-r{r}", _check_field_construction, (r, modulus), ""))
-        try:
-            ctx = make_field(r, modulus)
-        except ValueError as exc:
-            reason = f"field construction failed: {exc}"
-            plan += [(name, None, (), reason) for name, _, _ in entries]
-        else:
-            plan += [(name, func, (ctx, *fargs), "") for name, func, fargs in entries]
-        if r < 2:
-            plan.append((f"range-spectrum-r{r}", None, (), "needs r >= 2"))
-    return plan
+# verify-all: the plan comes from `checks`; forked workers inherit it
 
 
 def _run_check(entry: CheckEntry) -> tuple[str, str, str]:
@@ -596,6 +269,7 @@ def verify_all(
         raise ValueError(f"modulus override for r = {outside[0]} lies outside 1..{max_r}")
     if workers < 1:
         raise ValueError("workers must be at least 1")
+    from .checks import _build_checks
     plan = _build_checks(max_r, modulus_overrides or {})
     if workers == 1 or not hasattr(os, "fork"):  # serial where the platform cannot fork
         return [_run_check(entry) for entry in plan]

@@ -17,14 +17,9 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache
 
+from .double_cosets import DoubleCosetSpec, dc_cardinality, exp_sums_dc
 from .finite_field import FieldCtx, character_sums, mul, trace
 from .kloosterman import BudgetError
-from .ominus_groups import (
-    DoubleCosetSpec,
-    dc_cardinality,
-    double_coset_traces,
-    exp_sums_dc,
-)
 
 PREFIX_J_LIMIT = 10 ** 3      # largest weight-prefix cutoff
 MACWILLIAMS_N_LIMIT = 64      # largest length for a full distribution
@@ -33,6 +28,7 @@ DUALITY_N_LIMIT = 24          # largest length for the exhaustive duality check
 
 def dual_codeword(spec: DoubleCosetSpec, a: int) -> tuple[int, ...]:
     """c(a): the bit sequence tr(a Tr g_j) over the coset order."""
+    from .ominus_groups import double_coset_traces  # the enumeration: the closed weights never load it
     ctx = spec.ctx
     if not 0 <= a < ctx.q:
         raise ValueError(f"a must be a field element below {ctx.q}")
@@ -166,6 +162,7 @@ def delsarte_check(spec: DoubleCosetSpec) -> bool:
     """The binary dual of the code cut out by the field-valued parity
     condition is exactly {c(a)}: rowspace comparison plus kernel audit, the
     literal kernel against the closed one, which is 0 or the subfield {0, 1}."""
+    from .ominus_groups import double_coset_traces
     ctx = spec.ctx
     if dc_cardinality(spec)[2] > DUALITY_N_LIMIT:  # refused before the cell is built
         raise BudgetError(f"duality check needs length <= {DUALITY_N_LIMIT}")

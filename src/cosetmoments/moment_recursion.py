@@ -21,9 +21,9 @@ from .coset_codes import (
     prefix_counts_from_distribution,
     weight_distribution_prefix,
 )
+from .double_cosets import DoubleCosetSpec, dc_cardinality
 from .finite_field import FieldCtx, inv, trace
 from .kloosterman import MomentSeries, power_moment_oracle
-from .ominus_groups import DoubleCosetSpec, dc_cardinality
 
 H_MAX_LIMIT = 32
 

@@ -29,22 +29,24 @@ from cosetmoments.kloosterman import (
     range_spectrum,
     twisted_sum_check,
 )
-from cosetmoments.moment_recursion import pless_check, recursive_moments
-from cosetmoments.ominus_groups import (
+from cosetmoments.double_cosets import (
     DoubleCosetSpec,
-    b_r_sum,
     b_r_sum_closed,
-    bruhat_cell,
     bruhat_cell_order,
     dc_cardinality,
-    double_coset_elements,
-    enumerate_q_minus,
-    enumerate_so2,
     exp_sum_dc,
     o_minus_order,
     q_minus_order,
     trace_distribution,
     valid_specs,
+)
+from cosetmoments.moment_recursion import pless_check, recursive_moments
+from cosetmoments.ominus_groups import (
+    b_r_sum,
+    bruhat_cell,
+    double_coset_elements,
+    enumerate_q_minus,
+    enumerate_so2,
 )
 
 ENUMERATION_POINTS = ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1))  # (n, r) pairs

@@ -14,7 +14,9 @@ from pathlib import Path
 import pytest
 
 import cosetmoments
-from cosetmoments import __version__, cli, coset_codes, kloosterman, moment_recursion, ominus_groups
+from cosetmoments import (
+    __version__, checks, cli, coset_codes, double_cosets, kloosterman, moment_recursion, ominus_groups,
+)
 from cosetmoments.cli import main, verify_all
 from cosetmoments.finite_field import MAX_R, make_field
 from cosetmoments.kloosterman import ORACLE_H_LIMIT, BudgetError, carlitz_k2, kloosterman_sum
@@ -213,7 +215,7 @@ def test_weights_refuses_a_jmax_out_of_range_before_any_sum(capsys, monkeypatch)
     def refuse(spec, mode="closed_form"):
         raise AssertionError("no character sum may be computed for a j_max out of range")
 
-    monkeypatch.setattr(ominus_groups, "exp_sums_dc", refuse)
+    monkeypatch.setattr(double_cosets, "exp_sums_dc", refuse)
     monkeypatch.setattr(coset_codes, "exp_sums_dc", refuse)
     argv = ("weights", "--r", "1", "--family", "2", "--sign", "minus", "--n", "3", "--jmax")
     for j_max in ("-1", "1001", "5000"):
@@ -248,7 +250,7 @@ def test_an_unprintable_coset_size_is_refused_before_any_closed_form(
         raise AssertionError("no closed form may be computed for an unprintable coset size")
 
     for name in ("dc_cardinality", "trace_distribution", "exp_sums_dc"):
-        monkeypatch.setattr(ominus_groups, name, refuse)
+        monkeypatch.setattr(double_cosets, name, refuse)
     monkeypatch.setattr(coset_codes, "closed_weights", refuse)
     start = time.perf_counter()
     code, doc, err = run(capsys, command, "--r", "1", "--family", "1", "--sign", sign, "--n", n)
@@ -312,7 +314,7 @@ def _weights_specs():
     fields = [(make_field(1), 3), (make_field(2), 2), (make_field(2, a_param=0x3), 2)]
     fields += [(make_field(r), 1) for r in range(3, 9)]
     return [spec for ctx, n_max in fields for n in range(1, n_max + 1)
-            for spec in ominus_groups.valid_specs(ctx, n)]
+            for spec in double_cosets.valid_specs(ctx, n)]
 
 
 def _weights_argv(spec):
@@ -357,16 +359,16 @@ def test_weights_over_the_enumeration_budget_at_r14_is_null(capsys):
 
 @pytest.mark.parametrize("r,n", [(2, 1), (2, 2), (4, 1)])
 def test_character_sum_check_catches_one_wrong_closed_sum(monkeypatch, r, n):
-    cli._check_exp_sums(make_field(r), n)
-    real = ominus_groups.exp_sums_dc
+    checks._check_exp_sums(make_field(r), n)
+    real = double_cosets.exp_sums_dc
 
     def one_wrong_closed_sum(spec, mode="closed_form"):
         sums = real(spec, mode)
         return sums if mode != "closed_form" else tuple(s + (a == 0x3) for a, s in enumerate(sums))
 
-    monkeypatch.setattr(ominus_groups, "exp_sums_dc", one_wrong_closed_sum)
+    monkeypatch.setattr(double_cosets, "exp_sums_dc", one_wrong_closed_sum)
     with pytest.raises(AssertionError, match="character sum mismatch at family 1, a = 0x3"):
-        cli._check_exp_sums(make_field(r), n)
+        checks._check_exp_sums(make_field(r), n)
 
 
 def test_moments_with_verification(capsys):
@@ -470,7 +472,7 @@ def test_recursion_check_runs_the_hand_written_jobs(monkeypatch, r):
         return report
 
     monkeypatch.setattr(moment_recursion, "recursive_moments", recorder)
-    cli._check_recursions(make_field(r))
+    checks._check_recursions(make_field(r))
     assert sorted(jobs) == sorted(_hand_written_recursion_jobs(1 << r))
 
 
@@ -483,7 +485,7 @@ def test_verify_all_caps_workers_at_the_plan_length(monkeypatch):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    task_count = len({fargs for _, _, fargs, _ in cli._build_checks(1, {})})
+    task_count = len({fargs for _, _, fargs, _ in checks._build_checks(1, {})})
     serial = verify_all(1, workers=1)
     assert forks == []
     assert verify_all(1, workers=5000) == serial
@@ -516,7 +518,7 @@ def test_verify_all_pool_tasks_group_checks_by_their_arguments(monkeypatch, caps
         assert capsys.readouterr().out == serial
     finally:
         os.close(log)
-    plan = cli._build_checks(max_r, {})
+    plan = checks._build_checks(max_r, {})
     handed_out, runs = set(), {}
     for line in (tmp_path / "ran").read_text().splitlines():
         head, rest = line.split(" ", 1)
@@ -559,7 +561,8 @@ def test_verify_all_loads_every_layer_before_it_forks():
     proc = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
     )
-    layers = ("cli", "coset_codes", "finite_field", "kloosterman", "moment_recursion", "ominus_groups")
+    layers = ("checks", "cli", "coset_codes", "double_cosets", "finite_field", "kloosterman",
+              "moment_recursion", "ominus_groups")
     assert proc.stdout.split() == ["2", *(f"cosetmoments.{name}" for name in layers)]
 
 
@@ -568,8 +571,9 @@ def test_verify_all_loads_every_layer_before_it_forks():
 def test_verify_all_raises_when_a_worker_dies(death, status):
     probe = (
         "import os, signal\n"
+        "import cosetmoments.checks as checks\n"
         "import cosetmoments.cli as cli\n"
-        f"cli._check_stirling = lambda: {death}\n"
+        f"checks._check_stirling = lambda: {death}\n"
         "try:\n"
         "    print('returned', len(cli.verify_all(1, workers=2)))\n"
         "except RuntimeError as exc:\n"
@@ -590,8 +594,9 @@ def test_verify_all_exits_2_when_a_worker_dies():
     # exit 1 means a check failed; a dead worker is an error of the run, as bad input is
     probe = (
         "import os, sys\n"
+        "import cosetmoments.checks as checks\n"
         "import cosetmoments.cli as cli\n"
-        "cli._check_stirling = lambda: os._exit(3)\n"
+        "checks._check_stirling = lambda: os._exit(3)\n"
         "sys.exit(cli.main(['verify-all', '--max-r', '1', '--workers', '2']))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
@@ -725,7 +730,7 @@ def _fits(call, *args) -> bool:
 def test_verify_all_gates_plan_exactly_what_fits_the_budgets(monkeypatch):
     # both symmetric-matrix sums check their budget before the first term; skip the terms
     monkeypatch.setattr(ominus_groups, "_symmetric_matrices", lambda ctx, r: iter(()))
-    plan = {name: args for name, _, args, _ in cli._build_checks(MAX_R, {})}
+    plan = {name: args for name, _, args, _ in checks._build_checks(MAX_R, {})}
     # (reduced against closed, direct against reduced) by r
     sym_dims = {1: ((1, 2, 3), (1, 2)), 2: ((1, 2), (1,)), 3: ((1, 2), ())}
     for r in range(1, MAX_R + 1):
@@ -746,11 +751,11 @@ def test_verify_all_gates_plan_exactly_what_fits_the_budgets(monkeypatch):
 def test_carlitz_check_leaves_out_the_direct_sum_over_its_budget(monkeypatch):
     ctx = make_field(14)
     with pytest.raises(BudgetError):
-        cli.kloosterman_sum(ctx, 2, 1)
+        checks.kloosterman_sum(ctx, 2, 1)
     # carlitz_k2 sums K_1 directly at every a, O(q^2) in all; read the K_1 spectrum
     k1 = kloosterman.kloosterman_spectrum(ctx, 1)
-    monkeypatch.setattr(cli, "carlitz_k2", lambda c, a: k1[a] * k1[a] - c.q)
-    cli._check_carlitz(ctx)
+    monkeypatch.setattr(checks, "carlitz_k2", lambda c, a: k1[a] * k1[a] - c.q)
+    checks._check_carlitz(ctx)
 
 
 def test_cli_names_no_budget_of_its_own():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cosetmoments import coset_codes
+from cosetmoments import ominus_groups
 from cosetmoments.coset_codes import (
     DUALITY_N_LIMIT,
     MACWILLIAMS_N_LIMIT,
@@ -23,14 +23,14 @@ from cosetmoments.coset_codes import (
     prefix_counts_from_distribution,
     weight_distribution_prefix,
 )
-from cosetmoments.finite_field import make_field, mul, trace, units
-from cosetmoments.kloosterman import BudgetError
-from cosetmoments.ominus_groups import (
+from cosetmoments.double_cosets import (
     DoubleCosetSpec,
     dc_cardinality,
     trace_distribution,
     valid_specs,
 )
+from cosetmoments.finite_field import make_field, mul, trace, units
+from cosetmoments.kloosterman import BudgetError
 from test_finite_field import random_fields
 
 CTX2 = make_field(1)
@@ -216,7 +216,7 @@ def test_delsarte_refuses_before_building_the_cell(monkeypatch, key):
     def refuse(spec):
         raise AssertionError("a refused spec must not read its trace vector")
 
-    monkeypatch.setattr(coset_codes, "double_coset_traces", refuse)
+    monkeypatch.setattr(ominus_groups, "double_coset_traces", refuse)
     with pytest.raises(BudgetError, match=f"length <= {DUALITY_N_LIMIT}"):
         delsarte_check(spec)
 

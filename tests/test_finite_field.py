@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosetmoments import finite_field
-from cosetmoments.cli import _check_field_axioms
+from cosetmoments.checks import _check_field_axioms
 from cosetmoments.finite_field import (
     MAX_R,
     FieldCtx,

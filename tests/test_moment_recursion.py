@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from cosetmoments.coset_codes import codeword_weight_closed, weight_distribution_prefix
+from cosetmoments.double_cosets import DoubleCosetSpec, dc_cardinality
 from cosetmoments.finite_field import make_field, units
 from cosetmoments.kloosterman import power_moment_oracle
 from cosetmoments.moment_recursion import (
@@ -17,7 +18,6 @@ from cosetmoments.moment_recursion import (
     stirling2,
     stirling2_alternating,
 )
-from cosetmoments.ominus_groups import DoubleCosetSpec, dc_cardinality
 
 CTX2 = make_field(1)
 CTX4 = make_field(2)

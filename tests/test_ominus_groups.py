@@ -10,45 +10,47 @@ from math import prod
 
 import pytest
 
-from cosetmoments import cli, coset_codes, ominus_groups
-from cosetmoments.finite_field import character_sums, inv, lambda_char, make_field, mul, trace, units
-from cosetmoments.kloosterman import BudgetError, kloosterman_spectrum, kloosterman_sum
-from cosetmoments.ominus_groups import (
+from cosetmoments import checks, coset_codes, ominus_groups
+from cosetmoments.double_cosets import (
     DoubleCosetSpec,
-    _powers,
-    _right_action,
-    _row_code,
-    b_r_sum,
     b_r_sum_closed,
-    b_r_sum_reduced,
-    bruhat_cell,
-    bruhat_cell_cosets,
     bruhat_cell_order,
-    cell_traces,
     dc_cardinality,
-    double_coset_elements,
-    double_coset_traces,
-    enumerate_gl,
-    enumerate_q_minus,
-    enumerate_so2,
     exp_sum_dc,
     exp_sums_dc,
     first_specs,
     gauss_binomial,
     gl_order,
-    identity_matrix,
-    is_isometry_exhaustive,
-    isometry_relations,
-    mat_inv,
     o_minus_order,
     p_minus_order,
     parabolic_indices,
     q_minus_fits,
     q_minus_order,
-    theta_minus,
     trace_distribution,
-    transpose,
     valid_specs,
+)
+from cosetmoments.finite_field import character_sums, inv, lambda_char, make_field, mul, trace, units
+from cosetmoments.kloosterman import BudgetError, kloosterman_spectrum, kloosterman_sum
+from cosetmoments.ominus_groups import (
+    _powers,
+    _right_action,
+    _row_code,
+    b_r_sum,
+    b_r_sum_reduced,
+    bruhat_cell,
+    bruhat_cell_cosets,
+    cell_traces,
+    double_coset_elements,
+    double_coset_traces,
+    enumerate_gl,
+    enumerate_q_minus,
+    enumerate_so2,
+    identity_matrix,
+    is_isometry_exhaustive,
+    isometry_relations,
+    mat_inv,
+    theta_minus,
+    transpose,
     weyl_elements,
 )
 
@@ -835,7 +837,7 @@ def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, 
     bruhat_cell_cosets.cache_clear()
     try:
         with pytest.raises(AssertionError, match="right cosets of Q\\^- must be disjoint"):
-            cli._check_parabolic_cells(ctx, n)
+            checks._check_parabolic_cells(ctx, n)
     finally:
         bruhat_cell_cosets.cache_clear()
 
@@ -849,9 +851,30 @@ def test_cell_check_rejects_a_q_minus_of_the_wrong_size(monkeypatch, field_r, n)
     bruhat_cell_cosets.cache_clear()
     try:
         with pytest.raises(AssertionError, match="cell size mismatch at r = 0"):
-            cli._check_parabolic_cells(ctx, n)
+            checks._check_parabolic_cells(ctx, n)
     finally:
         bruhat_cell_cosets.cache_clear()
+
+
+@pytest.mark.parametrize("key", sorted(CELL_FIELDS))
+def test_cell_check_agrees_with_the_union_of_every_cell(key):
+    # the check compares one element per cell; the full union is the oracle for its verdict
+    field_r, n, a_param = CELL_FIELDS[key]
+    ctx = make_field(field_r, a_param=a_param)
+    cells = [bruhat_cell_cosets(ctx, n, r, twisted) for r in range(n) for twisted in (False, True)]
+    assert sum(map(len, cells)) == len(set(chain.from_iterable(cells))) == o_minus_order(ctx.q, n)
+    checks._check_parabolic_cells(ctx, n)
+
+
+@pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2)))
+def test_cell_check_rejects_two_overlapping_cells(monkeypatch, field_r, n):
+    # the twisted cell swapped for its untwisted twin: every size and the total still hold
+    ctx = make_field(field_r)
+    real = bruhat_cell_cosets
+    monkeypatch.setattr(ominus_groups, "bruhat_cell_cosets",
+                        lambda c, k, r, twisted=False: real(c, k, r, twisted and r != n - 1))
+    with pytest.raises(AssertionError, match="cells must partition the whole isometry group"):
+        checks._check_parabolic_cells(ctx, n)
 
 
 @pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2), (3, 2)))

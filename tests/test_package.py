@@ -22,7 +22,7 @@ PUBLIC = """
     trace_distribution twisted_sum_check weight_distribution_prefix
 """.split()
 
-LAZY_LAYERS = ("ominus_groups", "coset_codes", "moment_recursion")
+LAZY_LAYERS = ("checks", "double_cosets", "ominus_groups", "coset_codes", "moment_recursion")
 
 
 def _fresh(probe: str) -> str:
@@ -94,3 +94,27 @@ def test_help_field_and_kloos_load_no_group_code_or_recursion_layer():
     assert out.strip() == (
         '{"codes": [0, 0, 0], "loaded": [], "agree": [true, true, true, true, true]}'
     )
+
+
+def test_moments_loads_the_closed_forms_but_no_enumeration_and_no_check():
+    out = _fresh(
+        "import contextlib, io, sys\n"
+        "import cosetmoments.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['moments', '--r', '3', '--family', '2', '--sign', 'plus', '--n', '2',\n"
+        "                     '--hmax', '4', '--verify'])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('cosetmoments.')))\n"
+    )
+    layers = ("cli", "coset_codes", "double_cosets", "finite_field", "kloosterman", "moment_recursion")
+    assert out.split() == ["0", *(f"cosetmoments.{name}" for name in layers)]
+
+
+def test_a_closed_form_loads_no_enumeration():
+    out = _fresh(
+        "import sys\n"
+        "import cosetmoments\n"
+        "spec = cosetmoments.DoubleCosetSpec(1, '+', 2, cosetmoments.make_field(3))\n"
+        "print(cosetmoments.dc_cardinality(spec)[2], 'cosetmoments.ominus_groups' in sys.modules)\n"
+    )
+    size = import_module("cosetmoments.double_cosets").bruhat_cell_order(8, 2, 1)
+    assert out.split() == [str(size), "False"]

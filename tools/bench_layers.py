@@ -41,6 +41,7 @@ import argparse
 import contextlib
 import gc
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -85,6 +86,23 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
+def _closed_forms():
+    """The module of the double-coset closed forms: `double_cosets`, or
+    `ominus_groups` on a side that keeps them there."""
+    try:
+        return importlib.import_module("cosetmoments.double_cosets")
+    except ModuleNotFoundError:
+        return importlib.import_module("cosetmoments.ominus_groups")
+
+
+def _checks_module():
+    """The module of the verify-all checks: `checks`, or `cli` on a side that keeps them there."""
+    try:
+        return importlib.import_module("cosetmoments.checks")
+    except ModuleNotFoundError:
+        return importlib.import_module("cosetmoments.cli")
+
+
 PREFIX_SHAPES = {"1+/n2": (1, "+", 2), "1-/n1": (1, "-", 1), "3-/n3": (3, "-", 3),
                  "3+/n2": (3, "+", 2), "2+/n2": (2, "+", 2)}
 PREFIX_J_MAXES = (8, 16, 32)
@@ -97,17 +115,17 @@ def child_prefix(r: str, shape: str) -> dict:
     side's prefix turns into weights by one Walsh-Hadamard transform."""
     from cosetmoments import coset_codes as cc
     from cosetmoments.finite_field import make_field
-    from cosetmoments.ominus_groups import DoubleCosetSpec, dc_cardinality, trace_distribution
 
+    dc = _closed_forms()
     ctx = make_field(int(r))
-    spec = DoubleCosetSpec(*PREFIX_SHAPES[shape], ctx)
+    spec = dc.DoubleCosetSpec(*PREFIX_SHAPES[shape], ctx)
     weights = cc.closed_weights(spec)
     if hasattr(cc, "class_dual_weights"):
-        length = dc_cardinality(spec)[2]
+        length = dc.dc_cardinality(spec)[2]
         row = {"weights_read": ctx.q}
         prefix = lambda j_max: cc.prefix_counts_from_distribution(length, weights, j_max)
     else:
-        counts = trace_distribution(spec, "closed_form")
+        counts = dc.trace_distribution(spec, "closed_form")
         row = {"walsh_hadamard_adds": ctx.q * int(r)}
         prefix = lambda j_max: cc.prefix_counts_from_distribution(ctx, counts, j_max)
     row["distinct_weights"] = len(set(weights))
@@ -189,8 +207,9 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
 
     ctx = make_field(int(field_r))
     n_int, r_int = int(n), int(r)
-    if not og.products_fit(ctx.q, n_int):
-        og.PRODUCT_BUDGET = math.inf
+    closed = _closed_forms()  # where the cells read the budget
+    if not closed.products_fit(ctx.q, n_int):
+        closed.PRODUCT_BUDGET = math.inf
     qm = og.enumerate_q_minus(ctx, n_int)
     per_element = hasattr(og, "_q_minus_tables")
     names = ("bruhat_cell", "bruhat_cell_cosets", "_q_minus_tables", "_basis_columns")
@@ -280,22 +299,21 @@ def child_checks(max_r: str, prefixes: str) -> dict:
     #nonsingular B x q^(2 dim)) and one nonsingularity test per symmetric B in
     the reduced one (`<check>.reduced_terms`, q^(dim (dim + 1)/2)); counts of 0
     are left out."""
-    from cosetmoments import cli
     from cosetmoments import ominus_groups as og
     from spans import nonsingular_symmetric_count
 
     wanted = tuple(p for p in prefixes.split(",") if p)
     counters = {"tables": _count_calls(og, "_right_action") if hasattr(og, "_right_action") else [0]}
-    sums = {  # counted through cli's own references, the ones the checks call
+    sums = {  # counted in the defining module, where the checks import them when they run
         "direct_terms": ("b_r_sum", lambda ctx, dim, *_: (
             nonsingular_symmetric_count(ctx.q, dim) * ctx.q ** (2 * dim))),
         "reduced_terms": ("b_r_sum_reduced", lambda ctx, dim, *_: ctx.q ** (dim * (dim + 1) // 2)),
     }
     for kind, (name, weight) in sums.items():
-        if hasattr(cli, name):
-            counters[kind] = _count_calls(cli, name, weight)
+        if hasattr(og, name):
+            counters[kind] = _count_calls(og, name, weight)
     row, work = {}, {}
-    for name, fn, args, skip in cli._build_checks(int(max_r), {}):
+    for name, fn, args, skip in _checks_module()._build_checks(int(max_r), {}):
         if skip or (wanted and not name.startswith(wanted)):
             continue
         gc.collect()
@@ -317,16 +335,15 @@ def child_kernel(r: str, family: str, sign: str, n: str) -> dict:
     each timed call, so the vector is rebuilt. The work fields count the older
     kernels: the support loop (one trace per a and nonempty class) and the
     transform (q log2 q additions, then q permuted reads)."""
-    from cosetmoments import ominus_groups
     from cosetmoments.coset_codes import dual_code_kernel
     from cosetmoments.finite_field import make_field
-    from cosetmoments.ominus_groups import DoubleCosetSpec, trace_distribution
 
+    dc = _closed_forms()
     ctx = make_field(int(r))
-    spec = DoubleCosetSpec(int(family), sign, int(n), ctx)
-    support = sum(1 for count in trace_distribution(spec, "closed_form").values() if count)
+    spec = dc.DoubleCosetSpec(int(family), sign, int(n), ctx)
+    support = sum(1 for count in dc.trace_distribution(spec, "closed_form").values() if count)
     dual_code_kernel(spec)
-    vector = getattr(ominus_groups, "exp_sums_dc", None)
+    vector = getattr(dc, "exp_sums_dc", None)
     reset = vector.cache_clear if vector else None
     return {"s": _median_s(lambda: dual_code_kernel(spec), reset=reset),
             "support_traces": ctx.q * support,
@@ -432,8 +449,12 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
     main(sys.argv[1:])
 pool = ("concurrent.futures.process", "multiprocessing")
 layers = sorted(m for m in sys.modules if m.startswith("cosetmoments."))
+lines = 0
+for m in ["cosetmoments", *layers]:
+    with open(sys.modules[m].__file__, encoding="utf-8") as source:
+        lines += sum(1 for _ in source)
 print(json.dumps({"modules_imported": len(imported), "modules": " ".join(imported),
-                  "layers_after_main": " ".join(layers),
+                  "layers_after_main": " ".join(layers), "source_lines": lines,
                   "pool_loaded": any(m in sys.modules for m in pool)}))
 """
 
@@ -442,8 +463,9 @@ def child_startup(*argv: str) -> dict:
     """`python -m cosetmoments.cli ARGV` in a fresh interpreter, timed from
     outside it; then, in another fresh interpreter, the modules that
     `import cosetmoments.cli` loads (their count and names), the package
-    modules loaded once `main(ARGV)` has run, and whether the run loaded the
-    process pool."""
+    modules loaded once `main(ARGV)` has run and their source lines (each
+    compiled once per run where no bytecode cache is read), and whether the
+    run loaded the process pool."""
     samples, outputs = [], set()
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -470,9 +492,9 @@ def child_values() -> dict:
     _trace_counts(spec, "closed_form"); each figure times VALUE_OPS of them,
     loop included, and keeps the median of five timed loops."""
     from cosetmoments import finite_field as ff
-    from cosetmoments import ominus_groups as og
 
-    mul, inv, spec_type = ff.mul, ff.inv, og.DoubleCosetSpec
+    dc = _closed_forms()
+    mul, inv, spec_type = ff.mul, ff.inv, dc.DoubleCosetSpec
     row, results = {"ops": VALUE_OPS}, []
     for r in (8, 16):
         ctx = ff.make_field(r)
@@ -493,7 +515,7 @@ def child_values() -> dict:
         row[f"inv_r{r}_ns"] = _median_s(inv_loop, 5) * 1e9 / VALUE_OPS
     ctx = ff.make_field(8)
     spec = spec_type(1, "+", 2, ctx)
-    lambda_table, trace_counts = ff.lambda_table, og._trace_counts
+    lambda_table, trace_counts = ff.lambda_table, dc._trace_counts
     results += [lambda_table(ctx), trace_counts(spec, "closed_form")]
     steps = range(VALUE_OPS)
 
@@ -674,12 +696,14 @@ LAYERS = {
             ("kloos", "--r", "10", "--hmax", "4"),
             ("kloos", "--r", "12", "--a", "0x3"),
             ("moments", "--r", "8", "--family", "2", "--sign", "plus", "--n", "2", "--hmax", "7", "--verify"),
+            ("moments", "--r", "3", "--family", "1", "--sign", "minus", "--n", "1", "--hmax", "4", "--verify"),
             ("verify-all", "--max-r", "1", "--workers", "2"),
             ("verify-all", "--max-r", "2", "--workers", "2"),
         )),
         "modules_imported: modules `import cosetmoments.cli` adds to a fresh interpreter, "
         "named in modules; layers_after_main: the cosetmoments modules loaded once main(ARGV) "
-        "has run; pool_loaded: whether the run loaded concurrent.futures.process "
+        "has run; source_lines: their lines, the package's included, all compiled on a run "
+        "that reads no bytecode cache; pool_loaded: whether the run loaded concurrent.futures.process "
         "or multiprocessing; the digest must agree between the sides",
         agree=("digest", "exit"),
     ),
