@@ -1,16 +1,19 @@
 """The verify-all checks, each a closed form or fast path against its oracle.
 
-Only `verify-all` loads this module.  `_build_checks` plans the checks for
-every degree up to max_r, building each degree's field once for all its
-checks; `cli` runs the plan, and forked workers inherit it.  The checks
-import the group, code and recursion layers inside their bodies, so a name
-patched in its defining module is the one a check reads.
+Only `verify-all` loads this module, and importing it loads every layer the
+checks read, so forked workers compile none of their own.  `_build_checks`
+plans the checks for every degree up to max_r, building each degree's field
+once for all its checks; `cli` runs the plan, and forked workers inherit it.
+The checks call the closed-form, group, code and recursion layers through
+their modules, so a name patched in its defining module is the one a check
+reads.
 """
 
 from __future__ import annotations
 
 import random
 
+from . import coset_codes, double_cosets, moment_recursion, ominus_groups
 from .finite_field import (
     FieldCtx, _raw_mul, default_modulus, inv, make_field, mul, theta_subgroup, to_hex, trace,
 )
@@ -23,10 +26,9 @@ SYM_SUM_DIMS = {2: ((1, 2, 3), (1, 2)), 4: ((1, 2), (1,)), 8: ((1, 2), ())}  # b
 
 
 def _check_stirling() -> None:
-    from .moment_recursion import stirling2, stirling2_alternating
     for h in range(21):
         for t in range(h + 1):
-            if stirling2(h, t) != stirling2_alternating(h, t):
+            if moment_recursion.stirling2(h, t) != moment_recursion.stirling2_alternating(h, t):
                 raise AssertionError(f"triangle and alternating forms differ at ({h},{t})")
 
 
@@ -123,114 +125,93 @@ def _check_range_spectrum(ctx: FieldCtx) -> None:
 
 
 def _check_symmetric_sum(ctx: FieldCtx, dims: tuple[int, ...], direct: tuple[int, ...]) -> None:
-    from .double_cosets import b_r_sum_closed
-    from .ominus_groups import b_r_sum, b_r_sum_reduced
     for dim in dims:
-        reduced = b_r_sum_reduced(ctx, dim)  # no reduced term depends on the twist
-        if reduced != b_r_sum_closed(ctx, dim):
+        reduced = ominus_groups.b_r_sum_reduced(ctx, dim)  # no reduced term depends on the twist
+        if reduced != double_cosets.b_r_sum_closed(ctx, dim):
             raise AssertionError(f"symmetric-matrix sum mismatch at dim = {dim}")
         for twist in sorted({1, ctx.a_param}) if dim in direct else ():
-            if b_r_sum(ctx, dim, twist) != reduced:
+            if ominus_groups.b_r_sum(ctx, dim, twist) != reduced:
                 raise AssertionError(f"direct and reduced sums differ at dim = {dim}, twist {to_hex(twist)}")
 
 
+def _check_isometries(ctx: FieldCtx, n: int, group, step: int, scans: int, what: str) -> None:
+    """Every step-th element of group must satisfy the isometry relations, and its first
+    `scans` elements the exhaustive scan where that fits its budget."""
+    for m in group[::step]:
+        if not ominus_groups.isometry_relations(ctx, n, m):
+            raise AssertionError(f"a {what} element fails the isometry relations")
+    if ominus_groups.scan_fits(ctx.q, n):
+        for m in group[:scans]:
+            if not ominus_groups.is_isometry_exhaustive(ctx, n, m):
+                raise AssertionError(f"a {what} element fails the exhaustive scan")
+
+
 def _check_so2(ctx: FieldCtx) -> None:
-    from .ominus_groups import (
-        O2_COSET_REP, enumerate_so2, is_isometry_exhaustive, isometry_relations, scan_fits,
-    )
-    group = enumerate_so2(ctx)
-    for m in group:
-        if not isometry_relations(ctx, 1, m):
-            raise AssertionError("a norm-one element fails the isometry relations")
-    if scan_fits(ctx.q, 1):
-        for m in group[:8]:
-            if not is_isometry_exhaustive(ctx, 1, m):
-                raise AssertionError("a norm-one element fails the exhaustive scan")
-    if not isometry_relations(ctx, 1, O2_COSET_REP):
+    group = ominus_groups.enumerate_so2(ctx)
+    _check_isometries(ctx, 1, group, 1, 8, "norm-one")
+    if not ominus_groups.isometry_relations(ctx, 1, ominus_groups.O2_COSET_REP):
         raise AssertionError("the outer coset representative must be an isometry")
-    if O2_COSET_REP in group:
+    if ominus_groups.O2_COSET_REP in group:
         raise AssertionError("the outer coset representative must lie outside")
 
 
 def _check_parabolic_cells(ctx: FieldCtx, n: int) -> None:
-    from .double_cosets import (
-        bruhat_cell_order, dc_cardinality, o_minus_order, p_minus_order, parabolic_indices, valid_specs,
-    )
-    from .ominus_groups import (
-        bruhat_cell_cosets, enumerate_q_minus, is_isometry_exhaustive, isometry_relations, scan_fits,
-    )
     q = ctx.q
-    qm = enumerate_q_minus(ctx, n)  # its size is the r = 0 cell's, checked below
-    step = max(1, len(qm) // 64)
-    for m in qm[::step]:
-        if not isometry_relations(ctx, n, m):
-            raise AssertionError("a parabolic element fails the isometry relations")
-    if scan_fits(q, n):
-        for m in qm[:4]:
-            if not is_isometry_exhaustive(ctx, n, m):
-                raise AssertionError("a parabolic element fails the exhaustive scan")
+    qm = ominus_groups.enumerate_q_minus(ctx, n)  # its size is the r = 0 cell's, checked below
+    _check_isometries(ctx, n, qm, max(1, len(qm) // 64), 4, "parabolic")
     cells = []
     for rr in range(n):
-        a_ord, index = parabolic_indices(ctx, n, rr)
-        if a_ord * index != p_minus_order(q, n):
+        a_ord, index = double_cosets.parabolic_indices(ctx, n, rr)
+        if a_ord * index != double_cosets.p_minus_order(q, n):
             raise AssertionError(f"stabilizer order times index must be |P^-| at r = {rr}")
         for twisted in (False, True):
-            cell = bruhat_cell_cosets(ctx, n, rr, twisted)
-            if not len(cell) == bruhat_cell_order(q, n, rr) == len(qm) * index:
+            cell = ominus_groups.bruhat_cell_cosets(ctx, n, rr, twisted)
+            if not len(cell) == double_cosets.bruhat_cell_order(q, n, rr) == len(qm) * index:
                 raise AssertionError(f"cell size mismatch at r = {rr}, twisted = {twisted}")
             cells.append(cell)
     # each cell is a double coset of Q^- (the walk checked its right cosets), and two double
     # cosets meet only if equal: the cells are disjoint when none holds another's first element
     firsts = [cell[0] for cell in cells]
-    if sum(map(len, cells)) != o_minus_order(q, n) or any(
+    if sum(map(len, cells)) != double_cosets.o_minus_order(q, n) or any(
             not set(firsts[:i] + firsts[i + 1:]).isdisjoint(cell) for i, cell in enumerate(cells)):
         raise AssertionError("cells must partition the whole isometry group")
-    for spec in valid_specs(ctx, n):
-        dc_cardinality(spec)  # internal consistency assertion runs here
+    for spec in double_cosets.valid_specs(ctx, n):
+        double_cosets.dc_cardinality(spec)  # internal consistency assertion runs here
 
 
 def _check_exp_sums(ctx: FieldCtx, n: int) -> None:
-    from .double_cosets import exp_sums_dc, valid_specs
-    for spec in valid_specs(ctx, n):
-        enumerated, closed = exp_sums_dc(spec, "enumerated"), exp_sums_dc(spec)
+    for spec in double_cosets.valid_specs(ctx, n):
+        enumerated, closed = double_cosets.exp_sums_dc(spec, "enumerated"), double_cosets.exp_sums_dc(spec)
         for a in range(1, ctx.q):
             if enumerated[a] != closed[a]:
-                raise AssertionError(
-                    f"character sum mismatch at family {spec.family}, a = {to_hex(a)}"
-                )
+                raise AssertionError(f"character sum mismatch at family {spec.family}, a = {to_hex(a)}")
 
 
 def _check_trace_distributions(ctx: FieldCtx, n: int) -> None:
-    from .double_cosets import trace_distribution, valid_specs
-    for spec in valid_specs(ctx, n):
-        if trace_distribution(spec, "enumerated") != trace_distribution(spec, "closed_form"):
+    for spec in double_cosets.valid_specs(ctx, n):
+        enumerated = double_cosets.trace_distribution(spec, "enumerated")
+        if enumerated != double_cosets.trace_distribution(spec, "closed_form"):
             raise AssertionError(f"trace distribution mismatch at family {spec.family}")
 
 
-def _code_specs(ctx: FieldCtx) -> list[DoubleCosetSpec]:
-    from .double_cosets import valid_specs
-    return valid_specs(ctx, 1) + (valid_specs(ctx, 2) if ctx.q == 2 else [])
+def _code_specs(ctx: FieldCtx) -> list[double_cosets.DoubleCosetSpec]:
+    return double_cosets.valid_specs(ctx, 1) + (double_cosets.valid_specs(ctx, 2) if ctx.q == 2 else [])
 
 
 def _check_codes(ctx: FieldCtx) -> None:
-    from .coset_codes import (
-        DUALITY_N_LIMIT, MACWILLIAMS_N_LIMIT, closed_weights, delsarte_check, dual_codeword,
-        full_weight_distribution_small, weight_distribution_prefix,
-    )
-    from .double_cosets import dc_cardinality
     for spec in _code_specs(ctx):
-        weights = closed_weights(spec)
+        weights = coset_codes.closed_weights(spec)
         for a in range(1, ctx.q):
-            if weights[a] != sum(dual_codeword(spec, a)):
+            if weights[a] != sum(coset_codes.dual_codeword(spec, a)):
                 raise AssertionError(
                     f"closed weight differs from popcount at family {spec.family}, a = {to_hex(a)}"
                 )
-        length = dc_cardinality(spec)[2]
-        if length <= DUALITY_N_LIMIT and not delsarte_check(spec):
+        length = double_cosets.dc_cardinality(spec)[2]
+        if length <= coset_codes.DUALITY_N_LIMIT and not coset_codes.delsarte_check(spec):
             raise AssertionError(f"duality check fails at family {spec.family}")
-        if length <= MACWILLIAMS_N_LIMIT:
-            full = full_weight_distribution_small(spec)
-            prefix = weight_distribution_prefix(spec, min(6, length)).counts
+        if length <= coset_codes.MACWILLIAMS_N_LIMIT:
+            full = coset_codes.full_weight_distribution_small(spec)
+            prefix = coset_codes.weight_distribution_prefix(spec, min(6, length)).counts
             if tuple(full[: len(prefix)]) != prefix:
                 raise AssertionError(f"distribution prefix mismatch at family {spec.family}")
             if any(full[j] != full[length - j] for j in range(length + 1)):
@@ -238,41 +219,37 @@ def _check_codes(ctx: FieldCtx) -> None:
 
 
 def _check_pless(ctx: FieldCtx) -> None:
-    from .coset_codes import degenerate_kernel
-    from .moment_recursion import pless_check
     for spec in _code_specs(ctx):
-        if degenerate_kernel(spec):
+        if coset_codes.degenerate_kernel(spec):
             try:
-                pless_check(spec, 1)
+                moment_recursion.pless_check(spec, 1)
             except ValueError:
                 continue
             raise AssertionError("a degenerate kernel must be rejected")
         for h in range(1, 6):
-            lhs, rhs = pless_check(spec, h)
+            lhs, rhs = moment_recursion.pless_check(spec, h)
             if lhs != rhs:
                 raise AssertionError(f"power moment identity fails at family {spec.family}, h={h}")
 
 
 def _check_recursions(ctx: FieldCtx) -> None:
-    from .moment_recursion import recursion_series, recursive_moments, smallest_case_recursions
-    from .double_cosets import first_specs
-    for spec in first_specs(ctx):
+    for spec in double_cosets.first_specs(ctx):
         try:
-            series_list = recursion_series(spec)
+            series_list = moment_recursion.recursion_series(spec)
         except ValueError:
             continue  # outside the recursion domain at this q
         for series in series_list:
-            report = recursive_moments(spec, 4, series)
+            report = moment_recursion.recursive_moments(spec, 4, series)
             if not all(report.agree):
                 raise AssertionError(
                     f"recursion disagrees with the oracle at family {spec.family}{spec.sign}, "
                     f"series {report.series}"
                 )
     for variant in ("a", "b"):
-        rep = smallest_case_recursions(ctx, variant, 4)
+        rep = moment_recursion.smallest_case_recursions(ctx, variant, 4)
         if not all(rep.agree):
             raise AssertionError(f"smallest-case variant {variant} disagrees with the oracle")
-        general = recursive_moments(rep.spec, 4, with_oracle=False)
+        general = moment_recursion.recursive_moments(rep.spec, 4, with_oracle=False)
         if rep.recursion_values.values != general.recursion_values.values:
             raise AssertionError(f"smallest-case variant {variant} differs from the general form")
 
@@ -281,7 +258,6 @@ CheckEntry = tuple[str, object, tuple, str]
 
 
 def _build_checks(max_r: int, overrides: dict[int, int]) -> list[CheckEntry]:
-    from .double_cosets import products_fit, q_minus_fits
     plan: list[CheckEntry] = [("stirling-triangle-vs-alternating", _check_stirling, (), "")]
     for r in range(1, max_r + 1):
         modulus = overrides.get(r, default_modulus(r))
@@ -302,13 +278,13 @@ def _build_checks(max_r: int, overrides: dict[int, int]) -> list[CheckEntry]:
         entries.append((f"symmetric-matrix-sum-r{r}", _check_symmetric_sum, SYM_SUM_DIMS.get(q, ((1,), ()))))
         entries.append((f"so2-isometries-r{r}", _check_so2, ()))
         for n in (1, 2, 3):
-            if q_minus_fits(q, n) and products_fit(q, n):
+            if double_cosets.q_minus_fits(q, n) and double_cosets.products_fit(q, n):
                 entries += [
                     (f"parabolic-cells-n{n}-r{r}", _check_parabolic_cells, (n,)),
                     (f"character-sums-n{n}-r{r}", _check_exp_sums, (n,)),
                     (f"trace-distributions-n{n}-r{r}", _check_trace_distributions, (n,)),
                 ]
-        if q_minus_fits(q, 1):
+        if double_cosets.q_minus_fits(q, 1):
             entries.append((f"code-weights-and-duality-r{r}", _check_codes, ()))
         entries += [
             (f"power-moment-identity-r{r}", _check_pless, ()),

@@ -3,7 +3,8 @@
 Every command prints one JSON document with the full parameter echo
 (resolved modulus and a_param included) so runs are reproducible; all
 numeric values are decimal strings, field elements and moduli are hex.
-Exit status: 0 success, 1 verification mismatch, 2 usage or domain error.
+Exit status: 0 success, 1 verification mismatch, 2 usage or domain error,
+3 an internal consistency assertion that failed.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def _dec(x: int) -> str:
 
 
 def _field_from_args(args: argparse.Namespace) -> FieldCtx:
-    modulus = parse_hex(args.modulus) if args.modulus else None
-    a_param = parse_hex(args.a_param) if args.a_param else None
+    modulus = parse_hex(args.modulus) if args.modulus is not None else None
+    a_param = parse_hex(args.a_param) if args.a_param is not None else None
     return make_field(args.r, modulus, a_param)
 
 
@@ -230,7 +231,8 @@ def _cmd_moments(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 # ---------------------------------------------------------------------------
-# verify-all: the plan comes from `checks`; forked workers inherit it
+# verify-all: the plan comes from `checks`, whose import loads every layer the checks
+# read; forked workers inherit both
 
 
 def _run_check(entry: CheckEntry) -> tuple[str, str, str]:
@@ -273,8 +275,6 @@ def verify_all(
     plan = _build_checks(max_r, modulus_overrides or {})
     if workers == 1 or not hasattr(os, "fork"):  # serial where the platform cannot fork
         return [_run_check(entry) for entry in plan]
-    # every layer the checks read is compiled here, once, rather than in each forked worker
-    from . import coset_codes, moment_recursion, ominus_groups  # noqa: F401
     by_args: dict[tuple, list[int]] = {}  # plan indices by argument tuple, in plan order
     for index, entry in enumerate(plan):
         by_args.setdefault(entry[2], []).append(index)
@@ -408,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, RuntimeError) as exc:  # bad input, or a verify-all worker that died
         print(str(exc), file=sys.stderr)
         return 2
+    except AssertionError as exc:  # a closed form that contradicts another: a bug, not bad input
+        print(f"internal consistency check failed: {exc}", file=sys.stderr)
+        return 3
     payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out:
         try:

@@ -56,10 +56,7 @@ def p_minus_order(q: int, n: int) -> int:
 
 
 def o_minus_order(q: int, n: int) -> int:
-    out = 2 * q ** (n * n - n) * (q ** n + 1)
-    for j in range(1, n):
-        out *= q ** (2 * j) - 1
-    return out
+    return 2 * q ** (n * n - n) * (q ** n + 1) * _evenprod(q, n - 1)
 
 
 def products_fit(q: int, n: int) -> bool:

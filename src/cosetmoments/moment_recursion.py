@@ -177,9 +177,7 @@ def recursive_moments(
     return _package_report(spec, params, h_max, values, with_oracle)
 
 
-def smallest_case_recursions(
-    ctx: FieldCtx, variant: str, h_max: int, with_oracle: bool = True
-) -> RecursionReport:
+def smallest_case_recursions(ctx: FieldCtx, variant: str, h_max: int) -> RecursionReport:
     """The two fully written-out smallest-case specializations.
 
     Variant "a" is the smallest plus-sign family-1 case with its three
@@ -213,7 +211,7 @@ def smallest_case_recursions(
         raise AssertionError("printed class sizes must sum to the coset size")
     values = _solve_recursion(length, class_dual_weights(ctx, counts), a_cnt, base, c, h_max)
     params = SeriesParams("mk", base, c, 1, 1)
-    return _package_report(spec, params, h_max, values, with_oracle)
+    return _package_report(spec, params, h_max, values, True)
 
 
 def pless_check(spec: DoubleCosetSpec, h: int) -> tuple[int, int]:

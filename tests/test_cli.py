@@ -371,6 +371,17 @@ def test_character_sum_check_catches_one_wrong_closed_sum(monkeypatch, r, n):
         checks._check_exp_sums(make_field(r), n)
 
 
+def test_an_internal_assertion_exits_3_with_its_text_and_no_document(capsys, monkeypatch):
+    # one closed weight off by one: the MacWilliams transform of the weights stops dividing
+    real = moment_recursion.closed_weights
+    monkeypatch.setattr(moment_recursion, "closed_weights",
+                        lambda spec: tuple(w + (a == 0x5) for a, w in enumerate(real(spec))))
+    code, doc, err = run(capsys, "moments", "--r", "3", "--family", "1", "--sign", "minus",
+                         "--n", "1", "--hmax", "4", "--verify")
+    assert (code, doc) == (3, None)
+    assert err == "internal consistency check failed: the MacWilliams transform must divide exactly\n"
+
+
 def test_moments_with_verification(capsys):
     code, doc, _ = run(
         capsys,
@@ -704,12 +715,19 @@ def test_verify_all_bad_override_syntax(capsys):
         assert (code, err) == (2, "--modulus-override takes R:HEX, e.g. 3:0xF\n"), item
 
 
-@pytest.mark.parametrize(
-    "command,option", (("field", "--modulus"), ("field", "--a-param"), ("kloos", "--a"))
-)
+HEX_OPTIONS = (("field", "--modulus"), ("field", "--a-param"), ("kloos", "--a"))
+
+
+@pytest.mark.parametrize("command,option", HEX_OPTIONS)
 def test_a_malformed_hex_argument_is_named(capsys, command, option):
     code, _, err = run(capsys, command, "--r", "3", option, "zz")
     assert (code, err) == (2, "'zz' is not a hex value\n")
+
+
+@pytest.mark.parametrize("command,option", HEX_OPTIONS)
+def test_an_empty_hex_argument_is_refused_not_read_as_the_default(capsys, command, option):
+    code, doc, err = run(capsys, command, "--r", "3", option, "")
+    assert (code, doc, err) == (2, None, "'' is not a hex value\n")
 
 
 def test_verify_all_bounds():

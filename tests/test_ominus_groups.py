@@ -877,6 +877,46 @@ def test_cell_check_rejects_two_overlapping_cells(monkeypatch, field_r, n):
         checks._check_parabolic_cells(ctx, n)
 
 
+def _projection(n: int):
+    """The identity with its first diagonal entry zeroed: it sends e_1 to 0, so no isometry."""
+    return tuple(tuple(int(i == j > 0) for j in range(2 * n)) for i in range(2 * n))
+
+
+# key: (the enumeration a check samples, the check, field degree, the arguments of both
+# after the field, the check's name for an element)
+SAMPLED_GROUPS = {
+    "so2-r1": ("enumerate_so2", checks._check_so2, 1, (), "norm-one"),
+    "so2-r3": ("enumerate_so2", checks._check_so2, 3, (), "norm-one"),
+    "cells-n2-r1": ("enumerate_q_minus", checks._check_parabolic_cells, 1, (2,), "parabolic"),
+    "cells-n2-r2": ("enumerate_q_minus", checks._check_parabolic_cells, 2, (2,), "parabolic"),
+}
+
+
+def _run_with_a_non_isometry(monkeypatch, key: str) -> None:
+    """The check of SAMPLED_GROUPS[key], its group's first element swapped for a projection."""
+    name, check, field_r, args, _ = SAMPLED_GROUPS[key]
+    ctx = make_field(field_r)
+    group = getattr(ominus_groups, name)(ctx, *args)[1:]
+    monkeypatch.setattr(ominus_groups, name, lambda *_: (_projection(len(group[0]) // 2),) + group)
+    check(ctx, *args)
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLED_GROUPS))
+def test_isometry_checks_reject_a_non_isometry_by_its_relations(monkeypatch, key):
+    what = SAMPLED_GROUPS[key][-1]
+    with pytest.raises(AssertionError, match=f"^a {what} element fails the isometry relations$"):
+        _run_with_a_non_isometry(monkeypatch, key)
+
+
+@pytest.mark.parametrize("key", sorted(SAMPLED_GROUPS))
+def test_isometry_checks_reject_a_non_isometry_by_the_exhaustive_scan(monkeypatch, key):
+    # with the relations fooled, the scan alone must see it
+    monkeypatch.setattr(ominus_groups, "isometry_relations", lambda ctx, n, m: True)
+    what = SAMPLED_GROUPS[key][-1]
+    with pytest.raises(AssertionError, match=f"^a {what} element fails the exhaustive scan$"):
+        _run_with_a_non_isometry(monkeypatch, key)
+
+
 @pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2), (3, 2)))
 def test_cell_walk_builds_no_table_per_element_of_q_minus(monkeypatch, field_r, n):
     # with Q^- cached, a cell builds r scaled-basis tables and the sigma table, not |Q^-|

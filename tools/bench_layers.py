@@ -41,7 +41,6 @@ import argparse
 import contextlib
 import gc
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -86,49 +85,24 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-def _closed_forms():
-    """The module of the double-coset closed forms: `double_cosets`, or
-    `ominus_groups` on a side that keeps them there."""
-    try:
-        return importlib.import_module("cosetmoments.double_cosets")
-    except ModuleNotFoundError:
-        return importlib.import_module("cosetmoments.ominus_groups")
-
-
-def _checks_module():
-    """The module of the verify-all checks: `checks`, or `cli` on a side that keeps them there."""
-    try:
-        return importlib.import_module("cosetmoments.checks")
-    except ModuleNotFoundError:
-        return importlib.import_module("cosetmoments.cli")
-
-
 PREFIX_SHAPES = {"1+/n2": (1, "+", 2), "1-/n1": (1, "-", 1), "3-/n3": (3, "-", 3),
                  "3+/n2": (3, "+", 2), "2+/n2": (2, "+", 2)}
 PREFIX_J_MAXES = (8, 16, 32)
 
 
 def child_prefix(r: str, shape: str) -> dict:
-    """The weight-distribution prefix of one spec per j_max, its input already
-    cached: the closed dual weights on a side whose prefix takes dual weights
-    (it has `class_dual_weights`), else the closed trace classes, which that
-    side's prefix turns into weights by one Walsh-Hadamard transform."""
+    """The weight-distribution prefix of one spec per j_max, its input (the
+    closed dual weights) already cached."""
     from cosetmoments import coset_codes as cc
+    from cosetmoments import double_cosets as dc
     from cosetmoments.finite_field import make_field
 
-    dc = _closed_forms()
     ctx = make_field(int(r))
     spec = dc.DoubleCosetSpec(*PREFIX_SHAPES[shape], ctx)
     weights = cc.closed_weights(spec)
-    if hasattr(cc, "class_dual_weights"):
-        length = dc.dc_cardinality(spec)[2]
-        row = {"weights_read": ctx.q}
-        prefix = lambda j_max: cc.prefix_counts_from_distribution(length, weights, j_max)
-    else:
-        counts = dc.trace_distribution(spec, "closed_form")
-        row = {"walsh_hadamard_adds": ctx.q * int(r)}
-        prefix = lambda j_max: cc.prefix_counts_from_distribution(ctx, counts, j_max)
-    row["distinct_weights"] = len(set(weights))
+    length = dc.dc_cardinality(spec)[2]
+    prefix = lambda j_max: cc.prefix_counts_from_distribution(length, weights, j_max)
+    row = {"weights_read": ctx.q, "distinct_weights": len(set(weights))}
     for j_max in PREFIX_J_MAXES:
         row[f"j{j_max}_s"] = _median_s(lambda: prefix(j_max))
         row[f"j{j_max}_krawtchouk_steps"] = row["distinct_weights"] * j_max
@@ -191,29 +165,25 @@ def child_field(r: str) -> dict:
 
 def child_cell(field_r: str, n: str, r: str) -> dict:
     """One untwisted Bruhat cell with Q^- already enumerated and every cell
-    cache cleared before each timed call (on a side that keeps per-element
-    right-action tables of Q^-, those too), so each call builds its own tables;
+    cache cleared before each timed call, so each call builds its own tables;
     `cosets_s` times the unsorted coset-order walk alone, and `twisted_s` the
     rho-twisted cell in coset order, under the same resets (so it includes the
     untwisted walk it reads: the twist itself costs twisted_s - cosets_s).
-    The work that side's walk does: the right-action tables built (q^(2n) row
-    codes each: one per element of Q^- and sigma's on a per-element side, the r
-    scaled-basis tables and sigma's otherwise), the basis columns of |Q^-| lanes
-    (2n r, where the side has no per-element tables) and the cosets expanded
-    (|cell| / |Q^-|).  A side whose product budget refuses the case has it
-    lifted, so both sides build the same cell and their digests are compared."""
+    The work the walk does: the right-action tables built (q^(2n) row codes
+    each: the r scaled-basis tables and sigma's), the basis columns of |Q^-|
+    lanes (2n r) and the cosets expanded (|cell| / |Q^-|).  A side whose
+    product budget refuses the case has it lifted, so both sides build the
+    same cell and their digests are compared."""
+    from cosetmoments import double_cosets as dc
     from cosetmoments import ominus_groups as og
     from cosetmoments.finite_field import make_field
 
     ctx = make_field(int(field_r))
     n_int, r_int = int(n), int(r)
-    closed = _closed_forms()  # where the cells read the budget
-    if not closed.products_fit(ctx.q, n_int):
-        closed.PRODUCT_BUDGET = math.inf
+    if not dc.products_fit(ctx.q, n_int):
+        dc.PRODUCT_BUDGET = math.inf
     qm = og.enumerate_q_minus(ctx, n_int)
-    per_element = hasattr(og, "_q_minus_tables")
-    names = ("bruhat_cell", "bruhat_cell_cosets", "_q_minus_tables", "_basis_columns")
-    caches = [getattr(og, name) for name in names if hasattr(og, name)]
+    caches = (og.bruhat_cell, og.bruhat_cell_cosets, og._basis_columns)
 
     def reset():
         for cache in caches:
@@ -226,39 +196,32 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
     reset()
     cell = og.bruhat_cell(ctx, n_int, r_int)
     work = {"right_action_tables": calls[0], "table_codes": calls[0] * ctx.q ** (2 * n_int),
-            "cosets_expanded": len(cell) // len(qm)}
-    if not per_element:
-        work["basis_columns"] = 2 * n_int * ctx.r
+            "cosets_expanded": len(cell) // len(qm), "basis_columns": 2 * n_int * ctx.r}
     return {"s": seconds, "cosets_s": cosets_s, "twisted_s": twisted_s, **work, "cell_size": len(cell),
             "q_minus_order": len(qm), "digest": _digest(cell)}
 
 
 def child_q_minus(field_r: str, n: str) -> dict:
     """A cold `enumerate_q_minus`: its cache and those of GL, SO(2,q) and the
-    power table (where the package has one) cleared before each timed call;
-    and its work: on a checkout that reads Q^- from right-action tables, the
-    unipotent tables built (each q^(2n) row codes), otherwise the `mat_mul`
-    calls."""
+    power table cleared before each timed call; and its work: the unipotent
+    right-action tables built (each q^(2n) row codes)."""
     from cosetmoments import ominus_groups as og
     from cosetmoments.finite_field import make_field
 
     ctx = make_field(int(field_r))
     n_int = int(n)
-    names = ("enumerate_q_minus", "enumerate_gl", "enumerate_so2", "_powers")
-    caches = [getattr(og, name) for name in names if hasattr(og, name)]  # an older side has fewer
+    caches = (og.enumerate_q_minus, og.enumerate_gl, og.enumerate_so2, og._powers)
 
     def reset():
         for cache in caches:
             cache.cache_clear()
 
     seconds = _median_s(lambda: og.enumerate_q_minus(ctx, n_int), reset=reset)
-    tables = not hasattr(og, "mat_mul")
-    calls = _count_calls(og, "_right_action" if tables else "mat_mul")
+    calls = _count_calls(og, "_right_action")
     reset()
     group = og.enumerate_q_minus(ctx, n_int)
-    work = ({"unipotent_tables": calls[0], "table_codes": calls[0] * ctx.q ** (2 * n_int)}
-            if tables else {"products": calls[0]})
-    return {"s": seconds, **work, "q_minus_order": len(group), "digest": _digest(group)}
+    return {"s": seconds, "unipotent_tables": calls[0], "table_codes": calls[0] * ctx.q ** (2 * n_int),
+            "q_minus_order": len(group), "digest": _digest(group)}
 
 
 CHECK_REPEATS = 5  # runs of each check from one state; child_checks keeps the fastest
@@ -292,28 +255,26 @@ def child_checks(max_r: str, prefixes: str) -> dict:
     garbage collection: once in this process and the other times in forked
     copies (this process runs no threads), and the fastest run is kept.  So
     neither a collection owed to earlier checks nor a slow moment of the host
-    lands on a check, while the caches it fills for itself stay cold.  Where
-    the package builds right-action tables, also the tables each check built
-    (`<check>.tables`), and the terms of the symmetric-matrix sums each check
+    lands on a check, while the caches it fills for itself stay cold.  Also the
+    right-action tables each check built (`<check>.tables`), and the terms of the symmetric-matrix sums each check
     ran: one per (B, u, v) in the direct sum (`<check>.direct_terms`,
     #nonsingular B x q^(2 dim)) and one nonsingularity test per symmetric B in
     the reduced one (`<check>.reduced_terms`, q^(dim (dim + 1)/2)); counts of 0
     are left out."""
     from cosetmoments import ominus_groups as og
+    from cosetmoments.checks import _build_checks
     from spans import nonsingular_symmetric_count
 
     wanted = tuple(p for p in prefixes.split(",") if p)
-    counters = {"tables": _count_calls(og, "_right_action") if hasattr(og, "_right_action") else [0]}
-    sums = {  # counted in the defining module, where the checks import them when they run
-        "direct_terms": ("b_r_sum", lambda ctx, dim, *_: (
+    counters = {  # counted in the defining module, whose attributes the checks read when they run
+        "tables": _count_calls(og, "_right_action"),
+        "direct_terms": _count_calls(og, "b_r_sum", lambda ctx, dim, *_: (
             nonsingular_symmetric_count(ctx.q, dim) * ctx.q ** (2 * dim))),
-        "reduced_terms": ("b_r_sum_reduced", lambda ctx, dim, *_: ctx.q ** (dim * (dim + 1) // 2)),
+        "reduced_terms": _count_calls(og, "b_r_sum_reduced",
+                                      lambda ctx, dim, *_: ctx.q ** (dim * (dim + 1) // 2)),
     }
-    for kind, (name, weight) in sums.items():
-        if hasattr(og, name):
-            counters[kind] = _count_calls(og, name, weight)
     row, work = {}, {}
-    for name, fn, args, skip in _checks_module()._build_checks(int(max_r), {}):
+    for name, fn, args, skip in _build_checks(int(max_r), {}):
         if skip or (wanted and not name.startswith(wanted)):
             continue
         gc.collect()
@@ -330,22 +291,20 @@ def child_checks(max_r: str, prefixes: str) -> dict:
 
 def child_kernel(r: str, family: str, sign: str, n: str) -> dict:
     """`dual_code_kernel` of one spec with its inputs already cached (the closed
-    trace classes and the Kloosterman spectrum); where the package caches the
-    closed character-sum vector (`exp_sums_dc`), that cache is cleared before
-    each timed call, so the vector is rebuilt. The work fields count the older
-    kernels: the support loop (one trace per a and nonempty class) and the
-    transform (q log2 q additions, then q permuted reads)."""
+    trace classes and the Kloosterman spectrum); the cache of the closed
+    character-sum vector (`exp_sums_dc`) is cleared before each timed call, so
+    the vector is rebuilt. The work fields count the older kernels: the
+    support loop (one trace per a and nonempty class) and the transform
+    (q log2 q additions, then q permuted reads)."""
+    from cosetmoments import double_cosets as dc
     from cosetmoments.coset_codes import dual_code_kernel
     from cosetmoments.finite_field import make_field
 
-    dc = _closed_forms()
     ctx = make_field(int(r))
     spec = dc.DoubleCosetSpec(int(family), sign, int(n), ctx)
     support = sum(1 for count in dc.trace_distribution(spec, "closed_form").values() if count)
     dual_code_kernel(spec)
-    vector = getattr(dc, "exp_sums_dc", None)
-    reset = vector.cache_clear if vector else None
-    return {"s": _median_s(lambda: dual_code_kernel(spec), reset=reset),
+    return {"s": _median_s(lambda: dual_code_kernel(spec), reset=dc.exp_sums_dc.cache_clear),
             "support_traces": ctx.q * support,
             "transform_adds": ctx.q * ctx.r, "transform_reads": ctx.q,
             "digest": _digest(dual_code_kernel(spec))}
@@ -371,14 +330,10 @@ def child_spectrum(r: str) -> dict:
     start = time.perf_counter()
     k2 = kl.kloosterman_spectrum(ctx, 2)
     m2_s = time.perf_counter() - start
-    if hasattr(kl, "_cyclic_convolution"):  # a side that convolves over the exponents
-        work = {"product_digits_per_m": n}
-    else:
-        work = {"butterfly_adds_per_m": q * r_int}
     row = {
         "m1_s": m1_s,
         "m2_s": m2_s,
-        **work,
+        "butterfly_adds_per_m": q * r_int,
         "direct_m1_terms": n * n,
         "direct_m2_terms": n ** 3,
         "m1_digest": _digest(k1),
@@ -410,21 +365,16 @@ DIRECT_CASES = ((12, 1), (16, 1), (8, 2), (8, 3), (6, 4))  # (r, m)
 
 def child_direct(r: str, m: str) -> dict:
     """One uncached direct K_m sum at a = 1 (`kloosterman_sum.__wrapped__`), the
-    character table already built, and its terms: (q - 1)^m on a side that sums
-    m >= 3 product by product (timed once, it takes seconds), else
-    (m - 1)(q - 1)^2 + (q - 1)."""
+    character table already built, and its terms: (m - 1)(q - 1)^2 + (q - 1)."""
     from cosetmoments import kloosterman as kl
     from cosetmoments.finite_field import lambda_table, make_field
 
     ctx = make_field(int(r))
     m_int, n = int(m), ctx.q - 1
     lambda_table(ctx)
-    by_products = hasattr(kl, "_kloosterman_generic") and m_int >= 3
     values = []
-    seconds = _median_s(lambda: values.append(kl.kloosterman_sum.__wrapped__(ctx, m_int, 1)),
-                        1 if by_products else REPEATS)
-    terms = n ** m_int if by_products else (m_int - 1) * n * n + n
-    return {"s": seconds, "terms": terms, "value": str(values[0])}
+    seconds = _median_s(lambda: values.append(kl.kloosterman_sum.__wrapped__(ctx, m_int, 1)))
+    return {"s": seconds, "terms": (m_int - 1) * n * n + n, "value": str(values[0])}
 
 
 def child_command(*argv: str) -> dict:
@@ -491,9 +441,9 @@ def child_values() -> dict:
     DoubleCosetSpec(...), and a cache hit of lambda_table(ctx) and of
     _trace_counts(spec, "closed_form"); each figure times VALUE_OPS of them,
     loop included, and keeps the median of five timed loops."""
+    from cosetmoments import double_cosets as dc
     from cosetmoments import finite_field as ff
 
-    dc = _closed_forms()
     mul, inv, spec_type = ff.mul, ff.inv, dc.DoubleCosetSpec
     row, results = {"ops": VALUE_OPS}, []
     for r in (8, 16):
@@ -725,8 +675,8 @@ LAYERS = {
         )) + tuple((f"kernel-r{r}-{f}{sign}n{n}", "child_kernel", (str(r), str(f), sign, str(n)))
                    for r in (8, 12, 16) for f, sign, n in ((1, "-", 1), (2, "+", 2)))
         + (("verify-all-r8", "child_checks", ("8", ",".join(TRANSFORM_CHECKS))),),
-        "per kernel, q reads of the closed sum vector (exp_sums_dc) where the package has one, "
-        "else one transform of the closed classes: q log2 q additions and q permuted reads; "
+        "per kernel, q reads of the closed sum vector (exp_sums_dc); transform_adds and "
+        "transform_reads count the older kernel's transform of the closed classes; "
         "support_traces is the older literal kernel's bound, one trace per a and nonempty "
         f"class; seconds per check, the fastest of {CHECK_REPEATS} runs; the digests must agree",
         agree=("digest", "exit"),

@@ -42,6 +42,8 @@ COMMANDS = [
     ["weights", "--r", "1", "--family", "1", "--sign", "minus", "--n", "3001"],
     ["field", "--r", "2", "--modulus", "0x5"],
     ["verify-all", "--max-r", "2", "--modulus-override", "2:0x5"],
+    ["field", "--r", "3", "--modulus", ""],
+    ["field", "--r", "3", "--a-param", ""],
 ]
 
 
@@ -75,7 +77,7 @@ def main() -> None:
                         help="run every command and rewrite the corpus")
     parser.parse_args()
     entries = [outcome(argv) for argv in commands()]
-    CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
+    CORPUS.write_text("[\n" + ",\n".join(json.dumps(entry) for entry in entries) + "\n]\n")
     print(f"recorded {len(entries)} entries in {CORPUS.relative_to(ROOT)}")
 
 
