@@ -412,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"internal consistency check failed: {exc}", file=sys.stderr)
         return 3
     payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="ascii") as sink:
                 sink.write(payload)

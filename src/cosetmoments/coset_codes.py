@@ -59,15 +59,14 @@ def codeword_weight_closed(spec: DoubleCosetSpec, a: int) -> int:
 WeightPrefix = namedtuple("WeightPrefix", "spec j_max counts")
 
 
-def _macwilliams(
-    length: int, dual_weights: dict[int, int], dual_size: int, j_max: int
-) -> tuple[int, ...]:
+def _macwilliams(length: int, dual_weights: dict[int, int], j_max: int) -> tuple[int, ...]:
     """C_j for j <= j_max of a binary code from its dual (MacWilliams):
     dual_weights maps each weight w to mult(w), the dual words of weight w
     (every word counted equally often), and dual_size = sum mult(w).  Then
     C_j = (1/dual_size) sum_w mult(w) K_j(w) with the Krawtchouk value
     K_j(w) = [y^j] (1+y)^(length-w) (1-y)^w from the three-term recurrence
     (j+1) K_(j+1) = (length - 2w) K_j - (length - j + 1) K_(j-1)."""
+    dual_size = sum(dual_weights.values())
     raw = [0] * (j_max + 1)
     for w, mult in dual_weights.items():
         prev, cur = 0, 1
@@ -101,7 +100,7 @@ def prefix_counts_from_distribution(
         raise ValueError(f"j_max must lie in 0..{PREFIX_J_LIMIT}")
     if any(not isinstance(w, int) or not 0 <= w <= length for w in dual_weights):
         raise AssertionError("dual weights must be integers in 0..length")
-    return _macwilliams(length, Counter(dual_weights), len(dual_weights), j_max)
+    return _macwilliams(length, Counter(dual_weights), j_max)
 
 
 def class_dual_weights(ctx: FieldCtx, class_counts: dict[int, int]) -> tuple[int, ...]:
@@ -141,7 +140,7 @@ def full_weight_distribution_small(spec: DoubleCosetSpec) -> tuple[int, ...]:
     words = _packed_dual_words(spec)
     rank = dual_code_rank(spec)
     dual_counts = Counter(w.bit_count() for w in words)
-    out = _macwilliams(length, dual_counts, len(words), length)
+    out = _macwilliams(length, dual_counts, length)
     if sum(out) != 1 << (length - rank):
         raise AssertionError("distribution total must be 2^(length - rank)")
     return out

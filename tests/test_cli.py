@@ -846,6 +846,12 @@ def test_out_flag_write_failure_is_a_usage_error(tmp_path, capsys):
     assert str(target) in err
 
 
+def test_an_empty_out_path_is_refused_not_read_as_stdout(capsys):
+    code, doc, err = run(capsys, "field", "--r", "2", "--out", "")
+    assert (code, doc) == (2, None)
+    assert err.endswith("''\n")
+
+
 def test_cold_start_loads_neither_the_process_pool_nor_dataclasses():
     forbidden = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
     probe = (

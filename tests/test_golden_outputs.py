@@ -18,3 +18,7 @@ ENTRIES = json.loads(golden.CORPUS.read_text())
 @pytest.mark.parametrize("entry", ENTRIES, ids=[f"{i:02d}-{e['argv'][0]}" for i, e in enumerate(ENTRIES)])
 def test_command_replays_its_recorded_outcome(entry):
     assert golden.outcome(entry["argv"]) == entry
+
+
+def test_the_corpus_holds_exactly_the_commands_it_is_recorded_from():
+    assert [entry["argv"] for entry in ENTRIES] == golden.commands()

@@ -9,12 +9,12 @@ DIR is the src/ directory of a checkout of the parent commit; the change
 side is this checkout's src/. Every figure comes from a fresh interpreter
 that imports one side's package, so first-use costs (tables, caches) are
 paid inside the measurement. Each case of a layer runs PROCESSES times per
-side (a layer may ask for more), the two sides alternating process by
-process (and the side that starts alternating case by case), so a drift in
-host load reaches both: float fields keep their median, every other field
-must repeat exactly and is kept as a string, and the change's row counts,
-per float field, the processes in which it was faster than the parent
-process it alternated with. Fields a layer names in `agree` (values,
+side, the two sides alternating process by process (and the side that
+starts alternating case by case), so a drift in host load reaches both:
+float fields keep their median, every other field must repeat exactly and
+is kept as a string, and the change's row counts, per float field, the
+processes in which it was faster than the parent process it alternated
+with. Fields a layer names in `agree` (values,
 digests) must also be equal between the two sides. A case that exceeds
 its time limit is recorded as such and not repeated. Without DIR, each
 layer records this checkout alone.
@@ -52,7 +52,6 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -130,7 +129,7 @@ FIELD_INV_OPS = 2_000
 
 def child_field(r: str) -> dict:
     """Set-up of a context plus its first mul and inv, then ns per mul and inv
-    on a seeded operand stream, and the carry-less products each one makes."""
+    on a seeded operand stream."""
     from cosetmoments import finite_field as ff
 
     r_int = int(r)
@@ -154,12 +153,6 @@ def child_field(r: str) -> dict:
 
     row["mul_ns"] = _median_s(mul_loop, 5) * 1e9 / len(pairs)
     row["inv_ns"] = _median_s(inv_loop, 5) * 1e9 / len(units)
-    calls = _count_calls(ff, "_raw_mul")
-    mul_loop()
-    row["raw_mul_per_mul"] = str(Fraction(calls[0], len(pairs)))
-    calls[0] = 0
-    inv_loop()
-    row["raw_mul_per_inv"] = str(Fraction(calls[0], len(units)))
     return row
 
 
@@ -247,16 +240,16 @@ def _forked_seconds(fn, args) -> float:
     return float(elapsed)
 
 
-def child_checks(max_r: str, prefixes: str) -> dict:
-    """Seconds of each verify-all check whose name starts with one of the
-    comma-separated prefixes (all checks when empty), run in plan order in one
-    process as `--workers 1` runs them, and their sum.  Each check runs
-    CHECK_REPEATS times from the state the checks before it leave, after a full
-    garbage collection: once in this process and the other times in forked
-    copies (this process runs no threads), and the fastest run is kept.  So
-    neither a collection owed to earlier checks nor a slow moment of the host
-    lands on a check, while the caches it fills for itself stay cold.  Also the
-    right-action tables each check built (`<check>.tables`), and the terms of the symmetric-matrix sums each check
+def child_checks(max_r: str) -> dict:
+    """Seconds of every check of `verify-all --max-r MAX_R` that the plan does
+    not skip, run in plan order in one process as `--workers 1` runs them, and
+    their sum.  Each check runs CHECK_REPEATS times from the state the checks
+    before it leave, after a full garbage collection: once in this process and
+    the other times in forked copies (this process runs no threads), and the
+    fastest run is kept.  So neither a collection owed to earlier checks nor a
+    slow moment of the host lands on a check, while the caches it fills for
+    itself stay cold.  Also the right-action tables each check built
+    (`<check>.tables`), and the terms of the symmetric-matrix sums each check
     ran: one per (B, u, v) in the direct sum (`<check>.direct_terms`,
     #nonsingular B x q^(2 dim)) and one nonsingularity test per symmetric B in
     the reduced one (`<check>.reduced_terms`, q^(dim (dim + 1)/2)); counts of 0
@@ -265,7 +258,6 @@ def child_checks(max_r: str, prefixes: str) -> dict:
     from cosetmoments.checks import _build_checks
     from spans import nonsingular_symmetric_count
 
-    wanted = tuple(p for p in prefixes.split(",") if p)
     counters = {  # counted in the defining module, whose attributes the checks read when they run
         "tables": _count_calls(og, "_right_action"),
         "direct_terms": _count_calls(og, "b_r_sum", lambda ctx, dim, *_: (
@@ -275,7 +267,7 @@ def child_checks(max_r: str, prefixes: str) -> dict:
     }
     row, work = {}, {}
     for name, fn, args, skip in _build_checks(int(max_r), {}):
-        if skip or (wanted and not name.startswith(wanted)):
+        if skip:
             continue
         gc.collect()
         runs = [_forked_seconds(fn, args) for _ in range(CHECK_REPEATS - 1)]
@@ -289,27 +281,6 @@ def child_checks(max_r: str, prefixes: str) -> dict:
     return {**row, **work}
 
 
-def child_kernel(r: str, family: str, sign: str, n: str) -> dict:
-    """`dual_code_kernel` of one spec with its inputs already cached (the closed
-    trace classes and the Kloosterman spectrum); the cache of the closed
-    character-sum vector (`exp_sums_dc`) is cleared before each timed call, so
-    the vector is rebuilt. The work fields count the older kernels: the
-    support loop (one trace per a and nonempty class) and the transform
-    (q log2 q additions, then q permuted reads)."""
-    from cosetmoments import double_cosets as dc
-    from cosetmoments.coset_codes import dual_code_kernel
-    from cosetmoments.finite_field import make_field
-
-    ctx = make_field(int(r))
-    spec = dc.DoubleCosetSpec(int(family), sign, int(n), ctx)
-    support = sum(1 for count in dc.trace_distribution(spec, "closed_form").values() if count)
-    dual_code_kernel(spec)
-    return {"s": _median_s(lambda: dual_code_kernel(spec), reset=dc.exp_sums_dc.cache_clear),
-            "support_traces": ctx.q * support,
-            "transform_adds": ctx.q * ctx.r, "transform_reads": ctx.q,
-            "digest": _digest(dual_code_kernel(spec))}
-
-
 SPECTRUM_DIRECT_SAMPLE = 64  # arguments a whose direct sum is timed at every r
 SPECTRUM_DIRECT_FULL_R = 10  # the direct sum over every a is timed up to here
 SPECTRUM_K2_DIRECT_R = 8  # one direct K_2 double sum is timed up to here
@@ -317,7 +288,8 @@ SPECTRUM_K2_DIRECT_R = 8  # one direct K_2 double sum is timed up to here
 
 def child_spectrum(r: str) -> dict:
     """The all-a Kloosterman values: the spectrum (m = 1, then m = 2 from the
-    cached m = 1) and its work, against the direct exponent-form sums."""
+    cached m = 1) and its work, against the direct sums: K_1 at every a (q - 1
+    terms each) and K_2 at a = 1 ((q - 1)^2 + (q - 1) terms)."""
     from cosetmoments import kloosterman as kl
     from cosetmoments.finite_field import make_field
 
@@ -335,7 +307,7 @@ def child_spectrum(r: str) -> dict:
         "m2_s": m2_s,
         "butterfly_adds_per_m": q * r_int,
         "direct_m1_terms": n * n,
-        "direct_m2_terms": n ** 3,
+        "direct_m2_terms": n * n + n,
         "m1_digest": _digest(k1),
         "m2_digest": _digest(k2),
     }
@@ -432,69 +404,9 @@ def child_startup(*argv: str) -> dict:
             **json.loads(probe.stdout)}
 
 
-VALUE_OPS = 20_000  # operations timed per figure of the values layer
-
-
-def child_values() -> dict:
-    """ns per operation on the record types and the arithmetic that reads
-    them: mul and inv at r = 8 and r = 16 on seeded operand streams, hash(ctx),
-    DoubleCosetSpec(...), and a cache hit of lambda_table(ctx) and of
-    _trace_counts(spec, "closed_form"); each figure times VALUE_OPS of them,
-    loop included, and keeps the median of five timed loops."""
-    from cosetmoments import double_cosets as dc
-    from cosetmoments import finite_field as ff
-
-    mul, inv, spec_type = ff.mul, ff.inv, dc.DoubleCosetSpec
-    row, results = {"ops": VALUE_OPS}, []
-    for r in (8, 16):
-        ctx = ff.make_field(r)
-        rng = random.Random(f"values:{r}")
-        pairs = [(rng.randrange(1, ctx.q), rng.randrange(1, ctx.q)) for _ in range(VALUE_OPS)]
-        units = [x for x, _ in pairs]
-        results += [mul(ctx, x, y) for x, y in pairs] + [inv(ctx, x) for x in units]
-
-        def mul_loop():
-            for x, y in pairs:
-                mul(ctx, x, y)
-
-        def inv_loop():
-            for x in units:
-                inv(ctx, x)
-
-        row[f"mul_r{r}_ns"] = _median_s(mul_loop, 5) * 1e9 / VALUE_OPS
-        row[f"inv_r{r}_ns"] = _median_s(inv_loop, 5) * 1e9 / VALUE_OPS
-    ctx = ff.make_field(8)
-    spec = spec_type(1, "+", 2, ctx)
-    lambda_table, trace_counts = ff.lambda_table, dc._trace_counts
-    results += [lambda_table(ctx), trace_counts(spec, "closed_form")]
-    steps = range(VALUE_OPS)
-
-    def hash_loop():
-        for _ in steps:
-            hash(ctx)
-
-    def spec_loop():
-        for _ in steps:
-            spec_type(1, "+", 2, ctx)
-
-    def lambda_loop():
-        for _ in steps:
-            lambda_table(ctx)
-
-    def trace_counts_loop():
-        for _ in steps:
-            trace_counts(spec, "closed_form")
-
-    for name, loop in (("hash_ctx", hash_loop), ("spec_new", spec_loop),
-                       ("lambda_table_hit", lambda_loop), ("trace_counts_hit", trace_counts_loop)):
-        row[f"{name}_ns"] = _median_s(loop, 5) * 1e9 / VALUE_OPS
-    row["digest"] = _digest(results)
-    return row
-
-
 CHILDREN = {f.__name__: f for f in (
-    child_prefix, child_field, child_cell, child_q_minus, child_checks, child_kernel, child_spectrum,
-    child_direct, child_command, child_startup, child_values)}
+    child_field, child_spectrum, child_direct, child_prefix, child_q_minus, child_cell, child_checks,
+    child_command, child_startup)}
 
 
 # ---------------------------------------------------------------------------
@@ -507,75 +419,76 @@ class Layer:
     cases: tuple[tuple[str, str, tuple[str, ...]], ...]  # (row key, child name, child args)
     work_units: str
     agree: tuple[str, ...] = ()
-    processes: int = PROCESSES
 
-
-SPECTRUM_CHECKS = (
-    "moment-oracle", "carlitz-two-dimensional", "twisted-sums", "range-spectrum",
-    "so2-isometries", "character-sums", "code-weights-and-duality",
-    "power-moment-identity", "recursions-vs-oracle",
-)
-
-TRANSFORM_CHECKS = ("character-sums", "power-moment-identity", "code-weights-and-duality")
-
-CELL_CHECKS = ("parabolic-cells", "character-sums", "trace-distributions", "so2-isometries")
 
 LAYERS = {
-    "prefix": Layer(
-        "weight-distribution prefix from its cached input: the closed dual weights, or the "
-        "closed trace classes and one Walsh-Hadamard transform",
-        tuple((f"r{r}-{shape}", "child_prefix", (str(r), shape))
-              for r in (4, 6, 8, 10, 12, 14, 16) for shape in PREFIX_SHAPES),
-        "per side, labelled and not compared: distinct dual weights x j_max (Krawtchouk "
-        "steps); q weights read, or q log2 q Walsh-Hadamard additions; the digests must agree",
-        agree=("distinct_weights", *(f"j{j}_digest" for j in PREFIX_J_MAXES)),
-    ),
     "field": Layer(
-        "GF(2^r) arithmetic: context set-up, ns per mul and inv (BENCH_4)",
+        "GF(2^r) arithmetic: context set-up with its first mul and inv, then ns per mul and inv",
         tuple((f"r{r}", "child_field", (str(r),)) for r in (2, 8, 10, 12, 16)),
-        "_raw_mul calls (bit-serial carry-less products) per operation",
+        f"operations per figure: {FIELD_MUL_OPS} mul, {FIELD_INV_OPS} inv, on seeded operand "
+        "streams; the modulus must agree",
         agree=("modulus",),
     ),
-    "cells": Layer(
-        "Bruhat cells Q^- sigma_r Q^- with Q^- enumerated (BENCH_5); a side whose product "
-        "budget refuses a case has it lifted",
-        tuple((f"q{1 << f}-n{n}-r{r}", "child_cell", (str(f), str(n), str(r)))
-              for f, n in ((1, 2), (1, 3), (2, 2), (3, 2)) for r in range(1, n)),
-        "per side, labelled and not compared: right-action tables built (table_codes: q^(2n) "
-        "row codes each, one XOR per code), on a per-element side one per element of Q^- and "
-        "sigma's, otherwise the r scaled-basis tables and sigma's; basis_columns: columns of "
-        "|Q^-| 64-bit lanes, one per basis row (2n r); cosets expanded (|cell| / |Q^-|); every "
-        "cell cache is cleared before each timed call; cosets_s times the unsorted coset-order "
-        "walk alone, twisted_s the rho-twisted cell with the walk it reads; the digest and the "
-        "cell size must agree",
-        agree=("digest", "cell_size"),
+    "spectrum": Layer(
+        "all-a Kloosterman values: one spectrum per m vs direct sums",
+        tuple((f"r{r}", "child_spectrum", (str(r),)) for r in (8, 10, 12, 14, 16)),
+        "butterfly_adds_per_m: q log2 q additions of the one character-sum transform per m; "
+        "direct_m1_terms: (q-1)^2, the direct K_1 sums at every a (direct_m1_s up to r = "
+        f"{SPECTRUM_DIRECT_FULL_R}, estimated from {SPECTRUM_DIRECT_SAMPLE} sampled a at every r); "
+        "direct_m2_terms: (q-1)^2 + (q-1), the one direct K_2 sum at a = 1 (direct_m2_s_per_a, "
+        f"up to r = {SPECTRUM_K2_DIRECT_R}); the digests must agree",
+        agree=("m1_digest", "m2_digest"),
+    ),
+    "direct": Layer(
+        "one direct K_m point sum, uncached, at a = 1",
+        tuple((f"r{r}-m{m}", "child_direct", (str(r), str(m))) for r, m in DIRECT_CASES),
+        "terms summed: (m - 1)(q - 1)^2 + (q - 1) (m - 1 levels of the recursion over the "
+        "exponents at every exponent, then the top level at log a); the values must agree",
+        agree=("value",),
+    ),
+    "prefix": Layer(
+        "weight-distribution prefix from its cached input, the closed dual weights",
+        tuple((f"r{r}-{shape}", "child_prefix", (str(r), shape))
+              for r in (4, 6, 8, 10, 12, 14, 16) for shape in PREFIX_SHAPES),
+        "q weights read; distinct dual weights x j_max (Krawtchouk steps); the distinct "
+        "weights and the digests must agree",
+        agree=("distinct_weights", *(f"j{j}_digest" for j in PREFIX_J_MAXES)),
     ),
     "q-minus": Layer(
         "a cold enumeration of Q^-(2n,q), the Q^-, GL, SO(2,q) and power-table caches "
         "cleared before each timed call",
         tuple((f"q{1 << f}-n{n}", "child_q_minus", (str(f), str(n)))
               for f, n in ((1, 2), (1, 3), (2, 2), (3, 2))),
-        "per side, labelled and not compared: before, mat_mul calls (entrywise matrix "
-        "products); after, unipotent right-action tables built (table_codes: q^(2n) row codes "
-        "each, one XOR per code); the digest and the group order must agree",
+        "unipotent right-action tables built (table_codes: q^(2n) row codes each, one XOR per "
+        "code); the digest and the group order must agree",
         agree=("digest", "q_minus_order"),
     ),
-    "spectrum": Layer(
-        "all-a Kloosterman values: one spectrum per m vs direct sums",
-        tuple((f"r{r}", "child_spectrum", (str(r),)) for r in (8, 10, 12, 14, 16)),
-        "direct: (q-1)^2 terms for m = 1, (q-1)^3 for m = 2; per side, labelled and not "
-        "compared: one character-sum transform per m (q log2 q butterfly additions), or one "
-        "big-integer product of q - 1 digits per m; the digests must agree",
-        agree=("m1_digest", "m2_digest"),
+    "cells": Layer(
+        "Bruhat cells Q^- sigma_r Q^- with Q^- enumerated (BENCH_5); a side whose product "
+        "budget refuses a case has it lifted",
+        tuple((f"q{1 << f}-n{n}-r{r}", "child_cell", (str(f), str(n), str(r)))
+              for f, n in ((1, 2), (1, 3), (2, 2), (3, 2)) for r in range(1, n)),
+        "right-action tables built (table_codes: q^(2n) row codes each, one XOR per code): the "
+        "r scaled-basis tables and sigma's; basis_columns: columns of |Q^-| 64-bit lanes, one "
+        "per basis row (2n r); cosets expanded (|cell| / |Q^-|); every cell cache is cleared "
+        "before each timed call; cosets_s times the unsorted coset-order walk alone, twisted_s "
+        "the rho-twisted cell with the walk it reads; the digest and the cell size must agree",
+        agree=("digest", "cell_size"),
     ),
-    "direct": Layer(
-        "one direct K_m point sum, uncached, at a = 1",
-        tuple((f"r{r}-m{m}", "child_direct", (str(r), str(m))) for r, m in DIRECT_CASES),
-        "terms summed, per side and not compared: (q - 1)^m where m >= 3 is summed product "
-        "by product over (F_q^*)^m, else (m - 1)(q - 1)^2 + (q - 1) (m - 1 levels of the "
-        "recursion over the exponents at every exponent, then the top level at log a); the "
-        "values must agree",
-        agree=("value",),
+    "checks": Layer(
+        "every verify-all --max-r 8 check the plan runs, serially, in plan order: the "
+        "trace distributions, recursions and symmetric-matrix sum among them",
+        (("verify-all-r8", "child_checks", ("8",)),),
+        f"seconds per check, the fastest of {CHECK_REPEATS} runs, and their sum (sum_s); "
+        "<check>.tables: right-action tables the check built, in plan order after the checks "
+        "before it: Q^-'s unipotent tables, the sigma tables, the scan tables and the r "
+        "scaled-basis tables per cell (q^(2n) row codes each), and per B of a direct "
+        "symmetric-matrix sum one of B and one per column B u (q^dim codes each); "
+        "<check>.direct_terms: one per (B, u, v) of the direct sum, #nonsingular B x q^(2 dim) "
+        "per call; <check>.reduced_terms: one nonsingularity test per symmetric B of the "
+        "reduced sum, q^(dim (dim + 1)/2) per call; a check calls the reduced sum once per "
+        "dimension and the direct one once per dimension and twist, the twist a_param only "
+        "where a_param != 1",
     ),
     "commands": Layer(
         "end-to-end CLI documents in a fresh interpreter, package import included",
@@ -585,56 +498,18 @@ LAYERS = {
             ("kloos", "--r", "12", "--hmax", "8"),
             ("kloos", "--r", "16", "--hmax", "8"),
             ("kloos", "--r", "16", "--m", "2", "--hmax", "8"),
+            ("kloos", "--r", "16", "--m", "2", "--hmax", "32"),
             ("moments", "--r", "8", "--family", "2", "--sign", "plus", "--n", "2", "--hmax", "7", "--verify"),
             ("moments", "--r", "16", "--family", "2", "--sign", "plus", "--n", "2", "--hmax", "8"),
-        )),
-        "one CLI document; the digest must agree between the sides",
-        agree=("digest", "exit"),
-    ),
-    "large-field": Layer(
-        "end-to-end CLI documents at q = 65536 in a fresh interpreter, package import "
-        "included; more processes per side, so the pairs the change wins are counted",
-        tuple((" ".join(argv), "child_command", argv) for argv in (
-            ("kloos", "--r", "16", "--m", "2", "--hmax", "32"),
             ("moments", "--r", "16", "--family", "4", "--sign", "minus", "--n", "3", "--hmax", "32",
              "--verify"),
+            ("weights", "--r", "10", "--family", "1", "--sign", "minus", "--n", "1", "--jmax", "4"),
+            ("weights", "--r", "12", "--family", "1", "--sign", "minus", "--n", "1", "--jmax", "4"),
             ("weights", "--r", "16", "--family", "1", "--sign", "minus", "--n", "1", "--jmax", "32"),
+            ("weights", "--r", "16", "--family", "4", "--sign", "plus", "--n", "4"),
+            ("verify-all", "--max-r", "8"),
         )),
-        "one CLI document; change_faster_pairs: processes in which the change was faster than "
-        "the parent process it alternated with; the digest must agree between the sides",
-        agree=("digest", "exit"),
-        processes=7,
-    ),
-    "checks": Layer(
-        "verify-all --max-r 8 checks that read the spectrum or SO(2,q), serially",
-        (("verify-all-r8", "child_checks", ("8", ",".join(SPECTRUM_CHECKS))),),
-        f"seconds per check, the fastest of {CHECK_REPEATS} runs; the plan is fixed by the "
-        "check names",
-    ),
-    "cell-checks": Layer(
-        "verify-all --max-r 8 checks that enumerate Q^- and its Bruhat cells or scan every "
-        "vector for the form, serially",
-        (("verify-all-r8", "child_checks", ("8", ",".join(CELL_CHECKS))),),
-        f"seconds per check, the fastest of {CHECK_REPEATS} runs; the plan is fixed by the "
-        "check names; <check>.tables: right-action "
-        "tables the check built, in plan order after the checks before it (q^(2n) row codes "
-        "each): Q^-'s unipotent tables, the sigma tables, the scan tables, and Q^-'s element "
-        "tables on a per-element side or the r scaled-basis tables per cell otherwise",
-    ),
-    "symmetric": Layer(
-        "the symmetric-matrix sum: verify-all --max-r 8 symmetric-matrix-sum checks, "
-        "serially, and the whole serial verify-all --max-r 8 document",
-        (("verify-all-r8", "child_checks", ("8", "symmetric-matrix-sum")),
-         ("verify-all --max-r 8", "child_command", ("verify-all", "--max-r", "8"))),
-        f"seconds per check, the fastest of {CHECK_REPEATS} runs; <check>.direct_terms: one per "
-        "(B, u, v) of the direct sum, "
-        "#nonsingular B x q^(2 dim) per call; <check>.reduced_terms: one nonsingularity test "
-        "per symmetric B of the reduced sum, q^(dim (dim + 1)/2) per call; a check calls the reduced "
-        "sum once per dimension and the direct one once per dimension and twist, the twist "
-        "a_param only where a_param != 1; "
-        "<check>.tables: right-action tables the direct sum built, per B one of B and one "
-        "per column B u (q^dim codes each); the digest and the exit code must agree between "
-        "the sides",
+        "one CLI document; the digest and the exit code must agree between the sides",
         agree=("digest", "exit"),
     ),
     "startup": Layer(
@@ -655,30 +530,6 @@ LAYERS = {
         "has run; source_lines: their lines, the package's included, all compiled on a run "
         "that reads no bytecode cache; pool_loaded: whether the run loaded concurrent.futures.process "
         "or multiprocessing; the digest must agree between the sides",
-        agree=("digest", "exit"),
-    ),
-    "values": Layer(
-        "records and field arithmetic: ns per mul and inv at r = 8 and 16, per hash(ctx), "
-        "per DoubleCosetSpec(...) and per cache hit of lambda_table and _trace_counts",
-        (("values", "child_values", ()),),
-        "ops: operations timed per figure (one loop step each); the digest of the products, "
-        "inverses and cached values must agree between the sides",
-        agree=("digest", "ops"),
-    ),
-    "transforms": Layer(
-        "all-a character sums: the weights command's closed weights and popcount_verified, "
-        "dual_code_kernel and the verify-all checks that read them",
-        tuple((" ".join(argv), "child_command", argv) for argv in (
-            ("weights", "--r", "10", "--family", "1", "--sign", "minus", "--n", "1", "--jmax", "4"),
-            ("weights", "--r", "12", "--family", "1", "--sign", "minus", "--n", "1", "--jmax", "4"),
-            ("weights", "--r", "16", "--family", "4", "--sign", "plus", "--n", "4"),
-        )) + tuple((f"kernel-r{r}-{f}{sign}n{n}", "child_kernel", (str(r), str(f), sign, str(n)))
-                   for r in (8, 12, 16) for f, sign, n in ((1, "-", 1), (2, "+", 2)))
-        + (("verify-all-r8", "child_checks", ("8", ",".join(TRANSFORM_CHECKS))),),
-        "per kernel, q reads of the closed sum vector (exp_sums_dc); transform_adds and "
-        "transform_reads count the older kernel's transform of the closed classes; "
-        "support_traces is the older literal kernel's bound, one trace per a and nonempty "
-        f"class; seconds per check, the fastest of {CHECK_REPEATS} runs; the digests must agree",
         agree=("digest", "exit"),
     ),
 }
@@ -726,7 +577,7 @@ def layer_record(layer: Layer, parent_src: Path | None) -> dict:
     """Every case on both sides, the sides alternating: the side that runs
     first swaps from one process to the next and from one case to the next,
     so a shift in host load lands on both."""
-    record = {"doc": layer.doc, "work_units": layer.work_units, "processes": str(layer.processes)}
+    record = {"doc": layer.doc, "work_units": layer.work_units, "processes": str(PROCESSES)}
     sides = {"after": ROOT / "src"}
     if parent_src is not None:
         sides["before"] = parent_src
@@ -734,7 +585,7 @@ def layer_record(layer: Layer, parent_src: Path | None) -> dict:
     for index, (key, child, args) in enumerate(layer.cases):
         runs: dict[str, list[dict]] = {side: [] for side in sides}
         timed_out: set[str] = set()
-        for process in range(layer.processes):
+        for process in range(PROCESSES):
             order = list(sides) if (index + process) % 2 == 0 else list(reversed(sides))
             for side in order:
                 if side in timed_out:

@@ -44,6 +44,7 @@ COMMANDS = [
     ["verify-all", "--max-r", "2", "--modulus-override", "2:0x5"],
     ["field", "--r", "3", "--modulus", ""],
     ["field", "--r", "3", "--a-param", ""],
+    ["field", "--r", "2", "--out", ""],
 ]
 
 
