@@ -403,26 +403,57 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        doc, code = args.handler(args)
-    except (ValueError, RuntimeError) as exc:  # bad input, or a verify-all worker that died
+    made = args.out is not None and not os.path.exists(args.out)
+    try:  # an unwritable --out is refused before any work; "a" leaves an existing file whole
+        if args.out is not None:
+            open(args.out, "a", encoding="ascii").close()
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    except AssertionError as exc:  # a closed form that contradicts another: a bug, not bad input
-        print(f"internal consistency check failed: {exc}", file=sys.stderr)
-        return 3
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out is not None:
+    try:
+        try:
+            doc, code = args.handler(args)
+        except (ValueError, RuntimeError) as exc:  # bad input, or a verify-all worker that died
+            print(str(exc), file=sys.stderr)
+            return 2
+        except AssertionError as exc:  # a closed form that contradicts another: a bug, not bad input
+            print(f"internal consistency check failed: {exc}", file=sys.stderr)
+            return 3
+        payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        if args.out is None:
+            sys.stdout.write(payload)
+            return code
         try:
             with open(args.out, "w", encoding="ascii") as sink:
                 sink.write(payload)
         except OSError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-    else:
-        sys.stdout.write(payload)
-    return code
+        made = False  # the document is written: the file stays
+        return code
+    finally:
+        if made:  # the run ends without a document: remove the file it created
+            os.remove(args.out)
+
+
+def cli() -> int:
+    """The entry point of `python -m cosetmoments.cli` and of the `cosetmoments` script: runs
+    main, flushes stdout then stderr and leaves by os._exit, so no interpreter teardown and no
+    atexit handler runs. Under a tracer or profiler, or where a flush raises, it returns the
+    status to the ordinary exit instead; an exception other than SystemExit propagates."""
+    try:
+        status = main()
+    except SystemExit as exc:  # --help and argparse's usage errors
+        status = exc.code or 0
+    if sys.gettrace() is None and sys.getprofile() is None:
+        try:
+            sys.stdout.flush()
+            sys.stderr.flush()
+        except (OSError, ValueError):  # a closed pipe or file: the ordinary exit reports it as before
+            return status
+        os._exit(status)
+    return status
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(cli())

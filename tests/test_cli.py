@@ -1,5 +1,6 @@
 """The JSON command-line surface: shapes, encodings, exit codes, determinism."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -26,6 +27,14 @@ def run(capsys, *args):
     code = main(list(args))
     out, err = capsys.readouterr()
     return code, json.loads(out) if out else None, err
+
+
+def fresh_python(*args: str, stdout: int = subprocess.PIPE) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh interpreter whose stdout is block-buffered, a pipe unless given:
+    the environment loses PYTHONUNBUFFERED, so nothing reaches stdout before a flush."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=120, env=env)
 
 
 def assert_no_bare_numbers(node):
@@ -371,15 +380,24 @@ def test_character_sum_check_catches_one_wrong_closed_sum(monkeypatch, r, n):
         checks._check_exp_sums(make_field(r), n)
 
 
-def test_an_internal_assertion_exits_3_with_its_text_and_no_document(capsys, monkeypatch):
-    # one closed weight off by one: the MacWilliams transform of the weights stops dividing
+ASSERTING_MOMENTS = ["moments", "--r", "3", "--family", "1", "--sign", "minus", "--n", "1", "--hmax",
+                     "4", "--verify"]
+ASSERTION_TEXT = "internal consistency check failed: the MacWilliams transform must divide exactly\n"
+
+
+@pytest.fixture
+def one_wrong_closed_weight(monkeypatch):
+    """One closed weight off by one: the MacWilliams transform of the weights stops dividing,
+    so ASSERTING_MOMENTS fails an internal assertion."""
     real = moment_recursion.closed_weights
     monkeypatch.setattr(moment_recursion, "closed_weights",
                         lambda spec: tuple(w + (a == 0x5) for a, w in enumerate(real(spec))))
-    code, doc, err = run(capsys, "moments", "--r", "3", "--family", "1", "--sign", "minus",
-                         "--n", "1", "--hmax", "4", "--verify")
+
+
+def test_an_internal_assertion_exits_3_with_its_text_and_no_document(capsys, one_wrong_closed_weight):
+    code, doc, err = run(capsys, *ASSERTING_MOMENTS)
     assert (code, doc) == (3, None)
-    assert err == "internal consistency check failed: the MacWilliams transform must divide exactly\n"
+    assert err == ASSERTION_TEXT
 
 
 def test_moments_with_verification(capsys):
@@ -624,11 +642,8 @@ def test_verify_all_workers_leave_the_parents_stdout_buffer_alone():
         "print('held in the buffer')\n"
         "assert cli.verify_all(1, 2) == cli.verify_all(1, 1)\n"
     )
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True, env=env
-    )
-    assert proc.stdout == "held in the buffer\n"
+    proc = fresh_python("-c", probe)
+    assert (proc.returncode, proc.stdout) == (0, b"held in the buffer\n")
 
 
 def test_verify_all_runs_serially_where_fork_is_missing(monkeypatch):
@@ -852,6 +867,39 @@ def test_an_empty_out_path_is_refused_not_read_as_stdout(capsys):
     assert err.endswith("''\n")
 
 
+@pytest.mark.parametrize("where, reason", [
+    ("missing/doc.json", "[Errno 2] No such file or directory"),
+    ("", "[Errno 21] Is a directory"),
+])
+def test_an_unwritable_out_path_is_refused_before_the_command_runs(tmp_path, capsys, monkeypatch,
+                                                                   where, reason):
+    monkeypatch.setattr(cli, "_cmd_verify_all", lambda args: pytest.fail("the command ran"))
+    target = str(tmp_path / where)
+    code, doc, err = run(capsys, "verify-all", "--max-r", "8", "--workers", "2", "--out", target)
+    assert (code, doc, err) == (2, None, f"{reason}: {target!r}\n")
+
+
+def test_a_command_without_a_document_leaves_no_new_out_file_and_an_old_one_whole(
+        tmp_path, capsys, monkeypatch, one_wrong_closed_weight):
+    old = tmp_path / "old.json"
+    old.write_text("an older document, longer than the one that replaces it at the end\n" * 9)
+    kept = old.read_bytes()
+    for argv, code in ((["kloos", "--r", "3", "--a", "zz"], 2), (ASSERTING_MOMENTS, 3)):
+        for target in (tmp_path / "new.json", old):
+            assert main([*argv, "--out", str(target)]) == code
+    def crash(args):
+        raise LookupError("an exception that escapes main")
+    monkeypatch.setattr(cli, "_cmd_field", crash)
+    with pytest.raises(LookupError):
+        main(["field", "--r", "2", "--out", str(tmp_path / "new.json")])
+    monkeypatch.undo()
+    assert (sorted(tmp_path.iterdir()), old.read_bytes()) == ([old], kept)
+    assert capsys.readouterr().out == ""
+    assert main(["field", "--r", "2", "--out", str(old)]) == 0
+    main(["field", "--r", "2"])
+    assert old.read_text() == capsys.readouterr().out
+
+
 def test_cold_start_loads_neither_the_process_pool_nor_dataclasses():
     forbidden = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
     probe = (
@@ -878,3 +926,98 @@ def test_module_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["params"]["modulus"] == "0x2"
+
+
+@pytest.mark.parametrize("argv, code, stream, tail", [
+    (["field", "--r", "2"], 0, "stdout", b'"version": "%s"\n}\n' % __version__.encode()),
+    (["verify-all", "--max-r", "2", "--modulus-override", "2:0x5"], 1, "stdout",
+     b'"version": "%s"\n}\n' % __version__.encode()),
+    (["kloos", "--r", "3", "--a", "zz"], 2, "stderr", b"'zz' is not a hex value\n"),
+    (["moments", "--r", "3"], 2, "stderr",
+     b"the following arguments are required: --family, --sign, --n, --hmax\n"),
+    (["--help"], 0, "stdout", b"show this help message and exit\n"),
+])
+def test_the_module_entry_point_leaves_with_the_status_and_output_of_main(
+        capsys, monkeypatch, argv, code, stream, tail):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to it, in this process and the child
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # --help and the usage error
+        status = exc.code
+    out, err = capsys.readouterr()
+    proc = fresh_python("-m", "cosetmoments.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (status, out.encode(), err.encode())
+    assert status == code
+    assert getattr(proc, stream).endswith(tail)
+
+
+def test_a_document_past_the_pipe_buffer_arrives_whole(capsys):
+    argv = ["weights", "--r", "16", "--family", "1", "--sign", "minus", "--n", "1", "--jmax", "32"]
+    assert main(argv) == 0
+    document = capsys.readouterr().out.encode()
+    assert len(document) > 1 << 16
+    proc = fresh_python("-m", "cosetmoments.cli", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, document, b"")
+
+
+def test_an_internal_assertion_leaves_the_process_with_exit_3():
+    probe = (
+        "import sys\n"
+        "from cosetmoments import cli, moment_recursion\n"
+        "real = moment_recursion.closed_weights\n"
+        "moment_recursion.closed_weights = lambda spec: tuple(\n"
+        "    w + (a == 0x5) for a, w in enumerate(real(spec)))\n"
+        f"sys.argv[1:] = {ASSERTING_MOMENTS!r}\n"
+        "cli.cli()\n"
+    )
+    proc = fresh_python("-c", probe)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (3, b"", ASSERTION_TEXT.encode())
+
+
+@pytest.mark.parametrize("hook, teardown", [
+    ("", False), ("sys.settrace(lambda *event: None)", True), ("sys.setprofile(lambda *event: None)", True),
+], ids=["untraced", "tracer", "profiler"])
+def test_the_exit_skips_teardown_unless_a_tracer_or_profiler_is_active(hook, teardown):
+    probe = (
+        "import atexit, sys\n"
+        "from cosetmoments import cli\n"
+        "atexit.register(print, 'teardown ran')\n"
+        f"{hook}\n"
+        "sys.argv[1:] = ['field', '--r', '2']\n"
+        "raise SystemExit(cli.cli())\n"
+    )
+    proc = fresh_python("-c", probe)
+    assert (proc.returncode, proc.stdout.startswith(b'{\n  "command": "field"')) == (0, True)
+    assert proc.stdout.endswith(b"teardown ran\n") is teardown
+
+
+def test_the_profiler_still_prints_its_report():
+    proc = fresh_python("-m", "cProfile", "-m", "cosetmoments.cli", "field", "--r", "2")
+    assert proc.returncode == 0
+    assert proc.stdout.startswith(b'{\n  "command": "field"')
+    assert b" function calls " in proc.stdout
+
+
+def test_a_failed_flush_keeps_the_ordinary_exit():
+    # stdout is a pipe nobody reads: the flush raises, and the interpreter's exit reports it as ever
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = fresh_python("-m", "cosetmoments.cli", "field", "--r", "2", stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert proc.stderr.startswith(b"Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    assert proc.stderr.endswith(b">\nBrokenPipeError: [Errno 32] Broken pipe\n")
+
+
+def test_the_console_script_is_the_function_the_main_block_calls():
+    tomllib = pytest.importorskip("tomllib")
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    module, _, name = tomllib.loads(text)["project"]["scripts"]["cosetmoments"].partition(":")
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (block,) = [node for node in tree.body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    called = {node.func.id for node in ast.walk(block) if isinstance(node, ast.Call)}
+    assert (module, called) == ("cosetmoments.cli", {"SystemExit", name})
+    assert callable(getattr(cli, name))
