@@ -4,7 +4,7 @@ Every command prints one JSON document with the full parameter echo
 (resolved modulus and a_param included) so runs are reproducible; all
 numeric values are decimal strings, field elements and moduli are hex.
 Exit status: 0 success, 1 verification mismatch, 2 usage or domain error,
-3 an internal consistency assertion that failed.
+3 an internal consistency assertion that failed, 120 a closed stdout.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import sys
 from math import comb
 
 from . import __version__
-from .finite_field import FieldCtx, make_field, parse_hex, theta_subgroup, to_hex, trace
+from .finite_field import FieldCtx, check_unit, make_field, parse_hex, theta_subgroup, to_hex, trace
 from .kloosterman import BudgetError, kloosterman_spectrum, kloosterman_sum, power_moment_oracle
 
 # The closed forms, group, code and recursion layers and the verify-all checks
@@ -84,8 +84,8 @@ def _cmd_kloos(args: argparse.Namespace) -> tuple[dict, int]:
     if args.a is not None:
         a = parse_hex(args.a)
         params["a"] = to_hex(a)
-        # K_2 reads the spectrum; kloosterman_sum rejects an a outside the units
-        if args.m == 2 and 0 < a < ctx.q:
+        if args.m == 2:  # K_2 reads the spectrum
+            check_unit(ctx, a)
             result["value"] = _dec(kloosterman_spectrum(ctx, 2)[a])
         else:
             result["value"] = _dec(kloosterman_sum(ctx, args.m, a))
@@ -440,11 +440,15 @@ def cli() -> int:
     """The entry point of `python -m cosetmoments.cli` and of the `cosetmoments` script: runs
     main, flushes stdout then stderr and leaves by os._exit, so no interpreter teardown and no
     atexit handler runs. Under a tracer or profiler, or where a flush raises, it returns the
-    status to the ordinary exit instead; an exception other than SystemExit propagates."""
+    status to the ordinary exit instead; an exception other than SystemExit propagates. A closed
+    stdout exits 120 with no traceback: a failed write returns 120, and a failed flush leaves the
+    interpreter's final flush to fail again, which exits 120 with its own two-line report."""
     try:
         status = main()
     except SystemExit as exc:  # --help and argparse's usage errors
         status = exc.code or 0
+    except BrokenPipeError:  # the document's write met a closed stdout: the status of a failed flush
+        return 120
     if sys.gettrace() is None and sys.getprofile() is None:
         try:
             sys.stdout.flush()

@@ -18,7 +18,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 
 from .double_cosets import DoubleCosetSpec, dc_cardinality, exp_sums_dc
-from .finite_field import FieldCtx, character_sums, mul, trace
+from .finite_field import FieldCtx, character_sums, check_unit, mul, trace
 from .kloosterman import BudgetError
 
 PREFIX_J_LIMIT = 10 ** 3      # largest weight-prefix cutoff
@@ -36,9 +36,10 @@ def dual_codeword(spec: DoubleCosetSpec, a: int) -> tuple[int, ...]:
 
 
 def _dual_weights(sums: tuple[int, ...] | list[int]) -> tuple[int, ...]:
-    """Weight (N - S(a)) / 2 of every c(a) from its character sum S(a), N = S(0)."""
-    if any((sums[0] - s) % 2 or s > sums[0] for s in sums):
-        raise AssertionError("weight must be a nonnegative integer")
+    """Weight (N - S(a)) / 2 of every c(a) from its character sum S(a), N = S(0): the one
+    check that each dual weight is an integer in 0..N, which the MacWilliams engine reads."""
+    if any((sums[0] - s) % 2 or not -sums[0] <= s <= sums[0] for s in sums):
+        raise AssertionError("weight must be a nonnegative integer, at most N")
     return tuple((sums[0] - s) // 2 for s in sums)
 
 
@@ -50,8 +51,7 @@ def closed_weights(spec: DoubleCosetSpec) -> tuple[int, ...]:
 
 def codeword_weight_closed(spec: DoubleCosetSpec, a: int) -> int:
     """Hamming weight of c(a) from the closed exponential-sum forms."""
-    if not 0 < a < spec.ctx.q:
-        raise ValueError("a must be a nonzero field element")
+    check_unit(spec.ctx, a)
     return closed_weights(spec)[a]
 
 
@@ -94,12 +94,10 @@ def prefix_counts_from_distribution(
     length: int, dual_weights: tuple[int, ...], j_max: int
 ) -> tuple[int, ...]:
     """C_j for j <= j_max of the length-N code whose dual has the words of the
-    given weights, one entry per word c(a): the MacWilliams transform of their
-    multiset, with dual size q = len(dual_weights)."""
+    given weights, one entry per word c(a) as `_dual_weights` gives and checks them:
+    the MacWilliams transform of their multiset, with dual size q = len(dual_weights)."""
     if not 0 <= j_max <= PREFIX_J_LIMIT:
         raise ValueError(f"j_max must lie in 0..{PREFIX_J_LIMIT}")
-    if any(not isinstance(w, int) or not 0 <= w <= length for w in dual_weights):
-        raise AssertionError("dual weights must be integers in 0..length")
     return _macwilliams(length, Counter(dual_weights), j_max)
 
 

@@ -13,7 +13,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from math import prod
 
-from .finite_field import FieldCtx, character_sums
+from .finite_field import FieldCtx, character_sums, check_unit
 from .kloosterman import kloosterman_spectrum
 
 Q_ENUM_BUDGET = 10 ** 4       # largest |Q^-| that may be enumerated
@@ -219,50 +219,48 @@ def dc_cardinality(spec: DoubleCosetSpec) -> tuple[int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _trace_counts(spec: DoubleCosetSpec, mode: str) -> tuple[int, ...]:
-    """Elements per trace class beta.  The closed classes are the transform of
-    the closed sums divided by q: the transform applied twice multiplies by q."""
+def exp_sums_dc(spec: DoubleCosetSpec, mode: str = "closed_form") -> tuple[int, ...]:
+    """S(a), the character sum of lambda(a * trace) over the double coset, at
+    every a; entry 0 is the coset size N.  The closed sums are the one K-form
+    statement; the enumerated sums are the transform of the counted classes.  Every
+    closed-mode caller passes the spec alone (`_sums` does so for the readers that take
+    a mode), so the closed vector is one cache entry per spec."""
     q = spec.ctx.q
     if mode == "enumerated":
         from .ominus_groups import double_coset_traces  # the enumeration oracle, loaded here alone
         counted = Counter(double_coset_traces(spec))
-        return tuple(counted.get(beta, 0) for beta in range(q))
+        return tuple(character_sums(spec.ctx, [counted.get(beta, 0) for beta in range(q)]))
     if mode != "closed_form":
         raise ValueError(f"mode must be 'enumerated' or 'closed_form', got {mode!r}")
-    out = []
-    for twice in character_sums(spec.ctx, exp_sums_dc(spec)):
-        count, rem = divmod(twice, q)
-        if rem or count < 0:
-            raise AssertionError("trace-class count must be a nonnegative integer")
-        out.append(count)
-    return tuple(out)
-
-
-def trace_distribution(spec: DoubleCosetSpec, mode: str = "closed_form") -> dict[int, int]:
-    """Counts of double-coset elements by matrix trace, keyed by field element."""
-    return dict(enumerate(_trace_counts(spec, mode)))
-
-
-@lru_cache(maxsize=None)
-def exp_sums_dc(spec: DoubleCosetSpec, mode: str = "closed_form") -> tuple[int, ...]:
-    """S(a), the character sum of lambda(a * trace) over the double coset, at
-    every a; entry 0 is the coset size N.  The closed sums are the one K-form
-    statement; the enumerated sums are the transform of the counted classes."""
-    if mode != "closed_form":
-        return tuple(character_sums(spec.ctx, _trace_counts(spec, mode)))
     a_cnt, _, total = dc_cardinality(spec)
-    s, c, q = spec.sign_value, spec.k2_shift, spec.ctx.q
+    s, c = spec.sign_value, spec.k2_shift
     k1 = kloosterman_spectrum(spec.ctx, 1)[1:]
     if c is None:
         return (total, *(s * a_cnt * k for k in k1))
     return (total, *(-s * a_cnt * (k * k - q + c) for k in k1))  # K_2 = K^2 - q
 
 
+def _sums(spec: DoubleCosetSpec, mode: str) -> tuple[int, ...]:
+    """The one mode dispatch: the closed vector as exp_sums_dc(spec), one cache entry per spec."""
+    return exp_sums_dc(spec) if mode == "closed_form" else exp_sums_dc(spec, mode)
+
+
 def exp_sum_dc(spec: DoubleCosetSpec, a: int, mode: str = "closed_form") -> int:
     """The character sum of lambda(a * trace) over the double coset."""
-    if not 0 < a < spec.ctx.q:
-        raise ValueError(f"a must be a nonzero element of GF({spec.ctx.q})")
-    return (exp_sums_dc(spec) if mode == "closed_form" else exp_sums_dc(spec, mode))[a]
+    check_unit(spec.ctx, a)
+    return _sums(spec, mode)[a]
+
+
+def trace_distribution(spec: DoubleCosetSpec, mode: str = "closed_form") -> dict[int, int]:
+    """Counts of double-coset elements by matrix trace, keyed by field element: the
+    transform of the sums divided by q, since the transform applied twice multiplies by q."""
+    q = spec.ctx.q
+    out = {}
+    for beta, twice in enumerate(character_sums(spec.ctx, _sums(spec, mode))):
+        out[beta], rem = divmod(twice, q)
+        if rem or out[beta] < 0:
+            raise AssertionError("trace-class count must be a nonnegative integer")
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,12 @@ def units(ctx: FieldCtx) -> range:
     return range(1, ctx.q)
 
 
+def check_unit(ctx: FieldCtx, a: int, name: str = "a") -> None:
+    """The one gate on nonzero elements: refuse an a outside `units`."""
+    if not 0 < a < ctx.q:
+        raise ValueError(f"{name} must be a nonzero element of GF({ctx.q}), got {a}")
+
+
 def to_hex(x: int) -> str:
     return "0x%X" % x
 

@@ -16,7 +16,9 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import isqrt
 
-from .finite_field import FieldCtx, character_sums, inv, lambda_char, lambda_table, mul, units
+from .finite_field import (
+    FieldCtx, character_sums, check_unit, inv, lambda_char, lambda_table, mul, units,
+)
 
 ENUM_BUDGET = 10 ** 8  # direct-summation term cap
 ORACLE_H_LIMIT = 512  # largest h_max of the moment oracle
@@ -28,11 +30,6 @@ class BudgetError(ValueError):
 
 # values[h] = sum over a != 0 of K_m(lambda;a)^h, for h = 0..h_max
 MomentSeries = namedtuple("MomentSeries", "m h_max values")
-
-
-def _check_unit(ctx: FieldCtx, a: int, name: str = "a") -> None:
-    if not 0 < a < ctx.q:
-        raise ValueError(f"{name} must be a nonzero element of GF({ctx.q}), got {a}")
 
 
 def direct_sum_fits(q: int, m: int) -> bool:
@@ -49,7 +46,7 @@ def kloosterman_sum(ctx: FieldCtx, m: int, a: int) -> int:
     (q - 1)^2 terms, and the top level is one sum of q - 1 terms at log a."""
     if m < 1:
         raise ValueError(f"dimension m must be positive, got {m}")
-    _check_unit(ctx, a)
+    check_unit(ctx, a)
     if not direct_sum_fits(ctx.q, m):
         raise BudgetError(
             f"direct K_{m} sum needs (m - 1)(q - 1)^2 + (q - 1) terms, over the budget {ENUM_BUDGET}"
@@ -65,7 +62,7 @@ def kloosterman_sum(ctx: FieldCtx, m: int, a: int) -> int:
 
 def carlitz_k2(ctx: FieldCtx, a: int) -> int:
     """The 2-dimensional sum through the identity K_2 = K^2 - q."""
-    _check_unit(ctx, a)
+    check_unit(ctx, a)
     k = kloosterman_sum(ctx, 1, a)
     return k * k - ctx.q
 
@@ -89,8 +86,6 @@ def kloosterman_spectrum(ctx: FieldCtx, m: int) -> tuple[int, ...]:
 def power_moment_oracle(ctx: FieldCtx, m: int, h_max: int) -> MomentSeries:
     """Exact moments MK_m^h = sum over a != 0 of K_m^h, for h = 0..h_max, as
     sum over values v of mult(v) v^h from the spectrum's value histogram."""
-    if m not in (1, 2):
-        raise ValueError(f"moment oracle covers m in {{1, 2}}, got {m}")
     if h_max < 0:
         raise ValueError("h_max must be nonnegative")
     if h_max > ORACLE_H_LIMIT:
@@ -104,7 +99,7 @@ def kgl_recursive(ctx: FieldCtx, t: int, a: int) -> int:
     """Kloosterman sum over GL(t,q) via its two-step recursion."""
     if t < 0:
         raise ValueError(f"t must be nonnegative, got {t}")
-    _check_unit(ctx, a)
+    check_unit(ctx, a)
     if t == 0:
         return 1
     q = ctx.q
@@ -125,7 +120,7 @@ def kgl_closed(ctx: FieldCtx, t: int, a: int) -> int:
     """
     if t < 1:
         raise ValueError(f"closed form needs t >= 1, got {t}")
-    _check_unit(ctx, a)
+    check_unit(ctx, a)
     q = ctx.q
     k = kloosterman_sum(ctx, 1, a)
     total = 0
@@ -153,8 +148,6 @@ def twisted_sum_check(ctx: FieldCtx, m: int, beta: int) -> tuple[int, int]:
     K_0(lambda;x) means lambda(x); it degenerates to (-1)^(m+1) at beta = 0.
     The left side reads the spectrum, the right side the direct sums.
     """
-    if m not in (1, 2):
-        raise ValueError(f"the twist check covers m in {{1, 2}}, got {m}")
     if not 0 <= beta < ctx.q:
         raise ValueError(f"beta must be a field element, got {beta}")
     spectrum = kloosterman_spectrum(ctx, m)
@@ -176,7 +169,7 @@ def artin_schreier_sums(ctx: FieldCtx, beta: int) -> tuple[int, int]:
     S1 because a_param has trace 1.  The expected values are K(lambda;beta)-1
     and -K(lambda;beta)-1.
     """
-    _check_unit(ctx, beta, "beta")
+    check_unit(ctx, beta, "beta")
     s0 = 0
     s1 = 0
     for al in range(ctx.q):

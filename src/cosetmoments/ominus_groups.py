@@ -29,7 +29,7 @@ from operator import eq, xor
 from .double_cosets import (
     PRODUCT_BUDGET, Q_ENUM_BUDGET, DoubleCosetSpec, gl_order, products_fit, q_minus_fits, q_minus_order,
 )
-from .finite_field import FieldCtx, inv, lambda_char, mul
+from .finite_field import FieldCtx, check_unit, inv, lambda_char, mul
 from .kloosterman import BudgetError
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -429,8 +429,7 @@ def b_r_sum(ctx: FieldCtx, r: int, twist: int = 1) -> int:
     u^T B u and v^T B v are entries of those tables."""
     if r not in (1, 2, 3):
         raise ValueError(f"r must be 1, 2, or 3, got {r}")
-    if not 0 < twist < ctx.q:
-        raise ValueError("twist must be a nonzero field element")
+    check_unit(ctx, twist, "twist")
     q = ctx.q
     if not sym_sum_fits(q, r):
         raise BudgetError("symmetric-matrix sum exceeds its term budget")

@@ -29,10 +29,14 @@ def run(capsys, *args):
     return code, json.loads(out) if out else None, err
 
 
-def fresh_python(*args: str, stdout: int = subprocess.PIPE) -> subprocess.CompletedProcess:
-    """`python ARGS` in a fresh interpreter whose stdout is block-buffered, a pipe unless given:
-    the environment loses PYTHONUNBUFFERED, so nothing reaches stdout before a flush."""
+def fresh_python(*args: str, stdout: int = subprocess.PIPE,
+                 unbuffered: bool = False) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh interpreter whose stdout is a pipe unless given, block-buffered:
+    the environment loses PYTHONUNBUFFERED, so nothing reaches stdout before a flush, unless
+    `unbuffered` sets it, so every write reaches the pipe at once."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
                           timeout=120, env=env)
 
@@ -791,6 +795,48 @@ def test_carlitz_check_leaves_out_the_direct_sum_over_its_budget(monkeypatch):
     checks._check_carlitz(ctx)
 
 
+def test_every_nonzero_element_refusal_is_the_one_gate(capsys):
+    ctx = make_field(3)
+    spec = double_cosets.DoubleCosetSpec(1, "-", 1, ctx)
+    refusals = [
+        (kloosterman.kloosterman_sum, (ctx, 1, 0)), (kloosterman.carlitz_k2, (ctx, 8)),
+        (kloosterman.kgl_closed, (ctx, 2, 0)), (double_cosets.exp_sum_dc, (spec, 0)),
+        (coset_codes.codeword_weight_closed, (spec, 8)),
+    ]
+    for func, args in refusals:
+        with pytest.raises(ValueError) as refused:
+            func(*args)
+        assert str(refused.value) == f"a must be a nonzero element of GF(8), got {args[-1]}"
+    with pytest.raises(ValueError) as refused:
+        ominus_groups.b_r_sum(make_field(1), 1, 2)
+    assert str(refused.value) == "twist must be a nonzero element of GF(2), got 2"
+    for argv, a in ((["--a", "0x0"], 0), (["--m", "2", "--a", "0x10"], 16)):
+        assert run(capsys, "kloos", "--r", "3", *argv) == (
+            2, None, f"a must be a nonzero element of GF(8), got {a}\n")
+
+
+def test_each_input_gate_has_one_raise_site():
+    source = "".join(path.read_text(encoding="utf-8")
+                     for path in sorted(Path(cosetmoments.__file__).parent.glob("*.py")))
+    for text in ("must be a nonzero element of GF(", "covers m in {{1, 2}}"):
+        assert source.count(text) == 1, text
+    assert "for w in dual_weights" not in source
+
+
+def test_the_trace_classes_and_the_point_sums_share_one_closed_vector():
+    spec = double_cosets.DoubleCosetSpec(2, "+", 2, make_field(2))
+    caches = [obj for obj in vars(double_cosets).values()
+              if hasattr(obj, "cache_info") and obj.__module__ == double_cosets.__name__]
+    for cache in caches:
+        cache.cache_clear()
+    double_cosets.exp_sum_dc(spec, 1)
+    classes = double_cosets.trace_distribution(spec)
+    assert double_cosets.trace_distribution(spec, "closed_form") == classes
+    assert sum(classes.values()) == double_cosets.dc_cardinality(spec)[2]
+    assert [cache.cache_info().currsize for cache in caches] == [
+        int(cache is double_cosets.exp_sums_dc) for cache in caches]
+
+
 def test_cli_names_no_budget_of_its_own():
     # each budget is compared once, in its owning module's *_fits predicate
     assert [name for name in vars(cli) if name.endswith("_BUDGET")] == []
@@ -958,6 +1004,28 @@ def test_a_document_past_the_pipe_buffer_arrives_whole(capsys):
     assert len(document) > 1 << 16
     proc = fresh_python("-m", "cosetmoments.cli", *argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, document, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["field", "--r", "3"],
+    ["weights", "--r", "12", "--family", "1", "--sign", "minus", "--n", "1"],
+], ids=["small", "past-the-pipe-buffer"])
+def test_a_closed_stdout_exits_120_without_a_traceback(argv, unbuffered):
+    # the 94 KB weights document fails in its write, as an unbuffered stdout does; the buffered
+    # field document fails in the flush, which the interpreter's final flush reports in two lines
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = fresh_python("-m", "cosetmoments.cli", *argv, stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 120
+    assert b"Traceback" not in proc.stderr
+    if argv[0] == "field" and not unbuffered:  # the flush, not the write, met the closed pipe
+        assert proc.stderr.splitlines()[1:] == [b"BrokenPipeError: [Errno 32] Broken pipe"]
+    else:
+        assert proc.stderr == b""
 
 
 def test_an_internal_assertion_leaves_the_process_with_exit_3():

@@ -45,6 +45,8 @@ COMMANDS = [
     ["field", "--r", "3", "--modulus", ""],
     ["field", "--r", "3", "--a-param", ""],
     ["field", "--r", "2", "--out", ""],
+    ["kloos", "--r", "3", "--a", "0x0"],
+    ["kloos", "--r", "3", "--m", "3", "--hmax", "2"],
 ]
 
 
