@@ -10,6 +10,7 @@ Exit status: 0 success, 1 verification mismatch, 2 usage or domain error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import marshal
 import os
@@ -279,23 +280,36 @@ def verify_all(
     for index, entry in enumerate(plan):
         by_args.setdefault(entry[2], []).append(index)
     tasks = list(by_args.values())
-    queue, feed = os.pipe()
-    with open(feed, "wb") as pipe:  # every task number before the first fork; they fit the buffer
-        pipe.write(b"".join(task.to_bytes(4, "little") for task in range(len(tasks))))
-    pids, pipes = [], []
+    # forked siblings left on the parent's shared cores tend to run on one of them for a short
+    # plan, so each worker pins itself to one allowed core, round-robin; the parent stays as is
+    cores = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    pids, pipes, queue = [], [], None
     try:  # forked workers run every check; the parent reads their pipes and reaps them
-        for _ in range(min(workers, len(tasks))):
-            read_end, write_end = os.pipe()
-            pipes.append(open(read_end, "rb"))
-            try:
-                if (pid := os.fork()) == 0:
-                    _serve_tasks(plan, tasks, queue, write_end)
-            finally:
-                os.close(write_end)  # so the pipe ends when its worker does
-            pids.append(pid)
+        try:
+            queue, feed = os.pipe()
+            with open(feed, "wb") as pipe:  # every task number before the first fork; they fit the buffer
+                pipe.write(b"".join(task.to_bytes(4, "little") for task in range(len(tasks))))
+            for worker in range(min(workers, len(tasks))):
+                read_end, write_end = os.pipe()
+                pipes.append(open(read_end, "rb"))
+                try:
+                    if (pid := os.fork()) == 0:
+                        if cores:  # before the first task; a refused pin keeps the inherited cores
+                            with contextlib.suppress(OSError):
+                                os.sched_setaffinity(0, {cores[worker % len(cores)]})
+                        _serve_tasks(plan, tasks, queue, write_end)
+                finally:
+                    os.close(write_end)  # so the pipe ends when its worker does
+                pids.append(pid)
+        except OSError as exc:  # a pipe or a fork the system refused: stop the workers started
+            import signal
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise RuntimeError(f"a verify-all worker could not be started: {exc}") from None
         blobs = [pipe.read() for pipe in pipes]
     finally:
-        os.close(queue)
+        if queue is not None:
+            os.close(queue)
         for pipe in pipes:
             pipe.close()
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]

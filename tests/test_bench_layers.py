@@ -51,3 +51,15 @@ def test_child_checks_counts_the_symmetric_sum_work():
     row = child_row("child_checks")
     for kind in ("tables", "direct_terms", "reduced_terms"):
         assert int(row[f"symmetric-matrix-sum-r1.{kind}"]) > 0
+
+
+def test_a_pool_case_runs_on_one_core_per_worker_while_cores_last():
+    allowed = len(os.sched_getaffinity(0))
+    pools = [args for layer in bench_layers.LAYERS.values() for _, _, args in layer.cases
+             if "--workers" in args]
+    assert pools  # the startup layer's verify-all cases
+    for args in pools:
+        workers = int(args[args.index("--workers") + 1])
+        assert len(bench_layers.child_cpus(args)) == min(workers, allowed)
+    assert len(bench_layers.child_cpus(("verify-all", "--max-r", "8"))) == 1
+    assert len(bench_layers.child_cpus(("verify-all", "--workers", "64"))) == allowed

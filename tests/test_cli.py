@@ -1,6 +1,7 @@
 """The JSON command-line surface: shapes, encodings, exit codes, determinism."""
 
 import ast
+import errno
 import json
 import os
 import pkgutil
@@ -654,6 +655,81 @@ def test_verify_all_runs_serially_where_fork_is_missing(monkeypatch):
     serial = verify_all(2, workers=1)
     monkeypatch.delattr(os, "fork")
     assert verify_all(2, workers=2) == serial
+
+
+def _cores_each_worker_holds(monkeypatch, tmp_path, workers):
+    """verify_all(2, workers) and, per worker, the sorted cores it held as it began to serve,
+    which a wrapper around cli._serve_tasks writes to one append-only file."""
+    log = os.open(tmp_path / "cores", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    real_serve = cli._serve_tasks
+
+    def logged_serve(plan, tasks, queue, out):
+        os.write(log, f"{json.dumps(sorted(os.sched_getaffinity(0)))}\n".encode())
+        real_serve(plan, tasks, queue, out)
+
+    monkeypatch.setattr(cli, "_serve_tasks", logged_serve)
+    try:
+        result = verify_all(2, workers=workers)
+    finally:
+        os.close(log)
+    return result, [json.loads(line) for line in (tmp_path / "cores").read_text().splitlines()]
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity API")
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs the affinity API and two allowed cores")
+@pytest.mark.parametrize("workers", (2, 3))
+def test_verify_all_pins_each_worker_to_one_allowed_core_round_robin(monkeypatch, tmp_path, workers):
+    allowed = sorted(os.sched_getaffinity(0))
+    result, held = _cores_each_worker_holds(monkeypatch, tmp_path, workers)
+    assert result == verify_all(2, workers=1)
+    # one core each, the allowed cores in order and then again; distinct while they last
+    assert sorted(held) == sorted([allowed[i % len(allowed)]] for i in range(workers))
+
+
+@needs_affinity
+def test_verify_all_leaves_the_callers_cores_alone():
+    before = os.sched_getaffinity(0)
+    verify_all(2, workers=2)
+    assert os.sched_getaffinity(0) == before
+
+
+@needs_affinity
+def test_a_refused_pin_keeps_the_inherited_cores(monkeypatch, tmp_path):
+    serial = verify_all(2, workers=1)
+
+    def refuse(pid, cores):
+        raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    result, held = _cores_each_worker_holds(monkeypatch, tmp_path, 2)
+    # each worker served its tasks and left by os._exit: a child that raised past the pin
+    # would leave its pipe without a blob, and the parent would not return this
+    assert result == serial
+    assert held == [sorted(os.sched_getaffinity(0))] * 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("name, refused_call", [("fork", 1), ("fork", 2), ("pipe", 1), ("pipe", 3)])
+def test_verify_all_exits_2_when_a_worker_cannot_be_started(monkeypatch, capsys, name, refused_call):
+    # the system's refusal is simulated on one call; no real resource runs out
+    real, calls = getattr(os, name), []
+
+    def refusing():
+        calls.append(1)  # in the parent's list: a worker's copy is its own
+        if len(calls) == refused_call:
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real()
+
+    monkeypatch.setattr(os, name, refusing)
+    assert run(capsys, "verify-all", "--max-r", "1", "--workers", "2") == (
+        2, None, f"a verify-all worker could not be started: [Errno {errno.EAGAIN}] "
+                 f"{os.strerror(errno.EAGAIN)}\n")
+    with pytest.raises(ChildProcessError):  # a worker started before the refusal is reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_verify_all_small(capsys):

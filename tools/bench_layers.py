@@ -19,10 +19,12 @@ digests) must also be equal between the two sides. A case that exceeds
 its time limit is recorded as such and not repeated. Without DIR, each
 layer records this checkout alone.
 
-As in `bench/run.py`, every child runs pinned to one core, and every float
-field a child returns is a time, divided by the speed of that core while
-the child ran (`bench/hostspeed.SpeedProbe`): the times are seconds on a
-core of the probe's reference speed. Each row keeps the raw times under
+As in `bench/run.py`, every child runs pinned: to the first core the tool
+may use, or, where its argv holds `--workers N`, to the first min(N,
+available) cores, so a pool's workers can run side by side. Every float
+field a child returns is a time, divided by the mean speed of those cores
+while the child ran (`bench/hostspeed.SpeedProbe`): the times are seconds
+on a core of the probe's reference speed. Each row keeps the raw times under
 "raw" and the median speed factor under "speed".
 
 With the two directories of `bench/run.py --trace 0` records (parent and
@@ -61,7 +63,7 @@ import hostspeed  # noqa: E402 - the benchmark's probe, read from its own direct
 PROCESSES = 3  # fresh interpreters per case and side; the record keeps their median
 REPEATS = 3  # timed calls per process where a child repeats a call
 CHILD_TIMEOUT_S = 60.0
-CHILD_CPUS = sorted(os.sched_getaffinity(0))[:1]  # every child runs on this one core
+ALLOWED_CPUS = sorted(os.sched_getaffinity(0))
 METRICS = ("wall_s", "job_p50_s", "cpu_s", "peak_rss_mib", "success_rate", "setup_s")
 
 
@@ -514,7 +516,7 @@ LAYERS = {
     ),
     "startup": Layer(
         "cold start: python -m cosetmoments.cli ARGV in a fresh interpreter, timed from "
-        f"outside, {REPEATS} runs per process; a pool's workers share the child's one core",
+        f"outside, {REPEATS} runs per process; a pool of N workers runs on min(N, available) cores",
         tuple((" ".join(argv), "child_startup", argv) for argv in (
             ("--help",),
             ("field", "--r", "12"),
@@ -539,12 +541,20 @@ LAYERS = {
 # running and recording
 
 
+def child_cpus(args: tuple[str, ...]) -> list[int]:
+    """The cores a child runs on: the first min(N, available) for an argv holding
+    `--workers N`, else the first one."""
+    workers = int(args[args.index("--workers") + 1]) if "--workers" in args else 1
+    return ALLOWED_CPUS[:max(1, workers)]
+
+
 def run_child(src: Path, child: str, args: tuple[str, ...]) -> dict | None:
-    """One child in a fresh interpreter on src, pinned to CHILD_CPUS, with its
-    times divided by the speed of that core; None when it exceeds its limit."""
+    """One child in a fresh interpreter on src, pinned to child_cpus(args), with its
+    times divided by the mean speed of those cores; None when it exceeds its limit."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    os.sched_setaffinity(0, CHILD_CPUS)  # this thread's core, which the child inherits
-    with hostspeed.SpeedProbe(CHILD_CPUS) as probe:
+    cpus = child_cpus(args)
+    os.sched_setaffinity(0, cpus)  # this thread's cores, which the child inherits
+    with hostspeed.SpeedProbe(cpus) as probe:
         start = time.perf_counter()
         try:
             out = subprocess.run(
@@ -553,7 +563,7 @@ def run_child(src: Path, child: str, args: tuple[str, ...]) -> dict | None:
             )
         except subprocess.TimeoutExpired:
             return None
-        speed = probe.factor(CHILD_CPUS, start, time.perf_counter())
+        speed = probe.factor(cpus, start, time.perf_counter())
     row = json.loads(out.stdout)
     raw = {key: value for key, value in row.items() if isinstance(value, float)}
     return {**row, **{key: value / speed for key, value in raw.items()}, "raw": raw, "speed": speed}
