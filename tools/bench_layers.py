@@ -545,7 +545,7 @@ def child_cpus(args: tuple[str, ...]) -> list[int]:
     """The cores a child runs on: the first min(N, available) for an argv holding
     `--workers N`, else the first one."""
     workers = int(args[args.index("--workers") + 1]) if "--workers" in args else 1
-    return ALLOWED_CPUS[:max(1, workers)]
+    return ALLOWED_CPUS[:workers]
 
 
 def run_child(src: Path, child: str, args: tuple[str, ...]) -> dict | None:
