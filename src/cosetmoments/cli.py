@@ -15,18 +15,27 @@ import json
 import marshal
 import os
 import sys
-from math import comb
 
 from . import __version__
 from .finite_field import FieldCtx, check_unit, make_field, parse_hex, theta_subgroup, to_hex, trace
-from .kloosterman import BudgetError, kloosterman_spectrum, kloosterman_sum, power_moment_oracle
+from .kloosterman import kloosterman_spectrum, kloosterman_sum, power_moment_oracle
 
-# The closed forms, group, code and recursion layers and the verify-all checks
-# are imported inside the functions that use them, so `--help`, `field` and
-# `kloos` load none of them and `moments` loads no enumeration and no check.
+# `spec_commands`, the closed forms, group, code and recursion layers and the verify-all checks
+# are imported inside the functions that use them, so `--help`, `field` and `kloos` load none of
+# them and `moments` loads no enumeration and no check. Run by -m, this module is `__main__`;
+# under its own name too, `spec_commands` imports it without running it a second time.
+sys.modules.setdefault(__spec__.name, sys.modules[__name__])
 
 MAX_VERIFY_R = 8
 SIGNS = {"plus": "+", "minus": "-"}
+COMMANDS = {  # every subcommand and its help; an argv that can run starts with one of them
+    "field": "construct GF(2^r) and report its parameters",
+    "kloos": "Kloosterman sums and their power moments",
+    "enumerate": "enumerate a double coset and verify its closed forms",
+    "weights": "codeword weights and weight-distribution prefix",
+    "moments": "solve the power-moment recursions",
+    "verify-all": "run every verification suite",
+}
 
 
 def _dec(x: int) -> str:
@@ -46,15 +55,6 @@ def _field_echo(ctx: FieldCtx) -> dict:
         "modulus": to_hex(ctx.modulus),
         "a_param": to_hex(ctx.a_param),
     }
-
-
-def _spec_from_args(args: argparse.Namespace, ctx: FieldCtx) -> DoubleCosetSpec:
-    from .double_cosets import DoubleCosetSpec
-    return DoubleCosetSpec(args.family, SIGNS[args.sign], args.n, ctx)
-
-
-def _spec_echo(spec: DoubleCosetSpec) -> dict:
-    return {"family": _dec(spec.family), "sign": spec.sign, "n": _dec(spec.n)}
 
 
 def _doc(command: str, params: dict, result: dict) -> dict:
@@ -97,138 +97,10 @@ def _cmd_kloos(args: argparse.Namespace) -> tuple[dict, int]:
     return _doc("kloos", params, result), 0
 
 
-def _cmd_enumerate(args: argparse.Namespace) -> tuple[dict, int]:
-    from .double_cosets import dc_cardinality, q_minus_order, trace_distribution
-    ctx = _field_from_args(args)
-    spec = _spec_from_args(args, ctx)
-    params = _field_echo(ctx) | _spec_echo(spec)
-    _refuse_unprintable(spec)
-    a_cnt, b_cnt, total = dc_cardinality(spec)
-    closed_dist = trace_distribution(spec, "closed_form")
-    result: dict = {
-        "a": _dec(a_cnt),
-        "b": _dec(b_cnt),
-        "size": _dec(total),
-        "q_minus_order": _dec(q_minus_order(ctx.q, spec.n)),
-        "trace_distribution": {to_hex(k): _dec(v) for k, v in closed_dist.items()},
-    }
-    code = 0
-    try:
-        enum_dist = trace_distribution(spec, "enumerated")
-        size = sum(enum_dist.values())
-        result["enumerated"] = {
-            "size": _dec(size),
-            "trace_distribution": {to_hex(k): _dec(v) for k, v in enum_dist.items()},
-        }
-        ok = size == total and enum_dist == closed_dist
-        result["verified"] = ok
-        if not ok:
-            code = 1
-    except BudgetError:
-        result["enumerated"] = None
-        result["verified"] = None
-    return _doc("enumerate", params, result), code
-
-
-def _refuse_unprintable(spec: DoubleCosetSpec, j_max: int | None = None) -> None:
-    """Refuse, before the closed forms, a j_max outside the prefix range, and a weight prefix
-    or coset size N with more decimal digits than int-to-string conversion allows.  Every N past
-    the limit counts as 10^digits: the prefix bound C_j <= binom(N, j) is at least N for
-    1 <= j <= N/2.  N >= q^(n^2 - n) and binom(N, j) >= (N/j)^j > 2^low, with low read from bit
-    lengths, decide a large n or j at once; N and binom(N, j) are computed only where they do
-    not, so they are small."""
-    from .coset_codes import PREFIX_J_LIMIT
-    from .double_cosets import bruhat_cell_order
-    if j_max is not None and not 0 <= j_max <= PREFIX_J_LIMIT:
-        raise ValueError(f"j_max must lie in 0..{PREFIX_J_LIMIT}")
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if not digits:
-        return
-    cap = 10 ** digits
-    big = 3 * spec.ctx.r * (spec.n ** 2 - spec.n) >= 10 * digits  # 2^10 > 10^3
-    length = cap if big else min(bruhat_cell_order(spec.ctx.q, spec.n, spec.sigma_index), cap)
-    j = min(j_max or 0, length // 2)
-    low = j * (length.bit_length() - 1 - j.bit_length())
-    if j and (3 * low >= 10 * digits or comb(length, j) >= cap):
-        raise BudgetError(f"the weight prefix to j_max = {j_max} may hold counts of more than "
-                          f"{digits} decimal digits, which cannot be printed; lower --jmax")
-    if length == cap:
-        raise BudgetError(f"the coset size at --n {spec.n} has more than {digits} decimal digits, "
-                          "which cannot be printed; lower --n")
-
-
-def _cmd_weights(args: argparse.Namespace) -> tuple[dict, int]:
-    from .coset_codes import closed_weights, weight_distribution_prefix
-    from .double_cosets import dc_cardinality, exp_sums_dc
-    ctx = _field_from_args(args)
-    spec = _spec_from_args(args, ctx)
-    params = _field_echo(ctx) | _spec_echo(spec)
-    _refuse_unprintable(spec, args.jmax)
-    total = dc_cardinality(spec)[2]
-    closed = closed_weights(spec)
-    weights = {to_hex(a): _dec(closed[a]) for a in range(1, ctx.q)}
-    result: dict = {"length": _dec(total), "weights": weights}
-    code = 0
-    try:
-        sums = exp_sums_dc(spec, "enumerated")
-        ok = all(2 * closed[a] == total - sums[a] for a in range(1, ctx.q))
-        result["popcount_verified"] = ok
-        if not ok:
-            code = 1
-    except BudgetError:
-        result["popcount_verified"] = None
-    if args.jmax is not None:
-        params["j_max"] = _dec(args.jmax)
-        prefix = weight_distribution_prefix(spec, args.jmax)
-        result["weight_prefix"] = [_dec(c) for c in prefix.counts]
-    return _doc("weights", params, result), code
-
-
-def _report_doc(report) -> dict:
-    spec = report.spec
-    rec = report.recursion_values.values
-    orc = report.oracle_values.values if report.oracle_values is not None else None
-    rows = []
-    for h in range(report.h_max + 1):
-        rows.append(
-            {
-                "h": _dec(h),
-                "recursion": _dec(rec[h]),
-                "oracle": None if orc is None else _dec(orc[h]),
-                "agree": None if report.agree is None else report.agree[h],
-            }
-        )
-    return {
-        "family": _dec(spec.family),
-        "sign": spec.sign,
-        "n": _dec(spec.n),
-        "r": _dec(spec.ctx.r),
-        "q": _dec(spec.ctx.q),
-        "series": report.series,
-        "h": rows,
-    }
-
-
-def _cmd_moments(args: argparse.Namespace) -> tuple[dict, int]:
-    from .moment_recursion import recursion_series, recursive_moments
-    ctx = _field_from_args(args)
-    spec = _spec_from_args(args, ctx)
-    params = _field_echo(ctx) | _spec_echo(spec)
-    params["h_max"] = _dec(args.hmax)
-    params["verify"] = bool(args.verify)
-    if args.series is not None:
-        series_list = (args.series.replace("-", "_"),)
-        params["series"] = args.series
-    else:
-        series_list = recursion_series(spec)
-    reports = [
-        recursive_moments(spec, args.hmax, series, with_oracle=args.verify)
-        for series in series_list
-    ]
-    code = 0
-    if args.verify and not all(all(rep.agree) for rep in reports):
-        code = 1
-    return _doc("moments", params, {"reports": [_report_doc(rep) for rep in reports]}), code
+def _cmd_spec(args: argparse.Namespace) -> tuple[dict, int]:
+    """enumerate, weights and moments: their module is compiled only when one of them runs."""
+    from . import spec_commands
+    return getattr(spec_commands, f"_cmd_{args.command}")(args)
 
 
 # ---------------------------------------------------------------------------
@@ -350,73 +222,55 @@ def _cmd_verify_all(args: argparse.Namespace) -> tuple[dict, int]:
 # parser plumbing
 
 
-def _add_field_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=int, required=True, help="extension degree of GF(2^r)")
-    p.add_argument("--modulus", help="irreducible modulus bitmask, hex")
-    p.add_argument("--a-param", dest="a_param", help="trace-one form parameter, hex")
+def _add_command_args(p: argparse.ArgumentParser, command: str) -> None:
+    if command != "verify-all":
+        p.add_argument("--r", type=int, required=True, help="extension degree of GF(2^r)")
+        p.add_argument("--modulus", help="irreducible modulus bitmask, hex")
+        p.add_argument("--a-param", dest="a_param", help="trace-one form parameter, hex")
+    if command in ("enumerate", "weights", "moments"):  # the commands that read a coset spec
+        p.add_argument("--family", type=int, required=True, choices=(1, 2, 3, 4))
+        p.add_argument("--sign", required=True, choices=tuple(SIGNS))
+        p.add_argument("--n", type=int, required=True)
+    if command == "kloos":
+        p.add_argument("--m", type=int, default=1, help="dimension of the sum")
+        p.add_argument("--a", help="argument, hex")
+        p.add_argument("--hmax", type=int, help="compute power moments up to this h")
+    elif command == "weights":
+        p.add_argument("--jmax", type=int, help="weight-distribution prefix cutoff")
+    elif command == "moments":
+        p.add_argument("--hmax", type=int, required=True)
+        p.add_argument("--series", choices=("mk2", "mk-even"))
+        p.add_argument("--verify", action="store_true", help="compare against the brute-force oracle")
+    elif command == "verify-all":
+        p.add_argument("--max-r", dest="max_r", type=int, default=2)
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--modulus-override", action="append",
+                       help="R:HEX modulus replacement, mainly for negative testing")
+    p.add_argument("--out", help="write the JSON document here instead of stdout")
+    handlers = {"field": _cmd_field, "kloos": _cmd_kloos, "verify-all": _cmd_verify_all}
+    p.set_defaults(handler=handlers.get(command, _cmd_spec))  # a handler patched here is the one run
 
 
-def _add_spec_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--family", type=int, required=True, choices=(1, 2, 3, 4))
-    p.add_argument("--sign", required=True, choices=tuple(SIGNS))
-    p.add_argument("--n", type=int, required=True)
-
-
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """Every subcommand by name and help, with the options of the one argv[0] names alone, or of
+    each where argv[0] names none (--help, a bare call, an unknown command): the top level has no
+    option but -h, so a run's own subcommand is always argv[0]."""
     parser = argparse.ArgumentParser(
         prog="cosetmoments",
         description="Exact Kloosterman power moments from orthogonal-group double cosets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("field", help="construct GF(2^r) and report its parameters")
-    _add_field_args(p)
-    p.set_defaults(handler=_cmd_field)
-
-    p = sub.add_parser("kloos", help="Kloosterman sums and their power moments")
-    _add_field_args(p)
-    p.add_argument("--m", type=int, default=1, help="dimension of the sum")
-    p.add_argument("--a", help="argument, hex")
-    p.add_argument("--hmax", type=int, help="compute power moments up to this h")
-    p.set_defaults(handler=_cmd_kloos)
-
-    p = sub.add_parser("enumerate", help="enumerate a double coset and verify its closed forms")
-    _add_field_args(p)
-    _add_spec_args(p)
-    p.set_defaults(handler=_cmd_enumerate)
-
-    p = sub.add_parser("weights", help="codeword weights and weight-distribution prefix")
-    _add_field_args(p)
-    _add_spec_args(p)
-    p.add_argument("--jmax", type=int, help="weight-distribution prefix cutoff")
-    p.set_defaults(handler=_cmd_weights)
-
-    p = sub.add_parser("moments", help="solve the power-moment recursions")
-    _add_field_args(p)
-    _add_spec_args(p)
-    p.add_argument("--hmax", type=int, required=True)
-    p.add_argument("--series", choices=("mk2", "mk-even"))
-    p.add_argument("--verify", action="store_true", help="compare against the brute-force oracle")
-    p.set_defaults(handler=_cmd_moments)
-
-    p = sub.add_parser("verify-all", help="run every verification suite")
-    p.add_argument("--max-r", dest="max_r", type=int, default=2)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--modulus-override",
-        action="append",
-        help="R:HEX modulus replacement, mainly for negative testing",
-    )
-    p.set_defaults(handler=_cmd_verify_all)
-
-    for command in sub.choices.values():
-        command.add_argument("--out", help="write the JSON document here instead of stdout")
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    for command, text in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        if named in (None, command):
+            _add_command_args(p, command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     made = args.out is not None and not os.path.exists(args.out)
     try:  # an unwritable --out is refused before any work; "a" leaves an existing file whole
         if args.out is not None:

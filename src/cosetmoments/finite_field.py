@@ -10,8 +10,10 @@ form used by the group modules.
 
 Products and inverses are one lookup each in the tables exp[i] = g^i
 and log of the smallest generator g of GF(q)^*, built once per (modulus, r)
-by the carry-less product `_raw_mul` and held by every context.  g is searched
-for: the modulus need not be primitive (z has order 51 under 0x11B, r = 8).
+and held by every context: g^i is walked through two byte tables of the
+linear map x -> g x, whose r basis images come from the carry-less product
+`_raw_mul`.  g is searched for: the modulus need not be primitive (z has
+order 51 under 0x11B, r = 8).
 
 All functions are pure and FieldCtx is immutable (its slots are set once, in
 __init__; assigning or deleting one raises AttributeError), so contexts can be
@@ -175,9 +177,13 @@ def _exp_log_tables(modulus: int, r: int) -> tuple[tuple[int, ...], tuple[int, .
     low = [d for d in range(2, isqrt(n) + 1) if n % d == 0]  # each prime factor or its cofactor
     primes = [p for p in {*low, *(n // d for d in low), n} if p > 1 and all(p % d for d in range(2, p))]
     g = next(g for g in range(1, n + 1) if all(power(g, n // p) != 1 for p in primes))
+    low_byte, high_byte = [0], [0]  # x -> g x is GF(2)-linear: g times each byte value of x
+    for k in range(r):
+        image, table = _raw_mul(1 << k, g, modulus, r), low_byte if k < 8 else high_byte
+        table += [t ^ image for t in table]
     exp, x = [1], 1
     for _ in range(n - 1):
-        exp.append(x := _raw_mul(x, g, modulus, r))
+        exp.append(x := low_byte[x & 255] ^ high_byte[x >> 8])
     log = [0] * (n + 1)
     for i, x in enumerate(exp):
         log[x] = i
@@ -215,7 +221,11 @@ def lambda_char(ctx: FieldCtx, x: int) -> int:
 
 @lru_cache(maxsize=None)
 def lambda_table(ctx: FieldCtx) -> tuple[int, ...]:
-    return tuple(lambda_char(ctx, x) for x in range(ctx.q))
+    """lambda_char at every element: tr is additive, so bit k of x flips the sign iff tr(z^k) = 1."""
+    table = [1]
+    for k in range(ctx.r):
+        table += [-t for t in table] if ctx.trace_mask >> k & 1 else table
+    return tuple(table)
 
 
 def _walsh_hadamard(vec: list[int]) -> list[int]:
@@ -261,11 +271,16 @@ def to_hex(x: int) -> str:
     return "0x%X" % x
 
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
+
 def parse_hex(text: str) -> int:
-    try:
-        value = int(text, 16)
-    except ValueError:
-        raise ValueError(f"{text!r} is not a hex value") from None
-    if value < 0:
+    """An optional 0x or 0X, then ASCII hex digits: no sign, space, underscore or other digit."""
+    negative = text.startswith("-")
+    digits = text[1:] if negative else text
+    digits = digits[2:] if digits[:2] in ("0x", "0X") else digits
+    if not digits or not _HEX_DIGITS.issuperset(digits):
+        raise ValueError(f"{text!r} is not a hex value")
+    if negative:
         raise ValueError(f"negative encodings are not field elements: {text}")
-    return value
+    return int(digits, 16)

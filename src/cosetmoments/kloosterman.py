@@ -78,7 +78,8 @@ def kloosterman_spectrum(ctx: FieldCtx, m: int) -> tuple[int, ...]:
     if m not in (1, 2):
         raise ValueError(f"the spectrum covers m in {{1, 2}}, got {m}")
     inner = lambda_table(ctx) if m == 1 else kloosterman_spectrum(ctx, 1)
-    sums = character_sums(ctx, [0] + [inner[inv(ctx, u)] for u in units(ctx)])
+    exp, n = ctx.exp, ctx.q - 1  # 1/u = g^(n - log u), read off the tables
+    sums = character_sums(ctx, [0] + [inner[exp[n - i]] for i in ctx.log[1:]])
     sums[0] = 0
     return tuple(sums)
 

@@ -1,5 +1,6 @@
 """The JSON command-line surface: shapes, encodings, exit codes, determinism."""
 
+import argparse
 import ast
 import errno
 import json
@@ -18,6 +19,7 @@ import pytest
 import cosetmoments
 from cosetmoments import (
     __version__, checks, cli, coset_codes, double_cosets, kloosterman, moment_recursion, ominus_groups,
+    spec_commands,
 )
 from cosetmoments.cli import main, verify_all
 from cosetmoments.finite_field import MAX_R, make_field
@@ -216,7 +218,7 @@ def test_weights_refusal_at_a_huge_length_is_quick(capsys, monkeypatch, default_
     def refuse(length, j):
         raise AssertionError("the bit-length bound must decide at this length")
 
-    monkeypatch.setattr(cli, "comb", refuse)
+    monkeypatch.setattr(spec_commands, "comb", refuse)
     start = time.perf_counter()
     code, doc, err = run(capsys, "weights", "--r", "1", "--family", "1", "--sign", "minus",
                          "--n", n, "--jmax", "1000")
@@ -817,6 +819,12 @@ HEX_OPTIONS = (("field", "--modulus"), ("field", "--a-param"), ("kloos", "--a"))
 def test_a_malformed_hex_argument_is_named(capsys, command, option):
     code, _, err = run(capsys, command, "--r", "3", option, "zz")
     assert (code, err) == (2, "'zz' is not a hex value\n")
+    # what int(text, 16) also reads: underscores, a sign, spaces, digits other than ASCII
+    for text in ("1_0", "0x1_1", "+5", " 5 ", "\u0661\u0662"):
+        code, _, err = run(capsys, command, "--r", "3", option, text)
+        assert (code, err) == (2, f"{text!r} is not a hex value\n"), text
+    code, _, err = run(capsys, command, "--r", "3", option, "-0")
+    assert (code, err) == (2, "negative encodings are not field elements: -0\n")
 
 
 @pytest.mark.parametrize("command,option", HEX_OPTIONS)
@@ -1036,6 +1044,66 @@ def test_cold_start_loads_neither_the_process_pool_nor_dataclasses():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True
     )
     assert proc.stdout.strip() == "[]"
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("command", ["field", "kloos", "enumerate", "weights", "moments",
+                                     "verify-all"])
+def test_a_parser_built_for_one_command_formats_as_the_full_one(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    full, own = cli._build_parser([]), cli._build_parser([command, "--r", "3"])
+    assert (own.format_help(), own.format_usage()) == (full.format_help(), full.format_usage())
+    mine, theirs = _subcommands(own)[command], _subcommands(full)[command]
+    assert (mine.format_help(), mine.format_usage()) == (theirs.format_help(), theirs.format_usage())
+
+
+def test_a_parser_built_for_kloos_gives_every_other_command_only_help():
+    commands = _subcommands(cli._build_parser(["kloos", "--r", "12", "--a", "0x3"]))
+    options = {name: [o for a in p._actions for o in a.option_strings] for name, p in commands.items()}
+    assert options.pop("kloos") == ["-h", "--help", "--r", "--modulus", "--a-param", "--m", "--a",
+                                    "--hmax", "--out"]
+    assert options == dict.fromkeys(["field", "enumerate", "weights", "moments", "verify-all"],
+                                    ["-h", "--help"])
+
+
+def test_moments_under_dash_m_runs_the_cli_module_once():
+    # spec_commands imports cli by name, while the -m run executes cli.py as __main__
+    probe = (
+        "import os, runpy, sys\n"
+        "def hook(event, args):\n"
+        "    if event == 'exec' and getattr(args[0], 'co_name', '') == '<module>':\n"
+        "        os.write(2, os.path.basename(args[0].co_filename).encode() + b'\\n')\n"
+        "sys.addaudithook(hook)\n"
+        "sys.argv[1:] = ['moments', '--r', '3', '--family', '2', '--sign', 'plus', '--n', '2',\n"
+        "                '--hmax', '4', '--verify']\n"
+        "runpy.run_module('cosetmoments.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = fresh_python("-c", probe)
+    bodies = proc.stderr.decode().split()
+    assert proc.returncode == 0 and json.loads(proc.stdout)["command"] == "moments"
+    assert (bodies.count("cli.py"), bodies.count("spec_commands.py")) == (1, 1)
+
+
+def test_only_the_spec_commands_load_their_module():
+    probe = (
+        "import contextlib, io, sys\n"
+        "import cosetmoments.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "    cli.main(['--help'])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for argv in (['field', '--r', '3'], ['kloos', '--r', '3', '--a', '0x2'],\n"
+        "                 ['verify-all', '--max-r', '1'], ['enumerate', '--r', '1', '--family', '1',\n"
+        "                                                 '--sign', 'plus', '--n', '2']):\n"
+        "        print(argv[0], cli.main(argv), 'cosetmoments.spec_commands' in sys.modules,\n"
+        "              file=sys.stderr)\n"
+    )
+    proc = fresh_python("-c", probe)
+    assert proc.stderr.decode().splitlines() == [
+        "field 0 False", "kloos 0 False", "verify-all 0 False", "enumerate 0 True"]
 
 
 def test_module_entry_point():

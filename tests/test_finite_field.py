@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,7 @@ from cosetmoments.finite_field import (
     inv,
     is_irreducible,
     lambda_char,
+    lambda_table,
     make_field,
     mul,
     mul_table,
@@ -182,6 +184,8 @@ def test_exp_log_tables_match_the_power_walk(r):
               *(m for m in draws if is_irreducible(m, r))}
     for modulus in sorted(moduli):
         assert _exp_log_tables.__wrapped__(modulus, r) == _power_walk_tables(modulus, r)
+        ctx = make_field(r, modulus)  # the doubled lambda table, at every element
+        assert lambda_table.__wrapped__(ctx) == tuple(lambda_char(ctx, x) for x in range(ctx.q))
 
 
 @pytest.mark.parametrize("r,modulus", TABLE_FIELDS)
@@ -344,6 +348,16 @@ def test_hex_encoding():
         parse_hex("-0x1")
     with pytest.raises(ValueError, match="'zz' is not a hex value"):
         parse_hex("zz")
+
+
+def test_parse_hex_reads_ascii_hex_digits_after_an_optional_0x():
+    assert [parse_hex(t) for t in ("0", "00", "0X1f", "0xAbC", "ffff")] == [0, 0, 31, 0xABC, 0xFFFF]
+    for text in ("1_0", "0x1_1", "+5", " 5 ", "5\n", "\u0661\u0662", "0x", "0o7", "0x0x1", "x1"):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(text))} is not a hex value$"):
+            parse_hex(text)
+    for negative in ("-0", "-0x0", "-1", "-0X1F"):  # the sign is read as a sign: -0 is refused too
+        with pytest.raises(ValueError, match=f"^negative encodings are not field elements: {negative}$"):
+            parse_hex(negative)
 
 
 def test_representation_independent_trace_counts():

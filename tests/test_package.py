@@ -105,7 +105,8 @@ def test_moments_loads_the_closed_forms_but_no_enumeration_and_no_check():
         "                     '--hmax', '4', '--verify'])\n"
         "print(code, *sorted(m for m in sys.modules if m.startswith('cosetmoments.')))\n"
     )
-    layers = ("cli", "coset_codes", "double_cosets", "finite_field", "kloosterman", "moment_recursion")
+    layers = ("cli", "coset_codes", "double_cosets", "finite_field", "kloosterman", "moment_recursion",
+              "spec_commands")
     assert out.split() == ["0", *(f"cosetmoments.{name}" for name in layers)]
 
 
