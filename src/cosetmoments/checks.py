@@ -165,15 +165,15 @@ def _check_parabolic_cells(ctx: FieldCtx, n: int) -> None:
         if a_ord * index != double_cosets.p_minus_order(q, n):
             raise AssertionError(f"stabilizer order times index must be |P^-| at r = {rr}")
         for twisted in (False, True):
-            cell = ominus_groups.bruhat_cell_cosets(ctx, n, rr, twisted)
-            if not len(cell) == double_cosets.bruhat_cell_order(q, n, rr) == len(qm) * index:
+            cell = ominus_groups.bruhat_cell_lanes(ctx, n, rr, twisted)  # (lanes, count)
+            if not cell[1] == double_cosets.bruhat_cell_order(q, n, rr) == len(qm) * index:
                 raise AssertionError(f"cell size mismatch at r = {rr}, twisted = {twisted}")
             cells.append(cell)
-    # each cell is a double coset of Q^- (the walk checked its right cosets), and two double
-    # cosets meet only if equal: the cells are disjoint when none holds another's first element
-    firsts = [cell[0] for cell in cells]
-    if sum(map(len, cells)) != double_cosets.o_minus_order(q, n) or any(
-            not set(firsts[:i] + firsts[i + 1:]).isdisjoint(cell) for i, cell in enumerate(cells)):
+    # each cell is a double coset of Q^- (the walk checked its right cosets), and two double cosets
+    # meet only if equal: a cell that holds no lowest lane of a later cell is disjoint from them all
+    lowest = [lanes & (1 << 64) - 1 for lanes, _ in cells]
+    if sum(count for _, count in cells) != double_cosets.o_minus_order(q, n) or any(
+            ominus_groups.cell_holds_any(cell, lowest[i + 1:]) for i, cell in enumerate(cells)):
         raise AssertionError("cells must partition the whole isometry group")
     for spec in double_cosets.valid_specs(ctx, n):
         double_cosets.dc_cardinality(spec)  # internal consistency assertion runs here

@@ -305,12 +305,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def cli() -> int:
-    """The entry point of `python -m cosetmoments.cli` and of the `cosetmoments` script: runs
-    main, flushes stdout then stderr and leaves by os._exit, so no interpreter teardown and no
-    atexit handler runs. Under a tracer or profiler, or where a flush raises, it returns the
-    status to the ordinary exit instead; an exception other than SystemExit propagates. A closed
-    stdout exits 120 with no traceback: a failed write returns 120, and a failed flush leaves the
-    interpreter's final flush to fail again, which exits 120 with its own two-line report."""
+    """The entry point of `python -m cosetmoments.cli` and of the `cosetmoments` script: runs main,
+    flushes stdout then stderr and leaves by os._exit, so no teardown and no atexit handler runs. A
+    tracer or profiler, or a flush that raises other than BrokenPipeError, returns the status to the
+    ordinary exit; an exception other than SystemExit propagates. A closed pipe exits 120, stderr empty."""
     try:
         status = main()
     except SystemExit as exc:  # --help and argparse's usage errors
@@ -321,7 +319,9 @@ def cli() -> int:
         try:
             sys.stdout.flush()
             sys.stderr.flush()
-        except (OSError, ValueError):  # a closed pipe or file: the ordinary exit reports it as before
+        except BrokenPipeError:  # as a failed write: no final flush is left to report it again
+            os._exit(120)
+        except (OSError, ValueError):  # a closed file: the ordinary exit reports it as before
             return status
         os._exit(status)
     return status

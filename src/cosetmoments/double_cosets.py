@@ -9,7 +9,7 @@ they transform to.  Enumeration (`ominus_groups`) is their oracle; only the
 
 from __future__ import annotations
 
-from collections import Counter, namedtuple
+from collections import namedtuple
 from functools import lru_cache
 from math import prod
 
@@ -227,9 +227,9 @@ def exp_sums_dc(spec: DoubleCosetSpec, mode: str = "closed_form") -> tuple[int, 
     a mode), so the closed vector is one cache entry per spec."""
     q = spec.ctx.q
     if mode == "enumerated":
-        from .ominus_groups import double_coset_traces  # the enumeration oracle, loaded here alone
-        counted = Counter(double_coset_traces(spec))
-        return tuple(character_sums(spec.ctx, [counted.get(beta, 0) for beta in range(q)]))
+        from .ominus_groups import bruhat_cell_lanes, cell_trace_counts  # the enumeration oracle, here alone
+        cell = bruhat_cell_lanes(spec.ctx, spec.n, spec.sigma_index, spec.rho_twisted)
+        return tuple(character_sums(spec.ctx, cell_trace_counts(spec.ctx, spec.n, cell)))
     if mode != "closed_form":
         raise ValueError(f"mode must be 'enumerated' or 'closed_form', got {mode!r}")
     a_cnt, _, total = dc_cardinality(spec)

@@ -15,16 +15,19 @@ integer with entry 0 in the top r bits, so codes order as rows do; the
 right-action table of m lists code(v m) at code(v) for every row vector v; it
 is the one matrix product here, and Q^- itself is D U read from U's table.  A
 cell element is one integer, its 2n row codes concatenated (row 0 highest, so
-codes order as matrices do); each cell is kept once, in coset order, built from
-the images of Q^-'s basis rows, and sorted only where matrices are read.
+codes order as matrices do); each cell is kept once, its codes in coset order
+packed in 64-bit lanes, from Q^- (the r = 0 cell) to its trace counts, and
+unpacked only where a public function returns a tuple.
 """
 
 from __future__ import annotations
 
 import sys
+from array import array  # loaded with the module, so a forked verify-all worker inherits it
+from collections import Counter
 from functools import lru_cache
-from itertools import chain, combinations, product, repeat
-from operator import eq, xor
+from itertools import chain, combinations, product
+from operator import eq
 
 from .double_cosets import (
     PRODUCT_BUDGET, Q_ENUM_BUDGET, DoubleCosetSpec, gl_order, products_fit, q_minus_fits, q_minus_order,
@@ -64,10 +67,10 @@ def _shifts(width: int, count: int) -> range:
     return range(width * (count - 1), -1, -width)
 
 
-def _decode(ctx: FieldCtx, n: int, codes) -> tuple[Matrix, ...]:
-    """Element codes back to matrices, in the given order; each distinct row is split once."""
-    width, count = 2 * n * ctx.r, len(codes)
-    packed, mask = _pack(codes), _pack(repeat((1 << width) - 1, count))
+def _decode(ctx: FieldCtx, n: int, packed: int, count: int) -> tuple[Matrix, ...]:
+    """Packed element codes back to matrices, in lane order; each distinct row is split once."""
+    width = 2 * n * ctx.r
+    mask = _lanes((1 << width) - 1, count)
     columns = [_unpack(packed >> s & mask, count) for s in _shifts(width, 2 * n)]  # row i of each
     rows = {c: tuple(c >> s & ctx.q - 1 for s in _shifts(ctx.r, 2 * n)) for c in set(chain(*columns))}
     return tuple(tuple(map(rows.__getitem__, w)) for w in zip(*columns))
@@ -75,13 +78,15 @@ def _decode(ctx: FieldCtx, n: int, codes) -> tuple[Matrix, ...]:
 
 def _pack(values) -> int:
     """Values below 2^64 as the 64-bit lanes of one integer, one shift, XOR or mask for all."""
-    from array import array  # imported here: commands that read no cell skip loading it
     return int.from_bytes(array("Q", values).tobytes(), sys.byteorder)
 
 
 def _unpack(packed: int, count: int) -> tuple[int, ...]:
-    from array import array
     return tuple(array("Q", packed.to_bytes(8 * count, sys.byteorder)))
+
+
+def _lanes(value: int, count: int) -> int:  # value in each of count 64-bit lanes
+    return int.from_bytes(value.to_bytes(8, "little") * count, "little")
 
 
 @lru_cache(maxsize=None)
@@ -167,18 +172,21 @@ def is_isometry_exhaustive(ctx: FieldCtx, n: int, m: Matrix) -> bool:
     return tuple(map(theta.__getitem__, _right_action(ctx, transpose(m)))) == theta
 
 
-def _form_values(ctx: FieldCtx, n: int, vecs: Matrix):
-    """theta(v_i) for every i, then B(v_i, v_j) = theta(v_i + v_j) + theta(v_i) + theta(v_j), i < j."""
-    th = [theta_minus(ctx, n, v) for v in vecs]
+def _form_values(ctx: FieldCtx, n: int, codes: list[int]):
+    """theta(v_i) for every i, then B(v_i, v_j) = theta(v_i + v_j) + theta(v_i) + theta(v_j), i < j,
+    the v_i given by row codes (v_i + v_j is an XOR); theta read off `_theta_table` where it fits."""
+    theta = (_theta_table(ctx, n).__getitem__ if scan_fits(ctx.q, n) else
+             lambda c: theta_minus(ctx, n, tuple(c >> s & ctx.q - 1 for s in _shifts(ctx.r, 2 * n))))
+    th = list(map(theta, codes))
     yield from th
-    for (i, x), (j, y) in combinations(enumerate(vecs), 2):
-        yield theta_minus(ctx, n, tuple(map(xor, x, y))) ^ th[i] ^ th[j]
+    for (i, x), (j, y) in combinations(enumerate(codes), 2):
+        yield theta(x ^ y) ^ th[i] ^ th[j]
 
 
 @lru_cache(maxsize=None)
 def _basis_form(ctx: FieldCtx, n: int) -> tuple[int, ...]:
     """`_form_values` on the standard basis: the side of `isometry_relations` fixed by (ctx, n)."""
-    return tuple(_form_values(ctx, n, identity_matrix(2 * n)))
+    return tuple(_form_values(ctx, n, [1 << s for s in _shifts(ctx.r, 2 * n)]))
 
 
 def isometry_relations(ctx: FieldCtx, n: int, m: Matrix) -> bool:
@@ -187,7 +195,8 @@ def isometry_relations(ctx: FieldCtx, n: int, m: Matrix) -> bool:
     theta(e_i) for every i and B(Me_i, Me_j) = B(e_i, e_j) for every i < j."""
     if len(m) != 2 * n or any(len(row) != 2 * n for row in m):
         raise ValueError(f"matrix must be {2 * n} x {2 * n}")
-    return all(map(eq, _form_values(ctx, n, transpose(m)), _basis_form(ctx, n)))
+    columns = [_row_code(ctx, column) for column in transpose(m)]
+    return all(map(eq, _form_values(ctx, n, columns), _basis_form(ctx, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +240,15 @@ def enumerate_gl(ctx: FieldCtx, k: int) -> tuple[Matrix, ...]:
     return tuple(sorted(out))
 
 
-@lru_cache(maxsize=None)
-def enumerate_q_minus(ctx: FieldCtx, n: int) -> tuple[Matrix, ...]:
-    """Constructive enumeration of Q^-(2n,q) from its parametrization: D U with
-    D = diag(A, tA^-1, i) and U = [[1, B, th eta], [0, 1, 0], [0, h, 1]] over
-    (A, i, h, B) with tB + th delta h alternating.  Row j of D U is U's
-    right-action table read at the row code of row j of D; one table is built
-    per U.  For n = 1 it degenerates to SO^-(2,q)."""
+def _q_minus_codes(ctx: FieldCtx, n: int) -> list[int]:
+    """Constructive enumeration of Q^-(2n,q) as sorted codes, from its parametrization: D U with
+    D = diag(A, tA^-1, i) and U = [[1, B, th eta], [0, 1, 0], [0, h, 1]] over (A, i, h, B) with
+    tB + th delta h alternating.  Row j of D U is U's right-action table read at the row code of
+    row j of D; one table is built per U.  For n = 1 it degenerates to SO^-(2,q)."""
     if not q_minus_fits(ctx.q, n):
         raise BudgetError(f"|Q^-| exceeds the enumeration budget {Q_ENUM_BUDGET}")
     if n == 1:
-        return enumerate_so2(ctx)
+        return [_row_code(ctx, chain.from_iterable(m)) for m in enumerate_so2(ctx)]
     q, a = ctx.q, ctx.a_param
     k = n - 1
     pad = (0,) * k
@@ -272,7 +279,13 @@ def enumerate_q_minus(ctx: FieldCtx, n: int) -> tuple[Matrix, ...]:
             out.update(sum(table[c] << s for c, s in zip(d, shifts)) for d in diagonals)
     if len(out) != q_minus_order(q, n):
         raise AssertionError("parametrization of Q^- must be bijective")
-    return _decode(ctx, n, sorted(out))
+    return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def enumerate_q_minus(ctx: FieldCtx, n: int) -> tuple[Matrix, ...]:
+    """Q^-(2n,q) as sorted matrices: the r = 0 cell, Q^-'s sorted codes, decoded."""
+    return _decode(ctx, n, *bruhat_cell_lanes(ctx, n, 0, False))
 
 
 def weyl_elements(ctx: FieldCtx, n: int) -> tuple[tuple[Matrix, ...], Matrix]:
@@ -294,82 +307,99 @@ def weyl_elements(ctx: FieldCtx, n: int) -> tuple[tuple[Matrix, ...], Matrix]:
 
 
 @lru_cache(maxsize=None)
-def _basis_columns(ctx: FieldCtx, n: int, group: tuple[int, ...]) -> tuple[int, ...]:
-    """Per bit of a leader w, the images under every y of Q^- (`group`, in code form) of that
-    bit's basis row, packed in 64-bit lanes and moved up to its row of w: w Q^- is the XOR of the
-    columns at the set bits of w.  They depend on Q^- alone, so the cells of every r at one
+def _basis_columns(ctx: FieldCtx, n: int, group: int, size: int) -> tuple[int, ...]:
+    """Per bit of a leader w, the images under every y of Q^- (`group`, its `size` codes packed)
+    of that bit's basis row, packed in 64-bit lanes and moved up to its row of w: w Q^- is the XOR
+    of the columns at the set bits of w.  They depend on Q^- alone, so the cells of every r at one
     (ctx, n) share them; keyed on the codes, a Q^- built again reads no stale entry."""
     width = 2 * n * ctx.r
-    mask, shifts = (1 << width) - 1, _shifts(width, 2 * n)
+    mask, shifts, codes = (1 << width) - 1, _shifts(width, 2 * n), _unpack(group, size)
     eye = identity_matrix(2 * n)  # z^k eye acts on a row code as z^k on each entry
     scaled = [_right_action(ctx, tuple(tuple(e << k for e in row) for row in eye)) for k in range(ctx.r)]
     # basis row b of row j: z^k e_j, bit k of entry j; its image under y is z^k (row j of y)
-    images = [_pack([times[y >> s & mask] for y in group]) for s in reversed(shifts) for times in scaled]
+    images = [_pack([times[y >> s & mask] for y in codes]) for s in reversed(shifts) for times in scaled]
     return tuple(image << s for s in reversed(shifts) for image in images)
 
 
 @lru_cache(maxsize=None)
-def bruhat_cell_cosets(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[int, ...]:
-    """The double coset Q^- sigma_r Q^- as element codes in coset order, unsorted:
-    the disjoint union of its right cosets w Q^-, leaders w = x sigma_r for x in
-    Q^-'s order, each listed as w y for y in Q^-'s order.  A coset is built only
-    if w is in none built yet and must add |Q^-| new elements, so a Q^- that is
-    not a group fails loudly.  Right action is linear in the row, so the steps are
-    operations on Q^- in 64-bit lanes: w Q^- XORs, over the set bits of w, their
-    basis rows' images moved up to w's rows; the leaders XOR, over every bit of x,
-    that bit's lane times sigma_r's image of its basis row; the rho twist adds the
-    last row code to the one before, one shift and XOR over the packed cell."""
+def bruhat_cell_lanes(ctx: FieldCtx, n: int, r: int, twisted: bool) -> tuple[int, int]:
+    """The double coset Q^- sigma_r Q^- as (lanes, count): its element codes in coset order,
+    unsorted, in the 64-bit lanes of one integer; the r = 0 cell is Q^-'s codes as enumerated.
+    It is the disjoint union of its right cosets w Q^-, leaders w = x sigma_r for x in Q^-'s
+    order, each listed as w y for y in Q^-'s order.  A coset is built only if w is in none built
+    yet and must add |Q^-| new elements, so a Q^- that is not a group fails loudly.  Right action
+    is linear in the row, so the steps are lane operations: w Q^- XORs, over the set bits of w,
+    their basis rows' images moved up to w's rows; the leaders XOR, over every bit of x, that
+    bit's lane times sigma_r's image of its basis row; the rho twist adds the last row code to
+    the one before, one shift and XOR."""
     if not 0 <= r <= n - 1:
         raise ValueError(f"r must lie in 0..{n - 1}, got {r}")
     if r and not products_fit(ctx.q, n):  # refuse before enumerating Q^-
         raise BudgetError(f"|O^-(2n,q)| exceeds the product budget {PRODUCT_BUDGET}")
     width = 2 * n * ctx.r  # bits of a row code
-    mask, shifts = (1 << width) - 1, _shifts(width, 2 * n)
     if twisted:
-        packed = _pack(cell := bruhat_cell_cosets(ctx, n, r, False))
-        return _unpack(packed ^ (packed & _pack(repeat(mask, len(cell)))) << width, len(cell))
+        lanes, count = bruhat_cell_lanes(ctx, n, r, False)
+        return lanes ^ (lanes & _lanes((1 << width) - 1, count)) << width, count
     if not r:  # sigma_0 is the identity and Q^- is a group
-        qm = enumerate_q_minus(ctx, n)
-        if 2 * n * width > 64:  # the budgets admit no such n and q
-            raise AssertionError("a cell element must fit one 64-bit lane")
-        codes = {row: _row_code(ctx, row) for row in set(chain.from_iterable(qm))}
-        return _unpack(sum(_pack(codes[y[j]] for y in qm) << s for j, s in enumerate(shifts)), len(qm))
-    group = bruhat_cell_cosets(ctx, n, 0, False)  # Q^- in code form, the identity's coset
-    columns = _basis_columns(ctx, n, group)
+        codes = _q_minus_codes(ctx, n)
+        if 2 * n * width > 63:  # the budgets admit no such n and q
+            raise AssertionError("a cell element must fit one 64-bit lane below its top bit")
+        return _pack(codes), len(codes)
+    group, size = bruhat_cell_lanes(ctx, n, 0, False)  # Q^- in code form, the identity's coset
+    columns = _basis_columns(ctx, n, group, size)
     sigma = _right_action(ctx, weyl_elements(ctx, n)[0][r])
-    lanes, ones, leaders = _pack(group), _pack(repeat(1, len(group))), 0
+    ones, leaders = _lanes(1, size), 0
     for bit in range(2 * n * width):
-        leaders ^= (lanes >> bit & ones) * (sigma[1 << bit % width] << bit - bit % width)
-    cell, seen = [], set()  # seen is only the membership test
-    for left in _unpack(leaders, len(group)):
+        leaders ^= (group >> bit & ones) * (sigma[1 << bit % width] << bit - bit % width)
+    cosets, seen = [], set()  # each coset's lanes as bytes; seen is only the membership test
+    for left in _unpack(leaders, size):
         if left in seen:
             continue
         packed = 0
         for bit, column in enumerate(columns):
             if left >> bit & 1:
                 packed ^= column
-        coset = _unpack(packed, len(group))
-        seen.update(coset)
-        cell += coset
-        if len(seen) != len(cell):
+        cosets.append(packed.to_bytes(8 * size, sys.byteorder))
+        seen.update(array("Q", cosets[-1]))
+        if len(seen) != size * len(cosets):
             raise AssertionError("right cosets of Q^- must be disjoint")
-    return tuple(cell)
+    return int.from_bytes(b"".join(cosets), sys.byteorder), size * len(cosets)
 
 
 @lru_cache(maxsize=None)
 def bruhat_cell(ctx: FieldCtx, n: int, r: int, twisted: bool = False) -> tuple[Matrix, ...]:
-    """`bruhat_cell_cosets` as sorted matrices; codes sort as matrices do, so this is canonical."""
-    return _decode(ctx, n, sorted(bruhat_cell_cosets(ctx, n, r, twisted)))
+    """The cell as sorted matrices; codes sort as matrices do, so this is canonical."""
+    codes = sorted(_unpack(*bruhat_cell_lanes(ctx, n, r, twisted)))
+    return _decode(ctx, n, _pack(codes), len(codes))
 
 
-def cell_traces(ctx: FieldCtx, n: int, codes: tuple[int, ...]) -> tuple[int, ...]:
-    """The matrix trace of every element code, in order: entry (i, i) sits
-    (2n - 1 - i)(2n + 1) r bits up, and the trace XORs those entries.  The codes
-    are packed once, so 2n shifts, XORs and one mask serve the whole cell."""
-    packed, acc = _pack(codes), 0
+def cell_holds_any(cell: tuple[int, int], values) -> bool:
+    """Whether a lane of the packed cell holds one of values: every lane is below 2^63, so adding
+    2^63 - 1 to each lane of the cell XOR a value carries into its top bit where the two differ."""
+    ones = _lanes(1, cell[1])
+    top = ones << 63
+    return any(((cell[0] ^ value * ones) + top - ones) & top != top for value in values)
+
+
+def cell_traces(ctx: FieldCtx, n: int, cell: tuple[int, int]) -> tuple[int, int]:
+    """The matrix trace of every element of a packed cell, in its lane: entry (i, i) sits
+    (2n - 1 - i)(2n + 1) r bits up, so 2n shifts, XORs and one mask serve the whole cell."""
+    lanes, count = cell
+    acc = 0
     for s in _shifts((2 * n + 1) * ctx.r, 2 * n):
-        acc ^= packed >> s
-    return _unpack(acc & _pack(repeat(ctx.q - 1, len(codes))), len(codes))
+        acc ^= lanes >> s
+    return acc & _lanes(ctx.q - 1, count), count
+
+
+def cell_trace_counts(ctx: FieldCtx, n: int, cell: tuple[int, int]) -> list[int]:
+    """How many elements of a packed cell have each trace, at every field element.  Up to
+    q = 256 a trace is its lane's low byte, and one bytes.count per value counts them all; a
+    larger q, reached by the n = 1 cells alone (q + 1 elements), counts them one by one."""
+    traces, count = cell_traces(ctx, n, cell)
+    if ctx.q <= 256:
+        return list(map(traces.to_bytes(8 * count, "little")[::8].count, range(ctx.q)))
+    counted = Counter(_unpack(traces, count))
+    return [counted[beta] for beta in range(ctx.q)]
 
 
 def double_coset_elements(spec: DoubleCosetSpec) -> tuple[Matrix, ...]:
@@ -378,10 +408,9 @@ def double_coset_elements(spec: DoubleCosetSpec) -> tuple[Matrix, ...]:
 
 @lru_cache(maxsize=None)
 def double_coset_traces(spec: DoubleCosetSpec) -> tuple[int, ...]:
-    """The matrix trace of every element of the double coset, in the coset
-    order of `bruhat_cell_cosets`."""
-    cell = bruhat_cell_cosets(spec.ctx, spec.n, spec.sigma_index, spec.rho_twisted)
-    return cell_traces(spec.ctx, spec.n, cell)
+    """The matrix trace of every element of the double coset, in coset order."""
+    cell = bruhat_cell_lanes(spec.ctx, spec.n, spec.sigma_index, spec.rho_twisted)
+    return _unpack(*cell_traces(spec.ctx, spec.n, cell))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from cosetmoments import checks
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "bench_layers.py"
 _spec = importlib.util.spec_from_file_location("bench_layers", TOOL)
@@ -63,3 +65,24 @@ def test_a_pool_case_runs_on_one_core_per_worker_while_cores_last():
         assert len(bench_layers.child_cpus(args)) == min(workers, allowed)
     assert len(bench_layers.child_cpus(("verify-all", "--max-r", "8"))) == 1
     assert len(bench_layers.child_cpus(("verify-all", "--workers", "64"))) == allowed
+
+
+def test_child_checks_sums_each_pool_task_at_the_benchmark_plan():
+    # the verify-all-r2 case: the checks that share an argument tuple form one pool task
+    case = next(args for layer in bench_layers.LAYERS.values() for key, child, args in layer.cases
+                if key == "verify-all-r2")
+    assert case == ("2",)
+    proc = subprocess.run(
+        [sys.executable, str(TOOL), "--child", "child_checks", *case],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    row = json.loads(proc.stdout)
+    tasks: dict = {}
+    for name, _, args, skip in checks._build_checks(2, {}):
+        if not skip:
+            tasks.setdefault(args, []).append(name)
+    sums = {f"{names[0]}.task_s": sum(row[name] for name in names) for names in tasks.values()}
+    assert {key: row[key] for key in sums} == pytest.approx(sums)
+    assert row["longest_task_s"] == max(row[key] for key in sums)
+    assert ["parabolic-cells-n3-r1", "character-sums-n3-r1", "trace-distributions-n3-r1"] in tasks.values()

@@ -38,7 +38,7 @@ from cosetmoments.ominus_groups import (
     b_r_sum,
     b_r_sum_reduced,
     bruhat_cell,
-    bruhat_cell_cosets,
+    bruhat_cell_lanes,
     cell_traces,
     double_coset_elements,
     double_coset_traces,
@@ -56,6 +56,11 @@ from cosetmoments.ominus_groups import (
 
 CTX2 = make_field(1)
 CTX4 = make_field(2)
+
+
+def bruhat_cell_cosets(ctx, n, r, twisted=False):
+    """The packed cell unpacked: its element codes in coset order, as the tests compare them."""
+    return ominus_groups._unpack(*bruhat_cell_lanes(ctx, n, r, twisted))
 
 
 # --- matrix helpers -------------------------------------------------------
@@ -450,6 +455,7 @@ def test_q_minus_builds_one_unipotent_table_per_h_and_b(monkeypatch):
     # D U over (h, B): q^(2k) h and q^(k(k-1)/2) free entries of B, one table each
     ctx = make_field(1)
     enumerate_q_minus.cache_clear()
+    bruhat_cell_lanes.cache_clear()  # Q^- in code form, which enumerate_q_minus decodes
     built = []
     monkeypatch.setattr(ominus_groups, "_right_action",
                         lambda c, m: built.append(len(m)) or _right_action(c, m))
@@ -457,6 +463,7 @@ def test_q_minus_builds_one_unipotent_table_per_h_and_b(monkeypatch):
         assert len(enumerate_q_minus(ctx, 3)) == q_minus_order(2, 3)
     finally:
         enumerate_q_minus.cache_clear()
+        bruhat_cell_lanes.cache_clear()
     assert built == [6] * (2 ** 4 * 2)
 
 
@@ -666,7 +673,8 @@ def test_code_form_traces_match_the_matrix_trace(key):
         for twisted in (False, True):
             cosets = bruhat_cell_cosets(ctx, n, r, twisted)
             literal = tuple(map(mat_trace, _decoded(ctx, n, cosets)))
-            assert cell_traces(ctx, n, cosets) == literal
+            traces, count = cell_traces(ctx, n, bruhat_cell_lanes(ctx, n, r, twisted))
+            assert ominus_groups._unpack(traces, count) == literal
     for spec in valid_specs(ctx, n):
         counted = Counter(map(mat_trace, double_coset_elements(spec)))
         assert trace_distribution(spec, "enumerated") == {b: counted[b] for b in range(ctx.q)}
@@ -693,7 +701,8 @@ def test_code_form_traces_at_every_q_of_the_n1_cells():
         for twisted in (False, True):
             cosets = bruhat_cell_cosets(ctx, 1, 0, twisted)
             literal = tuple(map(mat_trace, _decoded(ctx, 1, cosets)))
-            assert cell_traces(ctx, 1, cosets) == literal
+            traces, count = cell_traces(ctx, 1, bruhat_cell_lanes(ctx, 1, 0, twisted))
+            assert ominus_groups._unpack(traces, count) == literal
 
 
 @pytest.mark.parametrize("key", sorted(CELL_FIELDS))
@@ -759,6 +768,135 @@ def test_lane_cells_match_the_per_element_oracle_at_every_n1_field():
             assert bruhat_cell_cosets(ctx, 1, 0, twisted) == _per_element_cell_cosets(ctx, 1, 0, twisted)
 
 
+# --- the packed path against the tuple forms it replaced -------------------
+
+# every (field degree, n) whose cells the budgets admit at q in {2, 4, 8}: n = 1 has its r = 0
+# cell alone, n = 2 every q, n = 3 only q = 2
+LANE_CASES = [(f, n) for f in (1, 2, 3) for n in (1, 2, 3)
+              if q_minus_fits(1 << f, n) and (n == 1 or ominus_groups.products_fit(1 << f, n))]
+
+
+def test_lane_cases_are_every_admitted_cell_at_q_up_to_8():
+    assert LANE_CASES == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (3, 1), (3, 2)]
+
+
+def _lane_cells(field_r: int, n: int):
+    """(ctx, n, r, twisted) of every cell at one admitted (field degree, n)."""
+    ctx = make_field(field_r)
+    return [(ctx, n, r, twisted) for r in range(n) for twisted in (False, True)]
+
+
+def _tuple_traces(ctx, n, codes):
+    """cell_traces as it was on a tuple of codes: each diagonal entry read element by element."""
+    shifts = ominus_groups._shifts((2 * n + 1) * ctx.r, 2 * n)
+    out = []
+    for w in codes:
+        acc = 0
+        for s in shifts:
+            acc ^= w >> s & ctx.q - 1
+        out.append(acc)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("field_r,n", LANE_CASES)
+def test_packed_twist_matches_the_per_element_twist(field_r, n):
+    # the rho twist was one XOR per element code: its last row code added to the one before
+    for ctx, n, r, twisted in _lane_cells(field_r, n):
+        if twisted:
+            width = 2 * n * ctx.r
+            untwisted = bruhat_cell_cosets(ctx, n, r)
+            expected = tuple(w ^ (w & (1 << width) - 1) << width for w in untwisted)
+            assert bruhat_cell_cosets(ctx, n, r, True) == expected
+
+
+@pytest.mark.parametrize("field_r,n", LANE_CASES)
+def test_lane_trace_counts_match_the_counter_of_the_tuple_traces(field_r, n):
+    for ctx, n, r, twisted in _lane_cells(field_r, n):
+        cell = bruhat_cell_lanes(ctx, n, r, twisted)
+        traces = _tuple_traces(ctx, n, bruhat_cell_cosets(ctx, n, r, twisted))
+        counted = Counter(traces)
+        assert ominus_groups.cell_trace_counts(ctx, n, cell) == [counted[b] for b in range(ctx.q)]
+        assert ominus_groups._unpack(*cell_traces(ctx, n, cell)) == traces
+
+
+def test_lane_trace_counts_at_every_q_of_the_n1_cells():
+    # above q = 256 a trace no longer fits its lane's low byte: the n = 1 cells reach q = 8192
+    for field_r in range(1, 14):
+        ctx = make_field(field_r)
+        for twisted in (False, True):
+            cell = bruhat_cell_lanes(ctx, 1, 0, twisted)
+            counted = Counter(_tuple_traces(ctx, 1, bruhat_cell_cosets(ctx, 1, 0, twisted)))
+            assert ominus_groups.cell_trace_counts(ctx, 1, cell) == [counted[b] for b in range(ctx.q)]
+
+
+@pytest.mark.parametrize("field_r,n", LANE_CASES)
+def test_lane_membership_matches_the_set_of_codes(field_r, n):
+    cells = [bruhat_cell_lanes(*key) for key in _lane_cells(field_r, n)]
+    rng = random.Random(f"holds:{field_r}:{n}")
+    for cell in cells:
+        codes = set(ominus_groups._unpack(*cell))
+        others = [v for other in cells for v in rng.sample(ominus_groups._unpack(*other), 3)]
+        width = 4 * n * n * field_r
+        strangers = [rng.randrange(1 << width) for _ in range(8)]
+        for value in others + strangers:
+            assert ominus_groups.cell_holds_any(cell, [value]) == (value in codes)
+        assert ominus_groups.cell_holds_any(cell, strangers + [min(codes)])
+
+
+@pytest.mark.parametrize("field_r,n", LANE_CASES)
+def test_cell_zero_is_the_code_form_of_q_minus_by_parametrization(field_r, n):
+    # the r = 0 cell was Q^-'s matrices encoded again; it is now the codes as enumerated
+    ctx = make_field(field_r)
+    matrices = enumerate_so2(ctx) if n == 1 else _q_minus_by_parametrization(ctx, n)
+    assert bruhat_cell_cosets(ctx, n, 0) == tuple(_code(ctx, m) for m in matrices)
+    assert enumerate_q_minus(ctx, n) == matrices
+
+
+def _bent(ctx, m, rng):
+    """m with one entry changed by a nonzero field element."""
+    rows = [list(row) for row in m]
+    i, j = rng.randrange(len(m)), rng.randrange(len(m))
+    rows[i][j] ^= rng.randrange(1, ctx.q)
+    return tuple(tuple(row) for row in rows)
+
+
+@pytest.mark.parametrize("field_r,n", LANE_CASES)
+def test_table_relations_match_the_uncached_oracle_on_q_minus_and_bent_matrices(field_r, n):
+    ctx = make_field(field_r)
+    assert ominus_groups.scan_fits(ctx.q, n)  # the relations read the form off its table
+    group = enumerate_q_minus(ctx, n)
+    rng = random.Random(f"relations:{field_r}:{n}")
+    verdicts = []
+    for m in group[:: max(1, len(group) // 512)]:
+        assert isometry_relations(ctx, n, m) and _uncached_isometry_relations(ctx, n, m)
+        bent = _bent(ctx, m, rng)
+        verdicts.append(isometry_relations(ctx, n, bent))
+        assert verdicts[-1] == _uncached_isometry_relations(ctx, n, bent)
+    assert not all(verdicts)
+
+
+@pytest.mark.parametrize("field_r,n", ((11, 1), (4, 3)))
+def test_relations_past_the_scan_budget_compute_the_form(monkeypatch, field_r, n):
+    # no table where the scan does not fit: the form is computed from each code's entries
+    ctx = make_field(field_r)
+    assert not ominus_groups.scan_fits(ctx.q, n)
+
+    def refuse(ctx, n):
+        raise AssertionError("no form table past the scan budget")
+
+    monkeypatch.setattr(ominus_groups, "_theta_table", refuse)
+    rng = random.Random(f"untabled:{field_r}:{n}")
+    group = enumerate_so2(ctx)[::64] if n == 1 else weyl_elements(ctx, n)[0]
+    verdicts = []
+    for m in group:
+        assert isometry_relations(ctx, n, m) and _uncached_isometry_relations(ctx, n, m)
+        for _ in range(3):
+            bent = _bent(ctx, m, rng)
+            verdicts.append(isometry_relations(ctx, n, bent))
+            assert verdicts[-1] == _uncached_isometry_relations(ctx, n, bent)
+    assert not all(verdicts)
+
+
 ACTION_FIELDS = ((1, 2, None), (1, 3, None), (2, 2, None), (2, 2, 0x3), (3, 1, None))
 
 
@@ -820,12 +958,19 @@ def test_parabolic_indices_anchors():
 
 
 def _fake_q_minus(ctx, n: int):
-    """Q^- with its last element swapped for sigma_1: the same size, not a group."""
+    """Q^-'s codes with its last element swapped for sigma_1's: the same size, not a group."""
     group = enumerate_q_minus(ctx, n)
     sigma = weyl_elements(ctx, n)[0][1]
     fake = tuple(sorted(group[:-1] + (sigma,)))
     assert sigma not in group and len(set(fake)) == len(group)
-    return fake
+    return [_code(ctx, m) for m in fake]
+
+
+def _with_q_minus_codes(monkeypatch, codes) -> None:
+    """Q^- enumerated as `codes` from here on: the r = 0 cell, and the matrices decoded from it."""
+    monkeypatch.setattr(ominus_groups, "_q_minus_codes", lambda c, k: codes)
+    bruhat_cell_lanes.cache_clear()
+    enumerate_q_minus.cache_clear()
 
 
 @pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2)))
@@ -833,27 +978,27 @@ def test_cell_check_rejects_a_q_minus_that_is_not_a_group(monkeypatch, field_r, 
     ctx = make_field(field_r)
     fake = _fake_q_minus(ctx, n)
     bruhat_cell_cosets(ctx, n, 1)  # the true group's cells are cached
-    monkeypatch.setattr(ominus_groups, "enumerate_q_minus", lambda c, k: fake)
-    bruhat_cell_cosets.cache_clear()
+    _with_q_minus_codes(monkeypatch, fake)
     try:
         with pytest.raises(AssertionError, match="right cosets of Q\\^- must be disjoint"):
             checks._check_parabolic_cells(ctx, n)
     finally:
-        bruhat_cell_cosets.cache_clear()
+        bruhat_cell_lanes.cache_clear()
+        enumerate_q_minus.cache_clear()
 
 
 @pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2)))
 def test_cell_check_rejects_a_q_minus_of_the_wrong_size(monkeypatch, field_r, n):
     # no separate size assertion: the r = 0 cell is Q^-, so its size check catches it
     ctx = make_field(field_r)
-    short = enumerate_q_minus(ctx, n)[:-1]
-    monkeypatch.setattr(ominus_groups, "enumerate_q_minus", lambda c, k: short)
-    bruhat_cell_cosets.cache_clear()
+    short = list(bruhat_cell_cosets(ctx, n, 0)[:-1])
+    _with_q_minus_codes(monkeypatch, short)
     try:
         with pytest.raises(AssertionError, match="cell size mismatch at r = 0"):
             checks._check_parabolic_cells(ctx, n)
     finally:
-        bruhat_cell_cosets.cache_clear()
+        bruhat_cell_lanes.cache_clear()
+        enumerate_q_minus.cache_clear()
 
 
 @pytest.mark.parametrize("key", sorted(CELL_FIELDS))
@@ -870,9 +1015,9 @@ def test_cell_check_agrees_with_the_union_of_every_cell(key):
 def test_cell_check_rejects_two_overlapping_cells(monkeypatch, field_r, n):
     # the twisted cell swapped for its untwisted twin: every size and the total still hold
     ctx = make_field(field_r)
-    real = bruhat_cell_cosets
-    monkeypatch.setattr(ominus_groups, "bruhat_cell_cosets",
-                        lambda c, k, r, twisted=False: real(c, k, r, twisted and r != n - 1))
+    real = bruhat_cell_lanes
+    monkeypatch.setattr(ominus_groups, "bruhat_cell_lanes",
+                        lambda c, k, r, twisted: real(c, k, r, twisted and r != n - 1))
     with pytest.raises(AssertionError, match="cells must partition the whole isometry group"):
         checks._check_parabolic_cells(ctx, n)
 
@@ -919,20 +1064,23 @@ def test_isometry_checks_reject_a_non_isometry_by_the_exhaustive_scan(monkeypatc
 
 @pytest.mark.parametrize("field_r,n", ((1, 2), (1, 3), (2, 2), (3, 2)))
 def test_cell_walk_builds_no_table_per_element_of_q_minus(monkeypatch, field_r, n):
-    # with Q^- cached, a cell builds r scaled-basis tables and the sigma table, not |Q^-|
+    # with Q^- cached in code form, a cell builds r scaled-basis tables and the sigma table, not
+    # |Q^-|, and the matrices of Q^- are decoded from that code form with no table at all
     ctx = make_field(field_r)
-    bruhat_cell_cosets(ctx, n, 0)
+    bruhat_cell_lanes.cache_clear()
+    ominus_groups._basis_columns.cache_clear()
+    enumerate_q_minus.cache_clear()
+    bruhat_cell_lanes(ctx, n, 0, False)
     built = []
     monkeypatch.setattr(ominus_groups, "_right_action",
                         lambda c, m: built.append(m) or _right_action(c, m))
-    bruhat_cell_cosets.cache_clear()
-    ominus_groups._basis_columns.cache_clear()
     try:
-        bruhat_cell_cosets(ctx, n, 0)
+        assert len(enumerate_q_minus(ctx, n)) == q_minus_order(ctx.q, n)
         assert built == []
         bruhat_cell_cosets(ctx, n, n - 1, True)
     finally:
-        bruhat_cell_cosets.cache_clear()
+        bruhat_cell_lanes.cache_clear()
+        enumerate_q_minus.cache_clear()
     assert len(built) == field_r + 1 and built[-1] == weyl_elements(ctx, n)[0][n - 1]
 
 
@@ -940,16 +1088,16 @@ def test_cells_at_one_q_minus_build_the_scaled_basis_tables_once(monkeypatch):
     # the basis columns depend on Q^- alone: after the first cell, each r builds only its sigma table;
     # n = 3 at q = 2 is the one (q, n) the budgets admit with two cells past Q^- itself
     ctx, n = make_field(1), 3
-    bruhat_cell_cosets(ctx, n, 0)
+    bruhat_cell_lanes.cache_clear()
+    ominus_groups._basis_columns.cache_clear()
+    bruhat_cell_lanes(ctx, n, 0, False)
     built = []
     monkeypatch.setattr(ominus_groups, "_right_action",
                         lambda c, m: built.append(m) or _right_action(c, m))
-    bruhat_cell_cosets.cache_clear()
-    ominus_groups._basis_columns.cache_clear()
     try:
         cells = [bruhat_cell_cosets(ctx, n, r, twisted) for r in (1, 2) for twisted in (False, True)]
     finally:
-        bruhat_cell_cosets.cache_clear()
+        bruhat_cell_lanes.cache_clear()
     assert len(built) == 1 + 2 and built[1:] == list(weyl_elements(ctx, n)[0][1:])
     assert [len(cell) for cell in cells] == [bruhat_cell_order(2, n, r) for r in (1, 1, 2, 2)]
 
@@ -962,7 +1110,7 @@ def test_every_admitted_cell_element_fits_one_lane():
 
 def test_cell_refuses_an_element_wider_than_one_lane(monkeypatch):
     # Q^-(6,4) is over the enumeration budget; were it admitted, its 144-bit elements could not be packed
-    monkeypatch.setattr(ominus_groups, "enumerate_q_minus", lambda ctx, n: ())
+    monkeypatch.setattr(ominus_groups, "_q_minus_codes", lambda ctx, n: [])
     with pytest.raises(AssertionError, match="64-bit lane"):
         bruhat_cell_cosets(CTX4, 3, 0)
 

@@ -158,17 +158,29 @@ def child_field(r: str) -> dict:
     return row
 
 
+Q_MINUS_INPUTS = ("enumerate_q_minus", "enumerate_gl", "enumerate_so2", "_powers")  # kept by child_cell
+
+
+def _clear_caches(module, kept: tuple[str, ...] = ()) -> None:
+    """Clear every lru_cache the module defines but those named in kept, whatever a side caches."""
+    for name, obj in vars(module).items():
+        if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__ and name not in kept:
+            obj.cache_clear()
+
+
 def child_cell(field_r: str, n: str, r: str) -> dict:
-    """One untwisted Bruhat cell with Q^- already enumerated and every cell
-    cache cleared before each timed call, so each call builds its own tables;
-    `cosets_s` times the unsorted coset-order walk alone, and `twisted_s` the
-    rho-twisted cell in coset order, under the same resets (so it includes the
-    untwisted walk it reads: the twist itself costs twisted_s - cosets_s).
-    The work the walk does: the right-action tables built (q^(2n) row codes
-    each: the r scaled-basis tables and sigma's), the basis columns of |Q^-|
-    lanes (2n r) and the cosets expanded (|cell| / |Q^-|).  A side whose
-    product budget refuses the case has it lifted, so both sides build the
-    same cell and their digests are compared."""
+    """One untwisted Bruhat cell with Q^- already enumerated, in matrices and in code form, and
+    every other ominus_groups cache cleared before each timed call, so each call builds its own
+    tables; `cosets_s` times the cached form of the cell alone (its packed lanes where the side
+    keeps them, else its tuple of codes: the coset-order walk either way), and `twisted_s` the
+    rho-twisted cell in that form, under the same resets (so it includes the untwisted walk it
+    reads: the twist itself costs twisted_s - cosets_s).  `trace_counts_s` times, with the cell
+    built, the enumerated character sums of the spec whose cell it is (its traces counted by
+    value, then one transform), their caches cleared before each call.  The work the walk does:
+    the right-action tables built (q^(2n) row codes each: the r scaled-basis tables and
+    sigma's), the basis columns of |Q^-| lanes (2n r) and the cosets expanded (|cell| / |Q^-|).
+    A side whose product budget refuses the case has it lifted, so both sides build the same
+    cell and their digests are compared."""
     from cosetmoments import double_cosets as dc
     from cosetmoments import ominus_groups as og
     from cosetmoments.finite_field import make_field
@@ -178,42 +190,43 @@ def child_cell(field_r: str, n: str, r: str) -> dict:
     if not dc.products_fit(ctx.q, n_int):
         dc.PRODUCT_BUDGET = math.inf
     qm = og.enumerate_q_minus(ctx, n_int)
-    caches = (og.bruhat_cell, og.bruhat_cell_cosets, og._basis_columns)
+    cell_form = getattr(og, "bruhat_cell_lanes", None) or og.bruhat_cell_cosets
+    spec = next(s for s in dc.valid_specs(ctx, n_int) if s.sigma_index == r_int and not s.rho_twisted)
 
     def reset():
-        for cache in caches:
-            cache.cache_clear()
+        _clear_caches(og, Q_MINUS_INPUTS)
+        cell_form(ctx, n_int, 0, False)  # Q^- in code form, outside the timing
+
+    def reset_sums():
+        dc.exp_sums_dc.cache_clear()
+        og.double_coset_traces.cache_clear()
 
     seconds = _median_s(lambda: og.bruhat_cell(ctx, n_int, r_int), reset=reset)
-    cosets_s = _median_s(lambda: og.bruhat_cell_cosets(ctx, n_int, r_int), reset=reset)
-    twisted_s = _median_s(lambda: og.bruhat_cell_cosets(ctx, n_int, r_int, True), reset=reset)
-    calls = _count_calls(og, "_right_action")
+    cosets_s = _median_s(lambda: cell_form(ctx, n_int, r_int, False), reset=reset)
+    twisted_s = _median_s(lambda: cell_form(ctx, n_int, r_int, True), reset=reset)
+    trace_counts_s = _median_s(lambda: dc.exp_sums_dc(spec, "enumerated"), reset=reset_sums)
     reset()
+    calls = _count_calls(og, "_right_action")
     cell = og.bruhat_cell(ctx, n_int, r_int)
     work = {"right_action_tables": calls[0], "table_codes": calls[0] * ctx.q ** (2 * n_int),
             "cosets_expanded": len(cell) // len(qm), "basis_columns": 2 * n_int * ctx.r}
-    return {"s": seconds, "cosets_s": cosets_s, "twisted_s": twisted_s, **work, "cell_size": len(cell),
-            "q_minus_order": len(qm), "digest": _digest(cell)}
+    return {"s": seconds, "cosets_s": cosets_s, "twisted_s": twisted_s, "trace_counts_s": trace_counts_s,
+            **work, "cell_size": len(cell), "q_minus_order": len(qm), "digest": _digest(cell),
+            "sums_digest": _digest(dc.exp_sums_dc(spec, "enumerated"))}
 
 
 def child_q_minus(field_r: str, n: str) -> dict:
-    """A cold `enumerate_q_minus`: its cache and those of GL, SO(2,q) and the
-    power table cleared before each timed call; and its work: the unipotent
-    right-action tables built (each q^(2n) row codes)."""
+    """A cold `enumerate_q_minus`: every ominus_groups cache cleared before each timed call (Q^-
+    itself, in matrices and in code form, GL, SO(2,q) and the power table among them); and its
+    work: the unipotent right-action tables built (each q^(2n) row codes)."""
     from cosetmoments import ominus_groups as og
     from cosetmoments.finite_field import make_field
 
     ctx = make_field(int(field_r))
     n_int = int(n)
-    caches = (og.enumerate_q_minus, og.enumerate_gl, og.enumerate_so2, og._powers)
-
-    def reset():
-        for cache in caches:
-            cache.cache_clear()
-
-    seconds = _median_s(lambda: og.enumerate_q_minus(ctx, n_int), reset=reset)
+    seconds = _median_s(lambda: og.enumerate_q_minus(ctx, n_int), reset=lambda: _clear_caches(og))
+    _clear_caches(og)
     calls = _count_calls(og, "_right_action")
-    reset()
     group = og.enumerate_q_minus(ctx, n_int)
     return {"s": seconds, "unipotent_tables": calls[0], "table_codes": calls[0] * ctx.q ** (2 * n_int),
             "q_minus_order": len(group), "digest": _digest(group)}
@@ -245,7 +258,10 @@ def _forked_seconds(fn, args) -> float:
 def child_checks(max_r: str) -> dict:
     """Seconds of every check of `verify-all --max-r MAX_R` that the plan does
     not skip, run in plan order in one process as `--workers 1` runs them, and
-    their sum.  Each check runs CHECK_REPEATS times from the state the checks
+    their sum; per task, the sum of its checks (`<first check>.task_s`, the checks
+    that share an argument tuple, grouped as the pool groups them into one task),
+    and the longest task (`longest_task_s`), which bounds the pool's wall time.
+    Each check runs CHECK_REPEATS times from the state the checks
     before it leave, after a full garbage collection: once in this process and
     the other times in forked copies (this process runs no threads), and the
     fastest run is kept.  So neither a collection owed to earlier checks nor a
@@ -267,10 +283,11 @@ def child_checks(max_r: str) -> dict:
         "reduced_terms": _count_calls(og, "b_r_sum_reduced",
                                       lambda ctx, dim, *_: ctx.q ** (dim * (dim + 1) // 2)),
     }
-    row, work = {}, {}
+    row, work, tasks = {}, {}, {}
     for name, fn, args, skip in _build_checks(int(max_r), {}):
         if skip:
             continue
+        tasks.setdefault(args, []).append(name)  # the pool's task key: the argument tuple
         gc.collect()
         runs = [_forked_seconds(fn, args) for _ in range(CHECK_REPEATS - 1)]
         for counter in counters.values():
@@ -280,7 +297,8 @@ def child_checks(max_r: str) -> dict:
         row[name] = min(runs + [time.perf_counter() - start])
         work.update({f"{name}.{kind}": counter[0] for kind, counter in counters.items() if counter[0]})
     row["sum_s"] = sum(row.values())
-    return {**row, **work}
+    task_s = {f"{names[0]}.task_s": sum(row[name] for name in names) for names in tasks.values()}
+    return {**row, **task_s, "longest_task_s": max(task_s.values()), **work}
 
 
 SPECTRUM_DIRECT_SAMPLE = 64  # arguments a whose direct sum is timed at every r
@@ -457,8 +475,7 @@ LAYERS = {
         agree=("distinct_weights", *(f"j{j}_digest" for j in PREFIX_J_MAXES)),
     ),
     "q-minus": Layer(
-        "a cold enumeration of Q^-(2n,q), the Q^-, GL, SO(2,q) and power-table caches "
-        "cleared before each timed call",
+        "a cold enumeration of Q^-(2n,q), every ominus_groups cache cleared before each timed call",
         tuple((f"q{1 << f}-n{n}", "child_q_minus", (str(f), str(n)))
               for f, n in ((1, 2), (1, 3), (2, 2), (3, 2))),
         "unipotent right-action tables built (table_codes: q^(2n) row codes each, one XOR per "
@@ -472,16 +489,21 @@ LAYERS = {
               for f, n in ((1, 2), (1, 3), (2, 2), (3, 2)) for r in range(1, n)),
         "right-action tables built (table_codes: q^(2n) row codes each, one XOR per code): the "
         "r scaled-basis tables and sigma's; basis_columns: columns of |Q^-| 64-bit lanes, one "
-        "per basis row (2n r); cosets expanded (|cell| / |Q^-|); every cell cache is cleared "
-        "before each timed call; cosets_s times the unsorted coset-order walk alone, twisted_s "
-        "the rho-twisted cell with the walk it reads; the digest and the cell size must agree",
-        agree=("digest", "cell_size"),
+        "per basis row (2n r); cosets expanded (|cell| / |Q^-|); every ominus_groups cache but "
+        "Q^- and its inputs is cleared before each timed call; cosets_s times the cell's cached "
+        "form alone (the unsorted coset-order walk), twisted_s the rho-twisted cell with the walk "
+        "it reads, trace_counts_s the enumerated character sums of the cell's spec from the built "
+        "cell; the digests and the cell size must agree",
+        agree=("digest", "cell_size", "sums_digest"),
     ),
     "checks": Layer(
-        "every verify-all --max-r 8 check the plan runs, serially, in plan order: the "
-        "trace distributions, recursions and symmetric-matrix sum among them",
-        (("verify-all-r8", "child_checks", ("8",)),),
+        "every verify-all check the plan runs at --max-r 8 and at the benchmark's --max-r 2, "
+        "serially, in plan order: the trace distributions, recursions and symmetric-matrix sum "
+        "among them",
+        (("verify-all-r8", "child_checks", ("8",)), ("verify-all-r2", "child_checks", ("2",))),
         f"seconds per check, the fastest of {CHECK_REPEATS} runs, and their sum (sum_s); "
+        "<first check>.task_s: the checks of one pool task (one argument tuple) summed, and "
+        "longest_task_s the largest of them; "
         "<check>.tables: right-action tables the check built, in plan order after the checks "
         "before it: Q^-'s unipotent tables, the sigma tables, the scan tables and the r "
         "scaled-basis tables per cell (q^(2n) row codes each), and per B of a direct "
